@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GluingMismatch, InputError, NotConnected, ZeroOnVertex
 from .spheremesh import (
     SurfaceMesh,
-    _edge_counts,
+    _edge_table,
     boundary_loops,
     connected_components,
     euler_characteristic,
@@ -81,14 +81,6 @@ class EigenlineManifold:
     @property
     def genus(self) -> int:
         return genus(self.mesh)
-
-
-def lambda_field(man: EigenlineManifold) -> np.ndarray:
-    return man.lambda_s
-
-
-def lambda0_field(man: EigenlineManifold) -> np.ndarray:
-    return man.lambda_s0
 
 
 def _angular_dist(points: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -167,13 +159,8 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
         keep_face = ~removed[faces].any(axis=1)
         kept = faces[keep_face]
         # vertices whose link is pinched would give non simple boundaries
-        counts = _edge_counts(kept)
-        bdry_deg = np.zeros(base.n_vertices, dtype=int)
-        for (a, b), c in counts.items():
-            if c == 1:
-                bdry_deg[a] += 1
-                bdry_deg[b] += 1
-        bad = bdry_deg > 2
+        edges, counts, _ = _edge_table(kept)
+        bad = np.bincount(edges[counts == 1].reshape(-1), minlength=base.n_vertices) > 2
         if not bad.any():
             break
         removed |= bad
@@ -304,31 +291,6 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
 # combinatorial critical point counts
 
 
-def _vertex_stars(mesh: SurfaceMesh) -> list[list[int]]:
-    """Cyclically ordered neighbor lists; requires a closed oriented mesh."""
-    nxt: list[dict[int, int]] = [dict() for _ in range(mesh.n_vertices)]
-    for f in mesh.faces:
-        v0, v1, v2 = int(f[0]), int(f[1]), int(f[2])
-        nxt[v0][v1] = v2
-        nxt[v1][v2] = v0
-        nxt[v2][v0] = v1
-    stars: list[list[int]] = []
-    for v, ring in enumerate(nxt):
-        if not ring:
-            stars.append([])
-            continue
-        start = min(ring)
-        cyc = [start]
-        cur = ring[start]
-        while cur != start:
-            cyc.append(cur)
-            cur = ring[cur]
-            if len(cyc) > len(ring):
-                raise GluingMismatch(f"vertex {v} has a non cyclic star")
-        stars.append(cyc)
-    return stars
-
-
 def _tie_break_jitter(n: int, scale: float) -> np.ndarray:
     idx = np.arange(1, n + 1, dtype=float)
     u = np.modf(np.sin(idx * 12.9898) * 43758.5453123)[0]
@@ -371,40 +333,36 @@ def critical_scan(man: EigenlineManifold, section_fn=None, fd_step: float = 1e-5
     values = man.lambda_s
     scale = max(float(np.abs(values).max()), 1.0)
     g = values + _tie_break_jitter(values.size, scale)
-    stars = _vertex_stars(man.mesh)
-    n_min = n_max = 0
-    saddle_mult = 0
-    chi_sum = 0.0
-    points = []
-    for v, cyc in enumerate(stars):
-        if not cyc:
-            raise GluingMismatch("isolated vertex in glued surface")
-        diffs = np.array([g[u] - g[v] for u in cyc])
-        signs = diffs > 0.0
-        sc = int(np.count_nonzero(signs != np.roll(signs, -1)))
-        chi_sum += 1.0 - sc / 2.0
-        kind = None
-        if sc == 0:
-            if bool(signs.all()):
-                n_min += 1
-                kind = "min"
-            else:
-                n_max += 1
-                kind = "max"
-        elif sc >= 4:
-            saddle_mult += sc // 2 - 1
-            kind = "saddle"
-        if kind is not None and man.region[v] < 2:
-            points.append({
-                "where": [float(c) for c in man.base_dirs[v]],
-                "lambda": float(man.lambda_s[v]),
-                "kind": kind,
-            })
-    chi_combinatorial = int(round(chi_sum))
+    faces = man.mesh.faces
+    n = man.mesh.n_vertices
+    if not np.bincount(faces.reshape(-1), minlength=n).all():
+        raise GluingMismatch("isolated vertex in glued surface")
+    if not is_consistently_oriented(man.mesh):
+        raise GluingMismatch("glued surface is not closed and consistently oriented")
+    # on a closed oriented mesh face (v, a, b) makes a, b consecutive in v's star
+    v = faces.reshape(-1)
+    up_a = (g[faces[:, [1, 2, 0]].reshape(-1)] - g[v]) > 0.0
+    up_b = (g[faces[:, [2, 0, 1]].reshape(-1)] - g[v]) > 0.0
+    sc = np.bincount(v[up_a != up_b], minlength=n)
+    n_up = np.bincount(v[up_a], minlength=n)
+    is_min = (sc == 0) & (n_up > 0)
+    is_max = (sc == 0) & (n_up == 0)
+    is_saddle = sc >= 4
+    kinds = np.select([is_min, is_max, is_saddle], [0, 1, 2], default=-1)
+    points = [
+        {
+            "where": [float(c) for c in man.base_dirs[i]],
+            "lambda": float(man.lambda_s[i]),
+            "kind": ("min", "max", "saddle")[kinds[i]],
+        }
+        for i in np.nonzero((kinds >= 0) & (man.region < 2))[0]
+    ]
+    # each star is a cycle, so every sc is even
+    chi_combinatorial = n - int(sc.sum()) // 2
     report = {
-        "minima": n_min,
-        "maxima": n_max,
-        "saddle_multiplicity": saddle_mult,
+        "minima": int(is_min.sum()),
+        "maxima": int(is_max.sum()),
+        "saddle_multiplicity": int((sc[is_saddle] // 2 - 1).sum()),
         "chi_from_criticals": chi_combinatorial,
         "chi": man.chi,
         "consistent": chi_combinatorial == man.chi,

@@ -201,11 +201,16 @@ def singular_directions(crystal: Crystal, subdivisions: int = 4,
             continue
         if all(float(np.dot(x, y)) < math.cos(AXIS_MERGE_ANGLE) for y in found):
             found.append(x)
+    found.sort(key=lambda d: (round(d[0], 9), round(d[1], 9), round(d[2], 9)))
+    # each index circle must enclose one axis only, however close the axes sit
+    sep = min((math.acos(float(np.clip(np.dot(x, y), -1.0, 1.0)))
+               for i, x in enumerate(found) for y in found[i + 1:]), default=math.pi)
+    radius = min(5e-3, sep / 4.0)
     axes = []
     section = lambda pts: compressed_grid(crystal, pts)
-    for d in sorted(found, key=lambda d: (round(d[0], 9), round(d[1], 9), round(d[2], 9))):
+    for d in found:
         g = math.sqrt(float(gap2(d[None, :])[0]))
-        idx = local_degree(section, d, radius=5e-3, samples=180)
+        idx = local_degree(section, d, radius=radius, samples=180)
         axes.append(SingularDirection(x=d, residual=g, local_index=idx))
     return axes
 
@@ -240,8 +245,6 @@ def min_sheet_gap(crystal: Crystal, subdivisions: int = 4) -> float:
 def fresnel_report(crystal: Crystal, subdivisions: int = 4) -> dict:
     """Axis data and sheet statistics as a serializable dict."""
     axes = singular_directions(crystal, subdivisions=subdivisions)
-    base = icosphere(subdivisions)
-    s1, s2 = sheet_speeds(crystal, base.vertices)
     return {
         "epsilon": [float(e) for e in crystal.eps],
         "singular_directions": [
@@ -252,5 +255,5 @@ def fresnel_report(crystal: Crystal, subdivisions: int = 4) -> dict:
             }
             for a in axes
         ],
-        "min_sheet_gap": float((s2 - s1).min()),
+        "min_sheet_gap": min_sheet_gap(crystal, subdivisions),
     }

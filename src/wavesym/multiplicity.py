@@ -416,13 +416,6 @@ def trace_component(fld: ChartSymbolField, curve: SingularCurve) -> Multiplicity
     )
 
 
-def winding_number(component: MultiplicityComponent) -> int:
-    """Half turns of the kernel line along one CCW traversal of the base."""
-    if not component.base.closed:
-        raise InputError("winding requires a closed base curve")
-    return component.winding
-
-
 class KnotType(NamedTuple):
     pair: tuple[int, int]
     connected: bool

@@ -210,11 +210,6 @@ def sigma_mn(m: int, n: int) -> SphereSymbol:
     return SphereSymbol(v=PolyVF.monomial(m), factors=tuple(PolyVF.monomial(d) for d in degs))
 
 
-def evaluate_symbol(sym: SphereSymbol, p: SpherePoint) -> ComplexRep:
-    """Representative of sym at p in the frame of p's own chart."""
-    return sym.rep_at(p)
-
-
 def rep_consistency_gap(sym: SphereSymbol, p: SpherePoint) -> float:
     """Norm gap between the two chart evaluations after frame alignment.
 

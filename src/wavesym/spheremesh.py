@@ -38,63 +38,62 @@ class SurfaceMesh:
         return int(self.faces.shape[0])
 
 
-def _edge_counts(faces: np.ndarray) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the 3F half-edges a->b, b->c, c->a, face by face."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    return faces.reshape(-1), faces[:, [1, 2, 0]].reshape(-1)
 
 
-def edge_count(mesh: SurfaceMesh) -> int:
-    return len(_edge_counts(mesh.faces))
+def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique undirected edges of a triangle list.
 
-
-def is_closed(mesh: SurfaceMesh) -> bool:
-    return all(c == 2 for c in _edge_counts(mesh.faces).values())
+    Returns (edges, counts, half): the sorted vertex pairs (E, 2), the
+    number of faces on each edge, and the edge id of every half-edge in
+    the order of `_half_edges`.
+    """
+    tail, head = _half_edges(faces)
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    n = int(hi.max(initial=0)) + 1
+    keys, half, counts = np.unique(lo * n + hi, return_inverse=True, return_counts=True)
+    return np.column_stack([keys // n, keys % n]), counts, half
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
     """V - E + F of a closed mesh.  Raises NotClosed on boundary edges."""
-    counts = _edge_counts(mesh.faces)
-    bad = [e for e, c in counts.items() if c != 2]
+    edges, counts, _ = _edge_table(mesh.faces)
+    bad = int(np.count_nonzero(counts != 2))
     if bad:
-        raise NotClosed(f"{len(bad)} edges are not shared by exactly two faces")
-    return mesh.n_vertices - len(counts) + mesh.n_faces
+        raise NotClosed(f"{bad} edges are not shared by exactly two faces")
+    return mesh.n_vertices - len(edges) + mesh.n_faces
 
 
 def connected_components(mesh: SurfaceMesh) -> int:
     """Number of vertex components under the edge graph."""
-    parent = list(range(mesh.n_vertices))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b, c in mesh.faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            ru, rv = find(int(u)), find(int(v))
-            if ru != rv:
-                parent[ru] = rv
-    used = {int(v) for f in mesh.faces for v in f}
-    return len({find(i) for i in used}) if used else 0
+    edges, _, _ = _edge_table(mesh.faces)
+    a, b = edges[:, 0], edges[:, 1]
+    # min-label propagation: every label is a vertex of the same component,
+    # never above its own id; hooking the labels (not the end vertices) and
+    # pointer jumping keep the number of rounds logarithmic
+    label = np.arange(mesh.n_vertices)
+    while True:
+        la, lb = label[a], label[b]
+        low = np.minimum(la, lb)
+        new = label.copy()
+        np.minimum.at(new, la, low)
+        np.minimum.at(new, lb, low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return int(np.unique(label[mesh.faces]).size)
+        label = new
 
 
 def is_consistently_oriented(mesh: SurfaceMesh) -> bool:
-    """Each interior edge must be traversed once in each direction."""
-    directed: set[tuple[int, int]] = set()
-    for a, b, c in mesh.faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (int(u), int(v)) in directed:
-                return False
-            directed.add((int(u), int(v)))
-    for u, v in directed:
-        if (v, u) not in directed:
-            return False
-    return True
+    """Each edge must be traversed exactly once in each direction."""
+    _, counts, half = _edge_table(mesh.faces)
+    tail, head = _half_edges(mesh.faces)
+    rising = np.bincount(half[tail < head], minlength=counts.size)
+    return bool(np.all(counts == 2) and np.all(rising == 1))
 
 
 def genus(mesh: SurfaceMesh) -> int:
@@ -109,14 +108,11 @@ def genus(mesh: SurfaceMesh) -> int:
 
 def boundary_loops(faces: np.ndarray) -> list[list[int]]:
     """Vertex cycles of the boundary (edges used by exactly one face)."""
-    counts = _edge_counts(faces)
-    directed = {}
-    for a, b, c in faces:
-        for u, v in ((int(a), int(b)), (int(b), int(c)), (int(c), int(a))):
-            key = (u, v) if u < v else (v, u)
-            if counts[key] == 1:
-                # boundary is traversed opposite to the face direction
-                directed[v] = u
+    _, counts, half = _edge_table(faces)
+    tail, head = _half_edges(faces)
+    on_boundary = counts[half] == 1
+    # boundary is traversed opposite to the face direction
+    directed = dict(zip(head[on_boundary].tolist(), tail[on_boundary].tolist()))
     loops: list[list[int]] = []
     seen: set[int] = set()
     for start in sorted(directed):
@@ -126,6 +122,8 @@ def boundary_loops(faces: np.ndarray) -> list[list[int]]:
         seen.add(start)
         cur = directed[start]
         while cur != start:
+            if cur in seen:
+                raise WavesymError(f"boundary is pinched at vertex {cur}")
             loop.append(cur)
             seen.add(cur)
             cur = directed[cur]
@@ -197,22 +195,6 @@ def tangent_frames(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if single:
         return t1[0], t2[0]
     return t1, t2
-
-
-def transported_frame_angle(center: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Angle of the center frame's t1, transported to x, inside x's own frame.
-
-    The transport projects t1(center) onto the tangent plane at x and
-    renormalizes; valid while x stays well away from +-t1(center).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t1c, _ = tangent_frames(np.asarray(center, dtype=float))
-    proj = t1c[None, :] - (x @ t1c)[:, None] * x
-    nrm = np.linalg.norm(proj, axis=1, keepdims=True)
-    proj = proj / nrm
-    t1x, t2x = tangent_frames(x)
-    ang = np.arctan2(np.einsum("ij,ij->i", proj, t2x), np.einsum("ij,ij->i", proj, t1x))
-    return ang
 
 
 def rotate_pq(p: np.ndarray, q: np.ndarray, angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: full
 matrices instead of (t, p, q) triples, characteristic polynomials
-instead of closed forms, dense grids instead of local refinement.
+instead of closed forms, dense grids instead of local refinement,
+loops over faces instead of the vectorized edge table.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from wavesym.eigenline import _tie_break_jitter
+from wavesym.errors import GluingMismatch, NotClosed
 
 
 def eig_quadratic(t: float, p: float, q: float) -> tuple[float, float]:
@@ -181,3 +185,153 @@ AXIS_SIN_BETA = 0.7745966692414834
 AXIS_COS_BETA = 0.6324555320336759
 AXIS_SEPARATION = 1.369438406004566          # acos(0.2)
 AXIS_DSR_NORM = 0.08164965809277261          # sqrt(1/150)
+
+
+# ---------------------------------------------------------------------------
+# loop references for the mesh combinatorics: one face at a time, with a
+# dict of edge counts, union-find, a directed-edge set and star walks
+
+
+def _edge_counts(faces: np.ndarray) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for a, b, c in faces:
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def euler_characteristic(mesh) -> int:
+    """V - E + F of a closed mesh.  Raises NotClosed on boundary edges."""
+    counts = _edge_counts(mesh.faces)
+    bad = [e for e, c in counts.items() if c != 2]
+    if bad:
+        raise NotClosed(f"{len(bad)} edges are not shared by exactly two faces")
+    return mesh.n_vertices - len(counts) + mesh.n_faces
+
+
+def connected_components(mesh) -> int:
+    """Number of vertex components under the edge graph."""
+    parent = list(range(mesh.n_vertices))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b, c in mesh.faces:
+        for u, v in ((a, b), (b, c), (c, a)):
+            ru, rv = find(int(u)), find(int(v))
+            if ru != rv:
+                parent[ru] = rv
+    used = {int(v) for f in mesh.faces for v in f}
+    return len({find(i) for i in used}) if used else 0
+
+
+def is_consistently_oriented(mesh) -> bool:
+    """Each interior edge must be traversed once in each direction."""
+    directed: set[tuple[int, int]] = set()
+    for a, b, c in mesh.faces:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if (int(u), int(v)) in directed:
+                return False
+            directed.add((int(u), int(v)))
+    for u, v in directed:
+        if (v, u) not in directed:
+            return False
+    return True
+
+
+def boundary_loops(faces: np.ndarray) -> list[list[int]]:
+    """Vertex cycles of the boundary (edges used by exactly one face)."""
+    counts = _edge_counts(faces)
+    directed = {}
+    for a, b, c in faces:
+        for u, v in ((int(a), int(b)), (int(b), int(c)), (int(c), int(a))):
+            key = (u, v) if u < v else (v, u)
+            if counts[key] == 1:
+                # boundary is traversed opposite to the face direction
+                directed[v] = u
+    loops: list[list[int]] = []
+    seen: set[int] = set()
+    for start in sorted(directed):
+        if start in seen:
+            continue
+        loop = [start]
+        seen.add(start)
+        cur = directed[start]
+        while cur != start:
+            loop.append(cur)
+            seen.add(cur)
+            cur = directed[cur]
+        loops.append(loop)
+    return loops
+
+
+def _vertex_stars(mesh) -> list[list[int]]:
+    """Cyclically ordered neighbor lists; requires a closed oriented mesh."""
+    nxt: list[dict[int, int]] = [dict() for _ in range(mesh.n_vertices)]
+    for f in mesh.faces:
+        v0, v1, v2 = int(f[0]), int(f[1]), int(f[2])
+        nxt[v0][v1] = v2
+        nxt[v1][v2] = v0
+        nxt[v2][v0] = v1
+    stars: list[list[int]] = []
+    for v, ring in enumerate(nxt):
+        if not ring:
+            stars.append([])
+            continue
+        start = min(ring)
+        cyc = [start]
+        cur = ring[start]
+        while cur != start:
+            cyc.append(cur)
+            cur = ring[cur]
+            if len(cyc) > len(ring):
+                raise GluingMismatch(f"vertex {v} has a non cyclic star")
+        stars.append(cyc)
+    return stars
+
+
+def critical_census(man) -> dict:
+    """Star walk census of the jittered eigenvalue field, vertex by vertex."""
+    values = man.lambda_s
+    scale = max(float(np.abs(values).max()), 1.0)
+    g = values + _tie_break_jitter(values.size, scale)
+    stars = _vertex_stars(man.mesh)
+    n_min = n_max = 0
+    saddle_mult = 0
+    chi_sum = 0.0
+    points = []
+    for v, cyc in enumerate(stars):
+        if not cyc:
+            raise GluingMismatch("isolated vertex in glued surface")
+        diffs = np.array([g[u] - g[v] for u in cyc])
+        signs = diffs > 0.0
+        sc = int(np.count_nonzero(signs != np.roll(signs, -1)))
+        chi_sum += 1.0 - sc / 2.0
+        kind = None
+        if sc == 0:
+            if bool(signs.all()):
+                n_min += 1
+                kind = "min"
+            else:
+                n_max += 1
+                kind = "max"
+        elif sc >= 4:
+            saddle_mult += sc // 2 - 1
+            kind = "saddle"
+        if kind is not None and man.region[v] < 2:
+            points.append({
+                "where": [float(c) for c in man.base_dirs[v]],
+                "lambda": float(man.lambda_s[v]),
+                "kind": kind,
+            })
+    return {
+        "minima": n_min,
+        "maxima": n_max,
+        "saddle_multiplicity": saddle_mult,
+        "chi_from_criticals": int(round(chi_sum)),
+        "points": points,
+    }

@@ -11,8 +11,6 @@ from wavesym.eigenline import (
     critical_scan,
     ds_r_norm,
     eigenline_report,
-    lambda0_field,
-    lambda_field,
 )
 from wavesym.fresnel import Crystal, compressed_grid, singular_directions
 from wavesym.spheremesh import connected_components, tangent_frames
@@ -116,8 +114,6 @@ def test_sheets_touch_only_through_cylinders(man):
 
 
 def test_lambda_decomposition(man):
-    assert np.array_equal(lambda_field(man), man.lambda_s)
-    assert np.array_equal(lambda0_field(man), man.lambda_s0)
     err = np.abs(man.lambda_s - (man.s_r + man.lambda_s0))
     assert float(err.max()) <= 1e-15
     assert np.all(man.lambda_s0[man.region == 0] < 0.0)

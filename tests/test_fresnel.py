@@ -220,6 +220,20 @@ def test_closed_form_axes_agree():
         assert min(np.linalg.norm(a.x - c) for c in cf) <= 1e-9
 
 
+@pytest.mark.parametrize("eps", [(2.0, 2.000001, 3.0), (2.0, 2.999999, 3.0),
+                                 (3.0, 2.000001, 2.0)])
+def test_near_uniaxial_axes_have_index_one(eps):
+    # axis pairs only 1.6e-3 to 2.5e-3 rad apart: each index circle must
+    # still enclose a single axis
+    crystal = Crystal(eps=eps)
+    cf = optic_axes_closed_form(crystal)
+    axes = singular_directions(crystal)
+    assert len(axes) == 4
+    for a in axes:
+        assert a.local_index == 1
+        assert min(np.linalg.norm(a.x - c) for c in cf) <= 1e-9
+
+
 def test_axis_separation_value():
     axes = singular_directions(BIAXIAL)
     assert axis_separation(axes) == pytest.approx(AXIS_SEPARATION, abs=1e-9)

@@ -28,7 +28,6 @@ from wavesym.multiplicity import (
     signed_zero_count,
     trace_component,
     vector_loop_turns,
-    winding_number,
 )
 from wavesym.spheremesh import icosphere
 from wavesym.sphere import sigma_mn
@@ -272,7 +271,6 @@ def test_winding_sigma06_is_six():
     c = extract_singular_set(fld)[0]
     comp = trace_component(fld, c)
     assert comp.winding == 6
-    assert winding_number(comp) == 6
     assert comp.knot == (2, 6)
     assert comp.connected is False
 

@@ -18,7 +18,6 @@ from wavesym.sphere import (
     chart2_coord,
     chart2_point,
     chart_transition_angle,
-    evaluate_symbol,
     frame_scale,
     predicted_kernel_angle,
     radial_profile,
@@ -167,8 +166,6 @@ def test_rep_grid_matches_rep_at():
         rep = sym.rep_at(SpherePoint(chart=2, coord=complex(z)))
         assert abs(rep.u - u[k]) == 0.0
         assert abs(rep.w - w[k]) == 0.0
-    rep = evaluate_symbol(sym, SpherePoint(chart=1, coord=1.0 + 1j))
-    assert rep == sym.rep_at(SpherePoint(chart=1, coord=1.0 + 1j))
 
 
 def test_chart_consistency_random_symbols():

@@ -1,0 +1,140 @@
+"""The vectorized mesh combinatorics against the face-by-face loops."""
+
+import numpy as np
+import pytest
+
+from wavesym.eigenline import EigenlineManifold, build_eigenline_manifold, critical_scan
+from wavesym.errors import GluingMismatch, NotClosed, WavesymError
+from wavesym.fresnel import Crystal, compressed_grid, singular_directions
+from wavesym.spheremesh import (
+    SurfaceMesh,
+    boundary_loops,
+    connected_components,
+    euler_characteristic,
+    icosphere,
+    is_consistently_oriented,
+)
+
+from . import oracles
+
+BIAXIAL = Crystal(eps=(2.0, 2.5, 3.0))
+
+
+def _punctured(subdivisions, n_removed, seed):
+    mesh = icosphere(subdivisions)
+    rng = np.random.default_rng(seed)
+    drop = rng.choice(mesh.n_faces, size=n_removed, replace=False)
+    return SurfaceMesh(vertices=mesh.vertices, faces=np.delete(mesh.faces, drop, axis=0))
+
+
+def _two_spheres():
+    a, b = icosphere(2), icosphere(1)
+    return SurfaceMesh(vertices=np.vstack([a.vertices, b.vertices + 3.0]),
+                       faces=np.vstack([a.faces, b.faces + a.n_vertices]))
+
+
+def _flipped_face():
+    mesh = icosphere(2)
+    faces = mesh.faces.copy()
+    faces[7] = faces[7, ::-1]
+    return SurfaceMesh(vertices=mesh.vertices, faces=faces)
+
+
+def _glued(k):
+    axes = np.array([a.x for a in singular_directions(BIAXIAL)])
+    points = {0: np.zeros((0, 3)), 2: np.array([axes[0], -axes[0]]), 4: axes}[k]
+    return build_eigenline_manifold(lambda pts: compressed_grid(BIAXIAL, pts), points,
+                                    tube_radius=0.1, collar=0.5, subdivisions=3)
+
+
+def _field_manifold(mesh, seed):
+    """A mesh dressed as a manifold, carrying a smooth or a random field."""
+    if seed is None:
+        values = mesh.vertices @ np.array([0.3, -0.2, 1.0]) + mesh.vertices[:, 0] ** 2
+    else:
+        values = np.random.default_rng(seed).standard_normal(mesh.n_vertices)
+    dirs = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
+    zeros = np.zeros(mesh.n_vertices)
+    return EigenlineManifold(
+        mesh=mesh, base_dirs=dirs, region=zeros.astype(int), lambda_s=values,
+        lambda_s0=zeros, s_r=values, cylinders=[], face_groups=[],
+        tube_radius=0.1, collar=0.5, subdivisions=0)
+
+
+MESHES = {
+    **{f"icosphere{s}": (lambda s=s: icosphere(s)) for s in range(5)},
+    **{f"punctured{n}_seed{seed}": (lambda n=n, seed=seed: _punctured(3, n, seed))
+       for n in (1, 4, 30) for seed in (0, 1, 2)},
+    "two_spheres": _two_spheres,
+    "flipped_face": _flipped_face,
+    **{f"glued_k{k}": (lambda k=k: _glued(k).mesh) for k in (0, 2, 4)},
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotClosed as exc:
+        return ("NotClosed", str(exc))
+
+
+def _pinched(faces):
+    """True when some vertex touches more than two boundary edges."""
+    degree = {}
+    for (a, b), c in oracles._edge_counts(faces).items():
+        if c == 1:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+    return any(d > 2 for d in degree.values())
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_combinatorics_match_loops(name):
+    mesh = MESHES[name]()
+    assert _outcome(euler_characteristic, mesh) == _outcome(oracles.euler_characteristic, mesh)
+    assert connected_components(mesh) == oracles.connected_components(mesh)
+    assert is_consistently_oriented(mesh) == oracles.is_consistently_oriented(mesh)
+    if _pinched(mesh.faces):
+        # the loop walk never returns to its start on a pinched boundary
+        with pytest.raises(WavesymError, match="pinched"):
+            boundary_loops(mesh.faces)
+    else:
+        assert boundary_loops(mesh.faces) == oracles.boundary_loops(mesh.faces)
+
+
+def test_pinched_boundary_is_refused():
+    # two faces of an icosphere that share exactly one vertex
+    mesh = icosphere(1)
+    f = mesh.faces
+    i, j = next((i, j) for i in range(len(f)) for j in range(i + 1, len(f))
+                if len(set(f[i]) & set(f[j])) == 1)
+    faces = np.delete(f, [i, j], axis=0)
+    assert _pinched(faces)
+    with pytest.raises(WavesymError, match="pinched"):
+        boundary_loops(faces)
+
+
+CENSUS_KEYS = ("minima", "maxima", "saddle_multiplicity", "chi_from_criticals", "points")
+
+
+@pytest.mark.parametrize("name", [f"icosphere{s}" for s in range(5)] + ["two_spheres"])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_census_matches_star_walk(name, seed):
+    man = _field_manifold(MESHES[name](), seed)
+    crit = critical_scan(man)
+    want = oracles.critical_census(man)
+    assert {k: crit[k] for k in CENSUS_KEYS} == want
+    assert crit["chi_from_criticals"] == crit["chi"]
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_glued_census_matches_star_walk(k):
+    man = _glued(k)
+    crit = critical_scan(man)
+    assert {k: crit[k] for k in CENSUS_KEYS} == oracles.critical_census(man)
+    assert crit["consistent"] is True
+
+
+def test_census_refuses_flipped_face():
+    with pytest.raises(GluingMismatch):
+        critical_scan(_field_manifold(_flipped_face(), 0))
