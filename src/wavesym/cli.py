@@ -19,16 +19,11 @@ import numpy as np
 from .eigenline import build_eigenline_manifold, eigenline_report
 from .errors import InputError, WavesymError
 from .fresnel import Crystal, compressed_grid, fresnel_mesh, fresnel_report, singular_directions
-from .multiplicity import (
-    extract_singular_set,
-    knot_polyline,
-    knot_type,
-    polylines_csv,
-    regular_value_check,
-    trace_component,
-)
+from .multiplicity import knot_polyline, knot_type, polylines_csv
+# perfbench/tracing.py wraps these three at their cli names
+from .multiplicity import extract_singular_set, regular_value_check, trace_component  # noqa: F401
 from .serialize import canonical_json, fmt_float, obj_face_groups, obj_objects
-from .sphere import M_RANGE, N_RANGE, analyze_mn, sigma_mn, z_set
+from .sphere import M_RANGE, N_RANGE, analyze_mn, trace_sigma_mn, z_set
 
 # config-file keys and their parsers; flag values override these
 _FIELD_PARSERS = {
@@ -151,31 +146,16 @@ def _cmd_sphere(cfg: RunConfig) -> None:
 
 
 def _cmd_winding(cfg: RunConfig) -> None:
-    zs = z_set(cfg.m, cfg.n, tol=cfg.tol_root)
-    halfwidth = max(2.0, 1.3 * max(zs.radii))
-    fld = sigma_mn(cfg.m, cfg.n).chart_field(chart=1, halfwidth=halfwidth, grid=cfg.grid)
-    curves = extract_singular_set(fld, rel_tol=cfg.tol_contour)
-    entries = []
-    components = []
-    for c in curves:
-        cert = regular_value_check(fld, c)
-        entry = {
-            "length": c.length,
-            "min_grad": cert.min_gradient,
-            "transversal": cert.transversal,
-            "winding": None,
-            "knot": None,
-            "connected": None,
-        }
-        if c.closed and cert.transversal:
-            comp = trace_component(fld, c)
-            components.append(comp)
-            entry["winding"] = comp.winding
-            entry["knot"] = list(comp.knot)
-            entry["connected"] = comp.connected
-        entries.append(entry)
+    *_, rows = trace_sigma_mn(cfg.m, cfg.n, grid=cfg.grid,
+                              tol_contour=cfg.tol_contour, tol_root=cfg.tol_root)
+    entries = [
+        {"length": row.curve.length, "min_grad": row.cert.min_gradient,
+         "transversal": row.cert.transversal, **row.winding_fields()}
+        for row in rows
+    ]
     _write_or_print(canonical_json({"curves": entries}), cfg.out)
     if cfg.out_csv is not None:
+        components = [row.component for row in rows if row.component is not None]
         Path(cfg.out_csv).write_text(polylines_csv(components))
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GluingMismatch, InputError, NotConnected, ZeroOnVertex
+from .multiplicity import lift_angles
 from .spheremesh import (
     SurfaceMesh,
     _edge_table,
@@ -32,9 +33,10 @@ from .spheremesh import (
     genus,
     icosphere,
     is_consistently_oriented,
+    min_separation,
     refine_on_sphere,
-    rotate_pq,
     tangent_frames,
+    transport_pq,
 )
 
 SHEET1_RADIUS = 0.95
@@ -87,34 +89,6 @@ def _angular_dist(points: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(points @ p, -1.0, 1.0))
 
 
-def _eigenline_angles_about(section_fn, pts: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Top eigenline angles at pts, re-expressed in the frame transported
-    from center, so the values are comparable along a loop."""
-    _, p, q = section_fn(pts)
-    t1c, _ = tangent_frames(center)
-    proj = t1c[None, :] - (pts @ t1c)[:, None] * pts
-    nrm = np.linalg.norm(proj, axis=1)
-    if float(nrm.min()) <= 1e-12:
-        raise GluingMismatch("boundary loop reaches the transport antipode")
-    proj /= nrm[:, None]
-    t1x, t2x = tangent_frames(pts)
-    delta = np.arctan2(np.einsum("ij,ij->i", proj, t2x), np.einsum("ij,ij->i", proj, t1x))
-    pr, qr = rotate_pq(p, q, -2.0 * delta)
-    if float(np.hypot(pr, qr).min()) <= 1e-14:
-        raise ZeroOnVertex("section vanishes on a gluing loop")
-    return 0.5 * np.arctan2(qr, pr)
-
-
-def _lift_cyclic_line_angles(raw: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lift line angles (mod pi) around a cycle; returns (lift, total)."""
-    d = np.mod(np.diff(raw) + math.pi / 2.0, math.pi) - math.pi / 2.0
-    if d.size and float(np.abs(d).max()) >= math.pi / 2.0 * (1.0 - 1e-9):
-        raise GluingMismatch("eigenline angle jump on a gluing loop")
-    lift = raw[0] + np.concatenate([[0.0], np.cumsum(d)])
-    closing = float(np.mod(raw[0] - raw[-1] + math.pi / 2.0, math.pi) - math.pi / 2.0)
-    return lift, float(lift[-1] + closing - lift[0])
-
-
 def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
                              tube_radius: float = 0.1, collar: float = 0.5,
                              subdivisions: int = 4) -> EigenlineManifold:
@@ -138,11 +112,8 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
         if np.any(nrm <= 0.0):
             raise InputError("multiplicity points must be nonzero directions")
         pts = pts / nrm[:, None]
-        for i in range(k):
-            for j in range(i + 1, k):
-                sep = math.acos(float(np.clip(pts[i] @ pts[j], -1.0, 1.0)))
-                if sep <= 3.0 * tube_radius:
-                    raise InputError("multiplicity points closer than 3 tube radii")
+        if min_separation(pts) <= 3.0 * tube_radius:
+            raise InputError("multiplicity points closer than 3 tube radii")
 
     base = icosphere(subdivisions)
     V = base.vertices
@@ -220,8 +191,13 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
             raise GluingMismatch("gluing loop has fewer than 3 vertices")
         p = pts[i]
         loop_pts = V[loop]
-        raw = _eigenline_angles_about(section_fn, loop_pts, p)
-        lift, total = _lift_cyclic_line_angles(raw)
+        # top eigenline angles in the frame transported from p, so they
+        # are comparable along the loop
+        _, lp, lq = section_fn(loop_pts)
+        pr, qr = transport_pq(loop_pts, p, lp, lq)
+        if float(np.hypot(pr, qr).min()) <= 1e-14:
+            raise ZeroOnVertex("section vanishes on a gluing loop")
+        lift, total = lift_angles(0.5 * np.arctan2(qr, pr), cyclic=True)
         if abs(abs(total) - math.pi) > LIFT_TOTAL_TOL * math.pi:
             raise GluingMismatch(
                 f"eigenline angle advances {total:.6f} around point {i}; expected +-pi")

@@ -51,6 +51,10 @@ class ZeroOnVertex(ComputationError):
     """A section vanishes on a mesh vertex; perturb the mesh and retry."""
 
 
+class TransportFailure(ComputationError):
+    """A tangent frame cannot be carried to a point by projection."""
+
+
 class GluingMismatch(ComputationError):
     """A boundary eigenline-angle map is not a degree +-1 circle map."""
 

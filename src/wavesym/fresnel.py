@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, NotBiaxial
 from .multiplicity import local_degree
-from .spheremesh import SurfaceMesh, icosphere, refine_on_sphere, tangent_frames
+from .spheremesh import SurfaceMesh, icosphere, min_separation, refine_on_sphere, tangent_frames
 from .sym2 import Sym2Value
 
 AXIS_RESIDUAL_TOL = 1e-10
@@ -104,12 +104,16 @@ def compressed_operator(crystal: Crystal, xi: np.ndarray) -> Sym2Value:
     return Sym2Value(t=float(t[0]) * n2, p=float(p[0]) * n2, q=float(q[0]) * n2)
 
 
-def sheet_speeds(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(lambda_1), sqrt(lambda_2)) at unit directions, slow sheet first."""
+def _sheet_eigenvalues(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_1, lambda_2) at unit directions, lambda_1 <= lambda_2."""
     t, p, q = compressed_grid(crystal, points)
     rad = np.hypot(p, q)
-    lam1 = 0.5 * t - rad
-    lam2 = 0.5 * t + rad
+    return 0.5 * t - rad, 0.5 * t + rad
+
+
+def sheet_speeds(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(lambda_1), sqrt(lambda_2)) at unit directions, slow sheet first."""
+    lam1, lam2 = _sheet_eigenvalues(crystal, points)
     return np.sqrt(np.maximum(lam1, 0.0)), np.sqrt(lam2)
 
 
@@ -129,10 +133,7 @@ def fresnel_sample(crystal: Crystal, xi: np.ndarray) -> FresnelSample:
     if n <= 0.0:
         raise InputError("direction must be nonzero")
     u = xi / n
-    t, p, q = compressed_grid(crystal, u[None, :])
-    rad = math.hypot(float(p[0]), float(q[0]))
-    lam1 = 0.5 * float(t[0]) - rad
-    lam2 = 0.5 * float(t[0]) + rad
+    lam1, lam2 = (float(lam[0]) for lam in _sheet_eigenvalues(crystal, u[None, :]))
     return FresnelSample(
         xi=u,
         lam1=lam1,
@@ -201,11 +202,12 @@ def singular_directions(crystal: Crystal, subdivisions: int = 4,
             continue
         if all(float(np.dot(x, y)) < math.cos(AXIS_MERGE_ANGLE) for y in found):
             found.append(x)
+    if len(found) != 4:
+        raise NotBiaxial(f"axis search found {len(found)} conical directions, not 4; "
+                         f"axes closer than {AXIS_MERGE_ANGLE} rad cannot be resolved")
     found.sort(key=lambda d: (round(d[0], 9), round(d[1], 9), round(d[2], 9)))
     # each index circle must enclose one axis only, however close the axes sit
-    sep = min((math.acos(float(np.clip(np.dot(x, y), -1.0, 1.0)))
-               for i, x in enumerate(found) for y in found[i + 1:]), default=math.pi)
-    radius = min(5e-3, sep / 4.0)
+    radius = min(5e-3, min_separation(np.array(found)) / 4.0)
     axes = []
     section = lambda pts: compressed_grid(crystal, pts)
     for d in found:
@@ -216,15 +218,8 @@ def singular_directions(crystal: Crystal, subdivisions: int = 4,
 
 
 def axis_separation(axes: list[SingularDirection]) -> float:
-    """Smallest nonzero angle between axis directions."""
-    best = math.pi
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            c = float(np.clip(np.dot(axes[i].x, axes[j].x), -1.0, 1.0))
-            ang = math.acos(c)
-            if 1e-9 < ang < best:
-                best = ang
-    return best
+    """Smallest angle between axis directions."""
+    return min_separation(np.array([a.x for a in axes]))
 
 
 def fresnel_mesh(crystal: Crystal, subdivisions: int = 4) -> tuple[SurfaceMesh, SurfaceMesh]:

@@ -26,8 +26,8 @@ from .errors import (
     RankZero,
     ZeroOnVertex,
 )
-from .spheremesh import SurfaceMesh, rotate_pq, tangent_frames
-from .sym2 import LinearSymbol2, mod_pi
+from .spheremesh import SurfaceMesh, tangent_frames, transport_pq
+from .sym2 import LinearSymbol2
 
 CONTOUR_REL_TOL = 1e-10
 GRADIENT_FLOOR_REL = 1e-6
@@ -371,19 +371,31 @@ def kernel_angles_along(fld: ChartSymbolField, pts: np.ndarray) -> np.ndarray:
     return _kernel_angles_raw(m11, m12, m21, m22)
 
 
-def lift_line_angles(angles: np.ndarray) -> np.ndarray:
-    """Continuous lift of a sequence of line angles (mod pi).
+def _angle_steps(angles: np.ndarray, period: float, cyclic: bool) -> np.ndarray:
+    """Steps between consecutive angles (mod period) along the last axis,
+    wrapped into [-period/2, period/2); cyclic appends the closing step."""
+    d = np.diff(angles, axis=-1, append=angles[..., :1]) if cyclic else np.diff(angles, axis=-1)
+    return np.mod(d + period / 2.0, period) - period / 2.0
+
+
+def lift_angles(angles: np.ndarray, period: float = math.pi,
+                cyclic: bool = False) -> tuple[np.ndarray, float]:
+    """Continuous lift of angles given mod period; returns (lift, total).
 
     Consecutive representatives are chosen nearest to the running lift;
-    a forced jump of a quarter turn or more aborts with LiftFailure.
+    a step of a quarter turn or more aborts with LiftFailure.  total is
+    the advance from the first sample to the last, or around the whole
+    cycle back to the first when cyclic.
     """
     raw = np.asarray(angles, dtype=float)
     if raw.size == 0:
-        return raw.copy()
-    d = np.mod(np.diff(raw) + math.pi / 2.0, math.pi) - math.pi / 2.0
+        return raw.copy(), 0.0
+    d = _angle_steps(raw, period, cyclic)
     if d.size and float(np.abs(d).max()) >= _JUMP_LIMIT:
-        raise LiftFailure("kernel angle jump of a quarter turn; sampling too coarse")
-    return raw[0] + np.concatenate([[0.0], np.cumsum(d)])
+        raise LiftFailure("angle step of a quarter turn or more; sampling too coarse")
+    steps, closing = (d[:-1], float(d[-1])) if cyclic else (d, 0.0)
+    lift = raw[0] + np.concatenate([[0.0], np.cumsum(steps)])
+    return lift, float(lift[-1] + closing - lift[0])
 
 
 @dataclass
@@ -401,9 +413,8 @@ def trace_component(fld: ChartSymbolField, curve: SingularCurve) -> Multiplicity
     """Lift the kernel line along a closed curve and read off the winding."""
     if not curve.closed:
         raise InputError("winding requires a closed base curve")
-    raw = kernel_angles_along(fld, curve.polyline)
-    lifted = lift_line_angles(raw)
-    total = float(lifted[-1] - lifted[0]) / math.pi
+    lifted, total = lift_angles(kernel_angles_along(fld, curve.polyline))
+    total /= math.pi
     m = int(round(total))
     if abs(total - m) >= WINDING_RESIDUAL:
         raise LiftFailure(f"winding residual {abs(total - m):.3g} exceeds {WINDING_RESIDUAL}")
@@ -459,18 +470,10 @@ def polylines_csv(components: list[MultiplicityComponent]) -> str:
 # signed zero counts of traceless sections over surface meshes
 
 
-def _wrap_angle_diffs(angles: np.ndarray) -> np.ndarray:
-    d = np.diff(angles, axis=-1, append=angles[..., :1])
-    return np.mod(d + math.pi, 2.0 * math.pi) - math.pi
-
-
 def vector_loop_turns(p: np.ndarray, q: np.ndarray) -> int:
     """Degree of a closed nonvanishing loop of 2-vectors around 0."""
-    angles = np.arctan2(q, p)
-    d = _wrap_angle_diffs(angles)
-    if float(np.abs(d).max()) >= _JUMP_LIMIT:
-        raise LiftFailure("vector loop sampled too coarsely")
-    total = float(d.sum()) / (2.0 * math.pi)
+    _, total = lift_angles(np.arctan2(q, p), period=2.0 * math.pi, cyclic=True)
+    total /= 2.0 * math.pi
     n = int(round(total))
     if abs(total - n) > 0.25:
         raise LiftFailure(f"loop degree residual {abs(total - n):.3g}")
@@ -492,24 +495,6 @@ def _face_boundary_samples(mesh: SurfaceMesh, samples_per_edge: int, spherical: 
     if spherical:
         loop = loop / np.linalg.norm(loop, axis=2, keepdims=True)
     return loop
-
-
-def _pq_in_center_frames(points: np.ndarray, centers: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re-express (p, q) given in each point's own frame in the frame of its center.
-
-    points: (F, S, 3), centers: (F, 3); the center frame is transported to
-    each point by tangent projection.
-    """
-    F, S, _ = points.shape
-    flat = points.reshape(-1, 3)
-    t1c, _ = tangent_frames(centers)
-    t1c_rep = np.repeat(t1c, S, axis=0)
-    proj = t1c_rep - np.einsum("ij,ij->i", t1c_rep, flat)[:, None] * flat
-    proj /= np.linalg.norm(proj, axis=1, keepdims=True)
-    t1x, t2x = tangent_frames(flat)
-    delta = np.arctan2(np.einsum("ij,ij->i", proj, t2x), np.einsum("ij,ij->i", proj, t1x))
-    pr, qr = rotate_pq(p.reshape(-1), q.reshape(-1), -2.0 * delta)
-    return pr.reshape(F, S), qr.reshape(F, S)
 
 
 def signed_zero_count(mesh: SurfaceMesh, section_fn, geometry: str = "sphere",
@@ -543,16 +528,15 @@ def signed_zero_count(mesh: SurfaceMesh, section_fn, geometry: str = "sphere",
     while True:
         loop = _face_boundary_samples(sub, spe, spherical)
         F, S, _ = loop.shape
-        _, p, q = section_fn(loop.reshape(-1, 3))
-        p = p.reshape(F, S)
-        q = q.reshape(F, S)
+        pts = loop.reshape(-1, 3)
+        _, p, q = section_fn(pts)
         if float(np.hypot(p, q).min()) <= vertex_tol * scale:
             raise ZeroOnVertex("section nearly vanishes on a face boundary")
         if spherical:
             centers = sub.vertices[sub.faces].mean(axis=1)
             centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-            p, q = _pq_in_center_frames(loop, centers, p, q)
-        d = _wrap_angle_diffs(np.arctan2(q, p))
+            p, q = transport_pq(pts, np.repeat(centers, S, axis=0), p, q)
+        d = _angle_steps(np.arctan2(q, p).reshape(F, S), 2.0 * math.pi, cyclic=True)
         bad = np.abs(d).max(axis=1) >= _JUMP_LIMIT
         ok = ~bad
         turns = d[ok].sum(axis=1) / (2.0 * math.pi)
@@ -579,5 +563,4 @@ def local_degree(section_fn, center: np.ndarray, radius: float = 1e-2, samples: 
         + math.sin(radius) * (np.cos(beta)[:, None] * t1[None, :] + np.sin(beta)[:, None] * t2[None, :])
     )
     _, p, q = section_fn(pts)
-    p2, q2 = _pq_in_center_frames(pts[None, :, :], c[None, :], p[None, :], q[None, :])
-    return vector_loop_turns(p2[0], q2[0])
+    return vector_loop_turns(*transport_pq(pts, c, p, q))

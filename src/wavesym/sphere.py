@@ -25,7 +25,11 @@ import numpy as np
 
 from .errors import OutOfDomain, OutOfRange
 from .multiplicity import (
+    CONTOUR_REL_TOL,
     ChartSymbolField,
+    MultiplicityComponent,
+    RegularValueCertificate,
+    SingularCurve,
     extract_singular_set,
     regular_value_check,
     trace_component,
@@ -342,7 +346,42 @@ def predicted_kernel_angle(m: int, n: int, theta: float) -> float:
     return mod_pi(0.5 * (n - m) * theta + math.pi / 2.0)
 
 
-def analyze_mn(m: int, n: int, grid: int = 512, tol_contour: float | None = None,
+class CurveTrace(NamedTuple):
+    """An extracted curve, its certificate and its traced component, if any."""
+
+    curve: SingularCurve
+    cert: RegularValueCertificate
+    component: MultiplicityComponent | None
+
+    def winding_fields(self) -> dict:
+        comp = self.component
+        if comp is None:
+            return {"winding": None, "knot": None, "connected": None}
+        return {"winding": comp.winding, "knot": list(comp.knot), "connected": comp.connected}
+
+
+def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL,
+                   tol_root: float = 1e-13) -> tuple[ZSet, TransversalityReport, float, list[CurveTrace]]:
+    """Extract, certify and trace the chart 1 multiplicity curves of sigma_mn.
+
+    A kernel line is traced only along a closed, certified curve of a
+    transversal family.  Returns the z set, the transversality report,
+    the chart halfwidth and one CurveTrace per extracted curve.
+    """
+    _validate_mn(m, n)
+    zs = z_set(m, n, tol=tol_root)
+    tv = transversality_h(m, n)
+    halfwidth = max(2.0, 1.3 * max(zs.radii))
+    fld = sigma_mn(m, n).chart_field(chart=1, halfwidth=halfwidth, grid=grid)
+    rows = []
+    for c in extract_singular_set(fld, rel_tol=tol_contour):
+        cert = regular_value_check(fld, c)
+        traced = c.closed and tv.transversal and cert.transversal
+        rows.append(CurveTrace(c, cert, trace_component(fld, c) if traced else None))
+    return zs, tv, halfwidth, rows
+
+
+def analyze_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL,
                tol_root: float = 1e-13) -> dict:
     """Full chart 1 pipeline for sigma_mn.
 
@@ -350,31 +389,13 @@ def analyze_mn(m: int, n: int, grid: int = 512, tol_contour: float | None = None
     (only when the family is transversal) traces kernel line windings.
     Returns a plain dict ready for serialization.
     """
-    _validate_mn(m, n)
-    zs = z_set(m, n, tol=tol_root)
-    tv = transversality_h(m, n)
-    halfwidth = max(2.0, 1.3 * max(zs.radii))
-    sym = sigma_mn(m, n)
-    fld = sym.chart_field(chart=1, halfwidth=halfwidth, grid=grid)
-    if tol_contour is None:
-        curves = extract_singular_set(fld)
-    else:
-        curves = extract_singular_set(fld, rel_tol=tol_contour)
-    circles = []
-    for c in curves:
-        entry = {
-            "r": float(np.hypot(c.polyline[:, 0], c.polyline[:, 1]).mean()),
-            "winding": None,
-            "knot": None,
-            "connected": None,
-        }
-        cert = regular_value_check(fld, c)
-        if c.closed and tv.transversal and cert.transversal:
-            comp = trace_component(fld, c)
-            entry["winding"] = comp.winding
-            entry["knot"] = list(comp.knot)
-            entry["connected"] = comp.connected
-        circles.append(entry)
+    zs, tv, halfwidth, rows = trace_sigma_mn(m, n, grid=grid, tol_contour=tol_contour,
+                                             tol_root=tol_root)
+    circles = [
+        {"r": float(np.hypot(row.curve.polyline[:, 0], row.curve.polyline[:, 1]).mean()),
+         **row.winding_fields()}
+        for row in rows
+    ]
     return {
         "m": int(m),
         "n": int(n),

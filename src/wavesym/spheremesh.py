@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotClosed, NotConnected, WavesymError
+from .errors import NotClosed, NotConnected, TransportFailure, WavesymError
 
 
 @dataclass
@@ -201,6 +201,35 @@ def rotate_pq(p: np.ndarray, q: np.ndarray, angle: np.ndarray) -> tuple[np.ndarr
     """Rotate 2-vectors (p, q) by the given angles."""
     c, s = np.cos(angle), np.sin(angle)
     return c * p - s * q, s * p + c * q
+
+
+def transport_pq(points: np.ndarray, centers: np.ndarray, p: np.ndarray,
+                 q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re-express (p, q) given in each point's own frame in the frame of its center.
+
+    points is (N, 3); centers is (N, 3), or one (3,) center for all.  The
+    center frame is carried to each point by tangent projection of its t1.
+    Raises TransportFailure where that projection degenerates.
+    """
+    t1c, _ = tangent_frames(centers)
+    proj = t1c - np.einsum("ij,ij->i", np.broadcast_to(t1c, points.shape), points)[:, None] * points
+    nrm = np.linalg.norm(proj, axis=1)
+    if float(nrm.min()) <= 1e-12:
+        raise TransportFailure("point lies on the first frame axis of its center")
+    proj /= nrm[:, None]
+    t1x, t2x = tangent_frames(points)
+    delta = np.arctan2(np.einsum("ij,ij->i", proj, t2x), np.einsum("ij,ij->i", proj, t1x))
+    return rotate_pq(p, q, -2.0 * delta)
+
+
+def min_separation(dirs: np.ndarray) -> float:
+    """Smallest angle between two rows of unit directions; pi for fewer than two."""
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    i, j = np.triu_indices(len(dirs), 1)
+    if not i.size:
+        return math.pi
+    # acos decreases, so the smallest angle is the acos of the largest cosine
+    return math.acos(float(np.clip((dirs @ dirs.T)[i, j].max(), -1.0, 1.0)))
 
 
 def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,

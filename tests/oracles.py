@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: full
 matrices instead of (t, p, q) triples, characteristic polynomials
 instead of closed forms, dense grids instead of local refinement,
-loops over faces instead of the vectorized edge table.
+loops over faces instead of the vectorized edge table.  The frame
+transports, the cyclic line lift and the pairwise separation loop at the
+end are the earlier per-caller copies that the shared primitives replaced.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 import numpy as np
 
 from wavesym.eigenline import _tie_break_jitter
-from wavesym.errors import GluingMismatch, NotClosed
+from wavesym.errors import GluingMismatch, NotClosed, ZeroOnVertex
+from wavesym.spheremesh import rotate_pq, tangent_frames
 
 
 def eig_quadratic(t: float, p: float, q: float) -> tuple[float, float]:
@@ -335,3 +338,60 @@ def critical_census(man) -> dict:
         "chi_from_criticals": int(round(chi_sum)),
         "points": points,
     }
+
+
+# ---------------------------------------------------------------------------
+# per-caller references for the shared frame transport, line lift and
+# axis separation
+
+
+def _pq_in_center_frames(points: np.ndarray, centers: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re-express (p, q) given in each point's own frame in the frame of its center.
+
+    points: (F, S, 3), centers: (F, 3); the center frame is transported to
+    each point by tangent projection.
+    """
+    F, S, _ = points.shape
+    flat = points.reshape(-1, 3)
+    t1c, _ = tangent_frames(centers)
+    t1c_rep = np.repeat(t1c, S, axis=0)
+    proj = t1c_rep - np.einsum("ij,ij->i", t1c_rep, flat)[:, None] * flat
+    proj /= np.linalg.norm(proj, axis=1, keepdims=True)
+    t1x, t2x = tangent_frames(flat)
+    delta = np.arctan2(np.einsum("ij,ij->i", proj, t2x), np.einsum("ij,ij->i", proj, t1x))
+    pr, qr = rotate_pq(p.reshape(-1), q.reshape(-1), -2.0 * delta)
+    return pr.reshape(F, S), qr.reshape(F, S)
+
+
+def _eigenline_angles_about(section_fn, pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Top eigenline angles at pts, re-expressed in the frame transported
+    from center, so the values are comparable along a loop."""
+    _, p, q = section_fn(pts)
+    t1c, _ = tangent_frames(center)
+    proj = t1c[None, :] - (pts @ t1c)[:, None] * pts
+    nrm = np.linalg.norm(proj, axis=1)
+    if float(nrm.min()) <= 1e-12:
+        raise GluingMismatch("boundary loop reaches the transport antipode")
+    proj /= nrm[:, None]
+    t1x, t2x = tangent_frames(pts)
+    delta = np.arctan2(np.einsum("ij,ij->i", proj, t2x), np.einsum("ij,ij->i", proj, t1x))
+    pr, qr = rotate_pq(p, q, -2.0 * delta)
+    if float(np.hypot(pr, qr).min()) <= 1e-14:
+        raise ZeroOnVertex("section vanishes on a gluing loop")
+    return 0.5 * np.arctan2(qr, pr)
+
+
+def _lift_cyclic_line_angles(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lift line angles (mod pi) around a cycle; returns (lift, total)."""
+    d = np.mod(np.diff(raw) + math.pi / 2.0, math.pi) - math.pi / 2.0
+    if d.size and float(np.abs(d).max()) >= math.pi / 2.0 * (1.0 - 1e-9):
+        raise GluingMismatch("eigenline angle jump on a gluing loop")
+    lift = raw[0] + np.concatenate([[0.0], np.cumsum(d)])
+    closing = float(np.mod(raw[0] - raw[-1] + math.pi / 2.0, math.pi) - math.pi / 2.0)
+    return lift, float(lift[-1] + closing - lift[0])
+
+
+def min_pair_angle(found: list[np.ndarray]) -> float:
+    """Smallest angle between two directions, pi for fewer than two."""
+    return min((math.acos(float(np.clip(np.dot(x, y), -1.0, 1.0)))
+                for i, x in enumerate(found) for y in found[i + 1:]), default=math.pi)

@@ -198,6 +198,17 @@ def test_uniaxial_crystal_is_a_validation_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("subcommand", ["fresnel", "eigenline"])
+def test_merged_axes_exit_2_without_artifacts(tmp_path, capsys, subcommand):
+    # closed-form axis pairs 7.7e-4 rad apart merge in the axis search
+    out, obj = tmp_path / "r.json", tmp_path / "r.obj"
+    code, stdout, err = run(capsys, subcommand, "--epsilon", "2,2.0000001,3", "--subdiv", "2",
+                            "--out", str(out), "--out-obj", str(obj))
+    assert code == 2
+    assert stdout == "" and "conical directions" in err
+    assert not out.exists() and not obj.exists()
+
+
 def test_unknown_flag(capsys):
     code = cli.main(["zset", "--frequency", "7"])
     capsys.readouterr()

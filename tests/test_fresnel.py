@@ -234,6 +234,15 @@ def test_near_uniaxial_axes_have_index_one(eps):
         assert min(np.linalg.norm(a.x - c) for c in cf) <= 1e-9
 
 
+@pytest.mark.parametrize("eps", [(2.0, 2.0000001, 3.0), (2.0, 2.00000001, 3.0),
+                                 (2.0, 2.9999999, 3.0)])
+def test_merged_axes_are_refused(eps):
+    # axis pairs closer than AXIS_MERGE_ANGLE merge in the search; two axes
+    # of index 2 must not pass for the four conical points
+    with pytest.raises(NotBiaxial):
+        singular_directions(Crystal(eps=eps))
+
+
 def test_axis_separation_value():
     axes = singular_directions(BIAXIAL)
     assert axis_separation(axes) == pytest.approx(AXIS_SEPARATION, abs=1e-9)

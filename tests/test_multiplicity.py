@@ -21,7 +21,7 @@ from wavesym.multiplicity import (
     kernel_angles_along,
     knot_polyline,
     knot_type,
-    lift_line_angles,
+    lift_angles,
     local_degree,
     polylines_csv,
     regular_value_check,
@@ -253,14 +253,41 @@ def test_kernel_angle_rank_zero():
 
 def test_lift_failure_on_quarter_jump():
     with pytest.raises(LiftFailure):
-        lift_line_angles(np.array([0.0, math.pi / 2.0]))
+        lift_angles(np.array([0.0, math.pi / 2.0]))
 
 
 def test_lift_continuity():
     raw = np.mod(np.linspace(0.0, 3.0 * math.pi, 400), math.pi)
-    lifted = lift_line_angles(raw)
+    lifted, total = lift_angles(raw)
     assert np.all(np.abs(np.diff(lifted)) < math.pi / 2.0)
     assert lifted[-1] - lifted[0] == pytest.approx(3.0 * math.pi, abs=1e-9)
+    assert total == lifted[-1] - lifted[0]
+
+
+@pytest.mark.parametrize("k", [-1, 1, 3])
+def test_cyclic_lift_total_counts_half_turns(k):
+    # a line field turning k half turns around a closed loop; the samples
+    # stop short of the start, so only the closing step completes the cycle
+    beta = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+    raw = np.mod(0.5 * k * beta + 0.3, math.pi)
+    lifted, total = lift_angles(raw, cyclic=True)
+    assert lifted.shape == raw.shape
+    assert abs(total - k * math.pi) <= 1e-12
+
+
+def test_cyclic_lift_refuses_closing_jump():
+    # every open step is small; only the step back to the start is not
+    with pytest.raises(LiftFailure):
+        lift_angles(np.linspace(0.0, 0.6 * math.pi, 50), period=2.0 * math.pi, cyclic=True)
+
+
+@pytest.mark.parametrize("k", [-2, 0, 1, 3])
+def test_vector_lift_matches_loop_turns(k):
+    th = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+    p, q = np.cos(k * th + 0.4), np.sin(k * th + 0.4)
+    _, total = lift_angles(np.arctan2(q, p), period=2.0 * math.pi, cyclic=True)
+    assert abs(total - 2.0 * math.pi * k) <= 1e-12
+    assert vector_loop_turns(p, q) == k
 
 
 # --- winding -----------------------------------------------------------------

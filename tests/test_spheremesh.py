@@ -1,11 +1,14 @@
-"""The vectorized mesh combinatorics against the face-by-face loops."""
+"""The vectorized mesh combinatorics against the face-by-face loops, and
+the shared frame transport, cyclic line lift and axis separation against
+the per-caller copies they replaced."""
 
 import numpy as np
 import pytest
 
 from wavesym.eigenline import EigenlineManifold, build_eigenline_manifold, critical_scan
-from wavesym.errors import GluingMismatch, NotClosed, WavesymError
+from wavesym.errors import GluingMismatch, NotClosed, TransportFailure, WavesymError
 from wavesym.fresnel import Crystal, compressed_grid, singular_directions
+from wavesym.multiplicity import lift_angles
 from wavesym.spheremesh import (
     SurfaceMesh,
     boundary_loops,
@@ -13,6 +16,9 @@ from wavesym.spheremesh import (
     euler_characteristic,
     icosphere,
     is_consistently_oriented,
+    min_separation,
+    tangent_frames,
+    transport_pq,
 )
 
 from . import oracles
@@ -138,3 +144,72 @@ def test_glued_census_matches_star_walk(k):
 def test_census_refuses_flipped_face():
     with pytest.raises(GluingMismatch):
         critical_scan(_field_manifold(_flipped_face(), 0))
+
+
+# --- frame transport, cyclic line lift, axis separation -----------------------
+
+
+def _unit_rows(rng, n):
+    x = rng.normal(size=(n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _circles(centers, radii, samples):
+    """(F, S, 3) points on circles of the given angular radii about each center."""
+    t1, t2 = tangent_frames(centers)
+    beta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    ring = np.cos(beta)[None, :, None] * t1[:, None, :] + np.sin(beta)[None, :, None] * t2[:, None, :]
+    return np.cos(radii)[:, None, None] * centers[:, None, :] + np.sin(radii)[:, None, None] * ring
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transport_matches_face_loop_copy(seed):
+    rng = np.random.default_rng(seed)
+    centers = _unit_rows(rng, 40)
+    loops = _circles(centers, rng.uniform(1e-3, 0.5, 40), 24)
+    p, q = rng.normal(size=(2, 40, 24))
+    want = oracles._pq_in_center_frames(loops, centers, p, q)
+    got = transport_pq(loops.reshape(-1, 3), np.repeat(centers, 24, axis=0), p.reshape(-1), q.reshape(-1))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.reshape(40, 24), w)
+    # one shared center gives the same values as the repeated one
+    for f in range(0, 40, 7):
+        single = transport_pq(loops[f], centers[f], p[f], q[f])
+        assert np.array_equal(single[0], want[0][f]) and np.array_equal(single[1], want[1][f])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gluing_lift_matches_eigenline_copy(seed):
+    rng = np.random.default_rng(seed)
+    section = lambda pts: compressed_grid(BIAXIAL, pts)
+    axes = np.array([a.x for a in singular_directions(BIAXIAL)])
+    centers = np.vstack([axes, _unit_rows(rng, 12)])
+    loops = _circles(centers, rng.uniform(0.02, 0.4, len(centers)), 60)
+    for c, loop in zip(centers, loops):
+        raw_copy = oracles._eigenline_angles_about(section, loop, c)
+        want_lift, want_total = oracles._lift_cyclic_line_angles(raw_copy)
+        lift, total = lift_angles(raw_copy, cyclic=True)
+        assert np.array_equal(lift, want_lift) and total == want_total
+        # the copy's projection dot went through BLAS gemv, the shared
+        # transport's through einsum; the two round apart in the last bit
+        _, p, q = section(loop)
+        pr, qr = transport_pq(loop, c, p, q)
+        lift, total = lift_angles(0.5 * np.arctan2(qr, pr), cyclic=True)
+        assert np.abs(lift - want_lift).max() <= 4.0 * np.spacing(np.pi)
+        assert abs(total - want_total) <= 4.0 * np.spacing(np.pi)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_separation_matches_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(9):
+        dirs = _unit_rows(rng, n)
+        assert min_separation(dirs) == oracles.min_pair_angle(list(dirs))
+    assert min_separation(np.zeros((0, 3))) == np.pi
+
+
+def test_transport_refuses_point_on_center_axis():
+    center = np.array([0.3, -0.4, np.sqrt(0.75)])
+    t1, _ = tangent_frames(center)
+    with pytest.raises(TransportFailure):
+        transport_pq(np.vstack([center, t1]), center, np.ones(2), np.zeros(2))
