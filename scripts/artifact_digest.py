@@ -1,12 +1,13 @@
 """Print a sha256 digest of every CLI artifact of a fixed job list.
 
 The jobs are the six of acceptance criterion 10, the large eigenline
-and fresnel runs, and `sphere` plus `winding --out-csv` for all 21
-sigma_mn pairs (m 0..2, n 0..6) at grid 512.  Each runs in process
-through `wavesym.cli.main`, writes its artifacts to a temporary
-directory, and yields one line `job artifact sha256` per artifact
-(stdout counts as an artifact).  Run it on two commits and diff the
-output to show that a change keeps every artifact byte-identical.
+and fresnel runs, two near-uniaxial fresnel runs, and `sphere` plus
+`winding --out-csv` for all 21 sigma_mn pairs (m 0..2, n 0..6) at grid
+512.  Each runs in process through `wavesym.cli.main`, writes its
+artifacts to a temporary directory, and yields one line
+`job artifact sha256` per artifact (stdout counts as an artifact).
+Run it on two commits and diff the output to show that a change keeps
+every artifact byte-identical.
 
 Usage:
     PYTHONPATH=src python3 scripts/artifact_digest.py
@@ -36,6 +37,11 @@ JOBS = [
     ("eigenline6_thin", ["eigenline", "--subdiv", "6", "--epsilon", "1.5,2.2,4.0",
                          "--tube-radius", "0.05"], [("--out", "e.json"), ("--out-obj", "e.obj")]),
     ("fresnel5", ["fresnel", "--subdiv", "5"], [("--out", "f.json"), ("--out-obj", "f.obj")]),
+    # near-uniaxial at either end: axis seeds take very different numbers of sweeps
+    ("fresnel4_low", ["fresnel", "--subdiv", "4", "--epsilon", "2,2.000001,3"],
+     [("--out", "f.json"), ("--out-obj", "f.obj")]),
+    ("fresnel4_high", ["fresnel", "--subdiv", "4", "--epsilon", "2.31,3.7,2.31001"],
+     [("--out", "f.json"), ("--out-obj", "f.obj")]),
 ]
 # sphere and winding over every sigma_mn pair, tangential ones included
 JOBS += [

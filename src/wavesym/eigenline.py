@@ -348,9 +348,11 @@ def critical_scan(man: EigenlineManifold, section_fn=None, fd_step: float = 1e-5
         return report
 
     def lam_sheet(sign: float):
-        def f(x: np.ndarray) -> float:
-            t, p, q = section_fn(x[None, :])
-            return float(0.5 * t[0] + sign * math.hypot(float(p[0]), float(q[0])))
+        def f(x: np.ndarray) -> np.ndarray:
+            t, p, q = section_fn(x)
+            # math.hypot rounds apart from np.hypot on some pairs
+            rad = np.array([math.hypot(a, b) for a, b in zip(p.tolist(), q.tolist())])
+            return 0.5 * t + sign * rad
         return f
 
     extrema = {}

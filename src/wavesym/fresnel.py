@@ -196,8 +196,7 @@ def singular_directions(crystal: Crystal, subdivisions: int = 4,
     vals = gap2(mesh.vertices)
     seeds = mesh.vertices[np.argsort(vals)[:48]]
     found: list[np.ndarray] = []
-    for seed in seeds:
-        x, v = refine_on_sphere(lambda p: float(gap2(p[None, :])[0]), seed)
+    for x, v in zip(*refine_on_sphere(gap2, seeds)):
         if math.sqrt(v) > residual_tol:
             continue
         if all(float(np.dot(x, y)) < math.cos(AXIS_MERGE_ANGLE) for y in found):

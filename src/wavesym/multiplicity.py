@@ -535,7 +535,7 @@ def signed_zero_count(mesh: SurfaceMesh, section_fn, geometry: str = "sphere",
         if spherical:
             centers = sub.vertices[sub.faces].mean(axis=1)
             centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-            p, q = transport_pq(pts, np.repeat(centers, S, axis=0), p, q)
+            p, q = transport_pq(pts, centers, p, q)
         d = _angle_steps(np.arctan2(q, p).reshape(F, S), 2.0 * math.pi, cyclic=True)
         bad = np.abs(d).max(axis=1) >= _JUMP_LIMIT
         ok = ~bad

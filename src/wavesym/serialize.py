@@ -23,13 +23,14 @@ def fmt_float(x: float) -> str:
     v = float(x)
     if math.isnan(v) or math.isinf(v):
         raise InputError("non-finite value in serialized output")
-    if v == 0.0:
-        # normalize -0.0 so sign noise cannot break golden files
-        v = 0.0
+    # + 0.0 normalizes -0.0 so sign noise cannot break golden files
+    return _g17(v + 0.0)
+
+
+def _g17(v: float) -> str:
+    """.17g text of a finite float, with .0 appended to integral values."""
     text = format(v, ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _emit(value, out: list[str]) -> None:
@@ -78,13 +79,16 @@ def canonical_json(value) -> str:
 
 
 def _vertex_lines(vertices: np.ndarray, out: list[str]) -> None:
-    for v in np.asarray(vertices, dtype=float):
-        out.append(f"v {fmt_float(v[0])} {fmt_float(v[1])} {fmt_float(v[2])}")
+    v = np.asarray(vertices, dtype=float)
+    if not np.isfinite(v).all():
+        raise InputError("non-finite value in serialized output")
+    # + 0.0 turns -0.0 into 0.0, as fmt_float does
+    out.extend(f"v {_g17(x)} {_g17(y)} {_g17(z)}" for x, y, z in (v + 0.0).tolist())
 
 
 def _face_lines(faces: np.ndarray, offset: int, out: list[str]) -> None:
-    for f in np.asarray(faces, dtype=int):
-        out.append(f"f {f[0] + 1 + offset} {f[1] + 1 + offset} {f[2] + 1 + offset}")
+    rows = (np.asarray(faces, dtype=int) + 1 + offset).tolist()
+    out.extend("f %d %d %d" % (a, b, c) for a, b, c in rows)
 
 
 def obj_objects(parts: list[tuple[str, SurfaceMesh]]) -> str:

@@ -207,11 +207,14 @@ def transport_pq(points: np.ndarray, centers: np.ndarray, p: np.ndarray,
                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Re-express (p, q) given in each point's own frame in the frame of its center.
 
-    points is (N, 3); centers is (N, 3), or one (3,) center for all.  The
-    center frame is carried to each point by tangent projection of its t1.
+    points is (N, 3); centers is (M, 3) with M dividing N, each center
+    serving the next N/M points, or one (3,) center for all.  The center
+    frame is carried to each point by tangent projection of its t1.
     Raises TransportFailure where that projection degenerates.
     """
     t1c, _ = tangent_frames(centers)
+    if t1c.ndim == 2:
+        t1c = np.repeat(t1c, len(points) // len(t1c), axis=0)
     proj = t1c - np.einsum("ij,ij->i", np.broadcast_to(t1c, points.shape), points)[:, None] * points
     nrm = np.linalg.norm(proj, axis=1)
     if float(nrm.min()) <= 1e-12:
@@ -232,32 +235,53 @@ def min_separation(dirs: np.ndarray) -> float:
     return math.acos(float(np.clip((dirs @ dirs.T)[i, j].max(), -1.0, 1.0)))
 
 
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of an (N, 3) array scaled to unit length.
+
+    sqrt(vecdot) rounds like np.linalg.norm of each row on its own; the
+    axis=1 norm, sqrt(sum(x * x)) and einsum forms all differ from it in
+    the last bit on a share of rows.
+    """
+    return x / np.sqrt(np.vecdot(x, x))[:, None]
+
+
 def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,
                      step: float = 0.1, min_step: float = 1e-13,
-                     max_sweeps: int = 200) -> tuple[np.ndarray, float]:
-    """Local coordinate descent of a scalar f over the unit sphere.
+                     max_sweeps: int = 200) -> tuple[np.ndarray, np.ndarray | float]:
+    """Local coordinate descent of a scalar f over the unit sphere, one row per start.
 
-    Moves along the two tangent frame directions with step halving; a
-    sweep that improves nothing halves the step.  Deterministic.
+    x0 is (N, 3) or (3,); f maps an (N, 3) array of unit points to (N,)
+    values.  Each sweep tries x + h t1, x - h t1, x + h t2, x - h t2 in
+    that order along the tangent frame of the sweep's start, and a row
+    takes a candidate only when it is strictly better.  A sweep that
+    improves nothing halves that row's step h; a row stops once
+    h < min_step, and every row after max_sweeps sweeps.  Each row
+    follows the path it would follow alone.  Returns (x, f(x)) shaped
+    like x0: (N, 3) and (N,), or (3,) and a float.
     """
     sign = 1.0 if minimize else -1.0
     x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
-    best = sign * float(f(x))
-    h = step
+    single = x.ndim == 1
+    x = unit_rows(np.atleast_2d(x))
+    best = sign * f(x)
+    h = np.full(len(x), float(step))
     for _ in range(max_sweeps):
-        if h < min_step:
+        rows = np.flatnonzero(h >= min_step)
+        if not rows.size:
             break
-        t1, t2 = tangent_frames(x)
-        improved = False
+        xr, br, hr = x[rows], best[rows], h[rows, None]
+        t1, t2 = tangent_frames(xr)
+        improved = np.zeros(rows.size, dtype=bool)
         for d in (t1, -t1, t2, -t2):
-            cand = x + h * d
-            cand /= np.linalg.norm(cand)
-            val = sign * float(f(cand))
-            if val < best:
-                best = val
-                x = cand
-                improved = True
-        if not improved:
-            h *= 0.5
+            cand = unit_rows(xr + hr * d)
+            val = sign * f(cand)
+            better = val < br
+            xr[better] = cand[better]
+            br[better] = val[better]
+            improved |= better
+        x[rows] = xr
+        best[rows] = br
+        h[rows[~improved]] *= 0.5
+    if single:
+        return x[0], float(sign * best[0])
     return x, sign * best

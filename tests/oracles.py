@@ -5,7 +5,8 @@ matrices instead of (t, p, q) triples, characteristic polynomials
 instead of closed forms, dense grids instead of local refinement,
 loops over faces instead of the vectorized edge table.  The frame
 transports, the cyclic line lift and the pairwise separation loop at the
-end are the earlier per-caller copies that the shared primitives replaced.
+end are the earlier per-caller copies that the shared primitives replaced;
+the single-start descent is the loop that the batched one replaced.
 """
 
 from __future__ import annotations
@@ -395,3 +396,38 @@ def min_pair_angle(found: list[np.ndarray]) -> float:
     """Smallest angle between two directions, pi for fewer than two."""
     return min((math.acos(float(np.clip(np.dot(x, y), -1.0, 1.0)))
                 for i, x in enumerate(found) for y in found[i + 1:]), default=math.pi)
+
+
+# ---------------------------------------------------------------------------
+# the single-start loop that the batched descent replaced
+
+
+def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,
+                     step: float = 0.1, min_step: float = 1e-13,
+                     max_sweeps: int = 200) -> tuple[np.ndarray, float]:
+    """Local coordinate descent of a scalar f over the unit sphere.
+
+    Moves along the two tangent frame directions with step halving; a
+    sweep that improves nothing halves the step.  Deterministic.
+    """
+    sign = 1.0 if minimize else -1.0
+    x = np.asarray(x0, dtype=float)
+    x = x / np.linalg.norm(x)
+    best = sign * float(f(x))
+    h = step
+    for _ in range(max_sweeps):
+        if h < min_step:
+            break
+        t1, t2 = tangent_frames(x)
+        improved = False
+        for d in (t1, -t1, t2, -t2):
+            cand = x + h * d
+            cand /= np.linalg.norm(cand)
+            val = sign * float(f(cand))
+            if val < best:
+                best = val
+                x = cand
+                improved = True
+        if not improved:
+            h *= 0.5
+    return x, sign * best

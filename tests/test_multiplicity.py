@@ -15,6 +15,7 @@ from wavesym.errors import (
 )
 from wavesym.multiplicity import (
     ChartSymbolField,
+    _face_boundary_samples,
     det_field,
     extract_singular_set,
     kernel_angle,
@@ -29,7 +30,7 @@ from wavesym.multiplicity import (
     trace_component,
     vector_loop_turns,
 )
-from wavesym.spheremesh import icosphere
+from wavesym.spheremesh import icosphere, transport_pq
 from wavesym.sphere import sigma_mn
 
 from .oracles import fibonacci_sphere
@@ -430,6 +431,21 @@ def test_signed_zero_count_subdivision_invariant():
     sec = crystal_section((2.0, 3.0, 4.0))
     counts = {signed_zero_count(rotated_icosphere(k), sec) for k in (2, 3, 4)}
     assert counts == {4}
+
+
+@pytest.mark.parametrize("subdiv", [2, 3, 4])
+def test_face_center_frames_serve_their_samples(subdiv):
+    # signed_zero_count passes one center per face for the S samples of
+    # its boundary; that equals one repeated center per sample
+    mesh = rotated_icosphere(subdiv)
+    loop = _face_boundary_samples(mesh, 8, spherical=True)
+    pts = loop.reshape(-1, 3)
+    _, p, q = crystal_section((2.0, 2.5, 3.0))(pts)
+    centers = mesh.vertices[mesh.faces].mean(axis=1)
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    got = transport_pq(pts, centers, p, q)
+    want = transport_pq(pts, np.repeat(centers, loop.shape[1], axis=0), p, q)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_signed_zero_count_constant_planar():

@@ -107,3 +107,15 @@ def test_obj_rejects_non_finite_vertices():
                       faces=np.zeros((0, 3), dtype=int))
     with pytest.raises(InputError):
         obj_objects([("bad", bad)])
+
+
+def test_obj_vertex_text_matches_fmt_float():
+    values = [-0.0, 0.0, 1.0, -3.0, 1e-300, -5e-324, 1e22, 0.1, 2.0**60, -1.0 / 3.0]
+    verts = np.array([values[i:i + 3] for i in range(len(values) - 2)])
+    lines = obj_objects([("m", SurfaceMesh(vertices=verts, faces=np.zeros((0, 3), dtype=int)))]).split("\n")
+    assert lines[1:-1] == ["v " + " ".join(fmt_float(c) for c in row) for row in verts]
+    assert lines[1] == "v 0.0 0.0 1.0"
+    for bad in (math.nan, -math.inf):
+        nan_mesh = SurfaceMesh(vertices=np.array([[0.0, bad, 1.0]]), faces=np.zeros((0, 3), dtype=int))
+        with pytest.raises(InputError):
+            obj_face_groups(nan_mesh, [])

@@ -1,13 +1,14 @@
-"""The vectorized mesh combinatorics against the face-by-face loops, and
-the shared frame transport, cyclic line lift and axis separation against
-the per-caller copies they replaced."""
+"""The vectorized mesh combinatorics against the face-by-face loops, the
+shared frame transport, cyclic line lift and axis separation against the
+per-caller copies they replaced, and the batched descent against the
+single-start loop."""
 
 import numpy as np
 import pytest
 
 from wavesym.eigenline import EigenlineManifold, build_eigenline_manifold, critical_scan
 from wavesym.errors import GluingMismatch, NotClosed, TransportFailure, WavesymError
-from wavesym.fresnel import Crystal, compressed_grid, singular_directions
+from wavesym.fresnel import Crystal, _gap_squared, compressed_grid, singular_directions
 from wavesym.multiplicity import lift_angles
 from wavesym.spheremesh import (
     SurfaceMesh,
@@ -17,8 +18,10 @@ from wavesym.spheremesh import (
     icosphere,
     is_consistently_oriented,
     min_separation,
+    refine_on_sphere,
     tangent_frames,
     transport_pq,
+    unit_rows,
 )
 
 from . import oracles
@@ -213,3 +216,60 @@ def test_transport_refuses_point_on_center_axis():
     t1, _ = tangent_frames(center)
     with pytest.raises(TransportFailure):
         transport_pq(np.vstack([center, t1]), center, np.ones(2), np.zeros(2))
+
+
+def test_unit_rows_round_like_single_row_norm():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-8, 8, size=(20000, 1))
+    want = np.array([row / np.linalg.norm(row) for row in x])
+    assert unit_rows(x).tobytes() == want.tobytes()
+
+
+def _random_crystal(rng, ratio, low_end):
+    """Lowest eps in [1.5, 4], highest 0.5..2 above it, middle at the gap
+    ratio from the chosen end."""
+    lo = rng.uniform(1.5, 4.0)
+    hi = lo + rng.uniform(0.5, 2.0)
+    mid = lo + ratio * (hi - lo) if low_end else hi - ratio * (hi - lo)
+    return Crystal(eps=tuple(rng.permutation([lo, mid, hi])))
+
+
+def _assert_rows_match_single_starts(f, starts, rows, minimize):
+    xs, vals = refine_on_sphere(f, starts, minimize=minimize)
+    assert xs.shape == starts.shape and vals.shape == (len(starts),)
+    for i in rows:
+        x, v = oracles.refine_on_sphere(lambda p: f(p[None, :])[0], starts[i], minimize=minimize)
+        assert np.array_equal(xs[i], x) and vals[i] == v
+
+
+@pytest.mark.parametrize("seed,ratio,low_end", [(0, 1e-6, True), (1, 1e-6, False), (2, 3e-4, True),
+                                                (3, 0.4, False)])
+def test_batched_axis_descent_matches_single_starts(seed, ratio, low_end):
+    # all 48 seeds descend together, rows leaving at different sweeps;
+    # every sixth is replayed on its own
+    rng = np.random.default_rng(seed)
+    gap2 = _gap_squared(_random_crystal(rng, ratio, low_end))
+    mesh = icosphere(3)
+    seeds = mesh.vertices[np.argsort(gap2(mesh.vertices))[:48]]
+    _assert_rows_match_single_starts(gap2, seeds, range(0, 48, 6), minimize=True)
+
+
+@pytest.mark.parametrize("minimize", [True, False])
+def test_batched_sheet_descent_matches_single_starts(minimize):
+    rng = np.random.default_rng(11)
+    crystal = _random_crystal(rng, 1e-6, False)
+
+    def lam2(pts):
+        t, p, q = compressed_grid(crystal, pts)
+        return 0.5 * t + np.hypot(p, q)
+
+    _assert_rows_match_single_starts(lam2, _unit_rows(rng, 6), range(6), minimize)
+
+
+def test_batched_descent_keeps_a_single_start_single():
+    gap2 = _gap_squared(BIAXIAL)
+    start = np.array([0.6, 0.1, 0.8])
+    x, v = refine_on_sphere(gap2, start)
+    want_x, want_v = oracles.refine_on_sphere(lambda p: gap2(p[None, :])[0], start)
+    assert x.shape == (3,) and isinstance(v, float)
+    assert np.array_equal(x, want_x) and v == want_v
