@@ -23,7 +23,7 @@ from .multiplicity import knot_polyline, knot_type, polylines_csv
 # perfbench/tracing.py wraps these three at their cli names
 from .multiplicity import extract_singular_set, regular_value_check, trace_component  # noqa: F401
 from .serialize import canonical_json, fmt_float, obj_face_groups, obj_objects
-from .sphere import M_RANGE, N_RANGE, analyze_mn, trace_sigma_mn, z_set
+from .sphere import _validate_mn, analyze_mn, trace_sigma_mn, z_set
 
 # config-file keys and their parsers; flag values override these
 _FIELD_PARSERS = {
@@ -65,10 +65,7 @@ class RunConfig:
     out_obj: str | None = None
 
     def validate(self) -> None:
-        if not (M_RANGE[0] <= self.m <= M_RANGE[1]):
-            raise InputError(f"m must lie in [{M_RANGE[0]}, {M_RANGE[1]}], got {self.m}")
-        if not (N_RANGE[0] <= self.n <= N_RANGE[1]):
-            raise InputError(f"n must lie in [{N_RANGE[0]}, {N_RANGE[1]}], got {self.n}")
+        _validate_mn(self.m, self.n)
         if len(self.epsilon) != 3 or any(e <= 0.0 for e in self.epsilon):
             raise InputError("epsilon must be three positive comma-separated numbers")
         for name in ("tol_contour", "tol_root", "tube_radius", "collar"):

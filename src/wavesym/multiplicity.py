@@ -33,6 +33,25 @@ CONTOUR_REL_TOL = 1e-10
 GRADIENT_FLOOR_REL = 1e-6
 WINDING_RESIDUAL = 0.1
 _JUMP_LIMIT = (math.pi / 2.0) * (1.0 - 1e-9)
+# rows of xs per matrix_fn call in det_grid; of 4 to 256, 16 was the fastest
+# at grid 2048 on a 2.1 GHz Xeon with 2 MiB of L2 per core, where one band's
+# complex temporaries still fit
+DET_BAND_ROWS = 16
+# peak bytes per node of the det grid and its contouring: F (float64) plus
+# the sign, two edge-crossing and cell-crossing masks (bool) ...
+_GRID_BYTES_PER_NODE = 8 + 4
+# ... plus, per node of one band, the temporaries of matrix_fn (about 130 B
+# for the sphere symbols: coordinates, complex chart values, four entries)
+_BAND_BYTES_PER_NODE = 160
+# largest det_grid_peak_bytes a ChartSymbolField accepts: square grids up to 9352
+DET_GRID_BYTE_CAP = 2**30
+
+
+def det_grid_peak_bytes(nx: int, ny: int) -> int:
+    """Peak working set of det_grid plus contouring on an nx x ny grid."""
+    cols = int(ny) + 1
+    rows = int(nx) + 1
+    return rows * cols * _GRID_BYTES_PER_NODE + min(DET_BAND_ROWS, rows) * cols * _BAND_BYTES_PER_NODE
 
 
 MatrixFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
@@ -61,6 +80,10 @@ class ChartSymbolField:
             raise InputError("empty chart rectangle")
         if self.nx < 16 or self.ny < 16:
             raise InputError("grid resolution must be at least 16 per axis")
+        need = det_grid_peak_bytes(self.nx, self.ny)
+        if need > DET_GRID_BYTE_CAP:
+            raise InputError(f"a {self.nx} x {self.ny} grid needs about {need / 2**30:.2f} GiB for its "
+                             f"det grid, above the {DET_GRID_BYTE_CAP / 2**30:.0f} GiB cap")
 
     def contains(self, x: float, y: float) -> bool:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
@@ -77,14 +100,23 @@ class ChartSymbolField:
         return m11 * m22 - m12 * m21
 
     def det_grid(self) -> np.ndarray:
-        """Determinant on the nodes, indexed [i, j] = (xs[i], ys[j])."""
+        """Determinant on the nodes, indexed [i, j] = (xs[i], ys[j]).
+
+        matrix_fn runs on DET_BAND_ROWS rows of xs at a time, so only the
+        result and one band of temporaries are ever held.
+        """
         if "det_grid" not in self._cache:
             xs, ys = self.nodes()
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            m11, m12, m21, m22 = self.matrix_fn(X, Y)
-            self._cache["det_grid"] = m11 * m22 - m12 * m21
-            self._cache["max_abs_det"] = float(np.abs(self._cache["det_grid"]).max())
-            self._cache["max_frob2"] = float((m11**2 + m12**2 + m21**2 + m22**2).max())
+            F = np.empty((xs.size, ys.size))
+            frob2 = []
+            for i0 in range(0, xs.size, DET_BAND_ROWS):
+                X, Y = np.meshgrid(xs[i0:i0 + DET_BAND_ROWS], ys, indexing="ij")
+                m11, m12, m21, m22 = self.matrix_fn(X, Y)
+                np.subtract(m11 * m22, m12 * m21, out=F[i0:i0 + DET_BAND_ROWS])
+                frob2.append((m11**2 + m12**2 + m21**2 + m22**2).max())
+            self._cache["det_grid"] = F
+            self._cache["max_abs_det"] = float(max(F.max(), -F.min()))
+            self._cache["max_frob2"] = float(np.max(frob2))
         return self._cache["det_grid"]
 
     @property
@@ -202,19 +234,14 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     # refine every crossing edge to a vertex by bisection along the edge
     edge_keys = sorted({e for seg in segments for e in seg})
     n_edges = len(edge_keys)
-    ax = np.empty(n_edges)
-    ay = np.empty(n_edges)
-    bx = np.empty(n_edges)
-    by = np.empty(n_edges)
-    fa = np.empty(n_edges)
-    fb = np.empty(n_edges)
-    for k, (kind, i, j) in enumerate(edge_keys):
-        if kind == "h":
-            ax[k], ay[k], fa[k] = xs[i], ys[j], F[i, j]
-            bx[k], by[k], fb[k] = xs[i + 1], ys[j], F[i + 1, j]
-        else:
-            ax[k], ay[k], fa[k] = xs[i], ys[j], F[i, j]
-            bx[k], by[k], fb[k] = xs[i], ys[j + 1], F[i, j + 1]
+    kinds, ei, ej = zip(*edge_keys)
+    ei = np.array(ei, dtype=np.intp)
+    ej = np.array(ej, dtype=np.intp)
+    vert = np.array(kinds) == "v"
+    bi = ei + ~vert   # far end (i+1, j) of an "h" edge, (i, j+1) of a "v" edge
+    bj = ej + vert
+    ax, ay, fa = xs[ei], ys[ej], F[ei, ej]
+    bx, by, fb = xs[bi], ys[bj], F[bi, bj]
     # orient brackets so fa >= 0 > fb
     swap = fa < 0.0
     ax[swap], bx[swap] = bx[swap], ax[swap].copy()

@@ -192,10 +192,9 @@ class _ChartData:
 
 
 def _validate_mn(m: int, n: int) -> None:
-    if not (isinstance(m, (int, np.integer)) and M_RANGE[0] <= m <= M_RANGE[1]):
-        raise OutOfRange(f"m must be an integer in [{M_RANGE[0]}, {M_RANGE[1]}]")
-    if not (isinstance(n, (int, np.integer)) and N_RANGE[0] <= n <= N_RANGE[1]):
-        raise OutOfRange(f"n must be an integer in [{N_RANGE[0]}, {N_RANGE[1]}]")
+    for name, value, (lo, hi) in (("m", m, M_RANGE), ("n", n, N_RANGE)):
+        if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+            raise OutOfRange(f"{name} must lie in [{lo}, {hi}] as an integer, got {value}")
 
 
 def sigma_mn(m: int, n: int) -> SphereSymbol:

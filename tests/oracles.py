@@ -6,7 +6,8 @@ instead of closed forms, dense grids instead of local refinement,
 loops over faces instead of the vectorized edge table.  The frame
 transports, the cyclic line lift and the pairwise separation loop at the
 end are the earlier per-caller copies that the shared primitives replaced;
-the single-start descent is the loop that the batched one replaced.
+the single-start descent is the loop that the batched one replaced, and
+the whole-grid determinant is the one that the banded det_grid replaced.
 """
 
 from __future__ import annotations
@@ -431,3 +432,16 @@ def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,
         if not improved:
             h *= 0.5
     return x, sign * best
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid determinant that the banded det_grid replaced
+
+
+def det_grid_whole(fld) -> tuple[np.ndarray, float, float]:
+    """(F, max |F|, max Frobenius^2) with matrix_fn run once on every node."""
+    xs, ys = fld.nodes()
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    m11, m12, m21, m22 = fld.matrix_fn(X, Y)
+    F = m11 * m22 - m12 * m21
+    return F, float(np.abs(F).max()), float((m11**2 + m12**2 + m21**2 + m22**2).max())

@@ -233,6 +233,25 @@ def test_grid_too_small(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("subcommand", ["sphere", "winding"])
+def test_grid_above_byte_cap_exit_2_without_artifacts(tmp_path, capsys, subcommand):
+    # refused when the field is built, before its grid is allocated
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = [subcommand, "--m", "1", "--n", "4", "--grid", "100000", "--out", str(out)]
+    if subcommand == "winding":
+        argv += ["--out-csv", str(csv)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and "GiB cap" in err
+    assert not out.exists() and not csv.exists()
+
+
+def test_n_out_of_range(capsys):
+    code, _, err = run(capsys, "sphere", "--m", "0", "--n", "7")
+    assert code == 2
+    assert "n must lie in [0, 6]" in err
+
+
 # --- numerical failure exit ------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from wavesym.errors import (
     ZeroOnVertex,
 )
 from wavesym.multiplicity import (
+    DET_BAND_ROWS,
+    DET_GRID_BYTE_CAP,
     ChartSymbolField,
     _face_boundary_samples,
     det_field,
+    det_grid_peak_bytes,
     extract_singular_set,
     kernel_angle,
     kernel_angles_along,
@@ -33,7 +37,7 @@ from wavesym.multiplicity import (
 from wavesym.spheremesh import icosphere, transport_pq
 from wavesym.sphere import sigma_mn
 
-from .oracles import fibonacci_sphere
+from .oracles import det_grid_whole, fibonacci_sphere
 
 
 def square_field(matrix_fn, halfwidth=2.0, grid=256):
@@ -498,6 +502,64 @@ def test_field_rejects_empty_rectangle():
     with pytest.raises(InputError):
         ChartSymbolField(x0=1.0, x1=-1.0, y0=0.0, y1=1.0, nx=32, ny=32,
                          matrix_fn=constant_identity)
+
+
+def test_field_refuses_grid_above_byte_cap():
+    # construction only: a refused field never allocates its grid
+    side = max(g for g in range(16, 20000) if det_grid_peak_bytes(g, g) <= DET_GRID_BYTE_CAP)
+    square_field(constant_identity, grid=side)
+    with pytest.raises(InputError, match="cap"):
+        square_field(constant_identity, grid=side + 1)
+    with pytest.raises(InputError, match="cap"):
+        ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=10**9, matrix_fn=constant_identity)
+    with pytest.raises(InputError, match="cap"):
+        sigma_mn(1, 4).chart_field(grid=100_000)
+
+
+# --- banded det grid -----------------------------------------------------------
+
+
+def wavy(X, Y):
+    return np.sin(3.0 * X) * Y, X * X - Y, np.cos(X * Y), X + Y**3
+
+
+BAND_FNS = {f"sigma{m}{n}": sigma_mn(m, n).chart_field().matrix_fn
+            for m, n in ((0, 3), (1, 4), (2, 5), (2, 6))}
+BAND_FNS["wavy"] = wavy
+# grids whose nx + 1 node rows fill whole bands exactly or overrun by one or two rows
+BAND_GRIDS = sorted({g for g in (16, DET_BAND_ROWS - 1, DET_BAND_ROWS, DET_BAND_ROWS + 1,
+                                 2 * DET_BAND_ROWS - 1, 2 * DET_BAND_ROWS, 2 * DET_BAND_ROWS + 1)
+                     if g >= 16})
+BAND_SHAPES = [(g, g) for g in BAND_GRIDS] + [(2 * DET_BAND_ROWS + 1, 23), (17, 3 * DET_BAND_ROWS)]
+
+
+@pytest.mark.parametrize("name", sorted(BAND_FNS))
+@pytest.mark.parametrize("nx,ny", BAND_SHAPES)
+def test_banded_det_grid_matches_whole_grid(name, nx, ny):
+    fld = ChartSymbolField(x0=-2.6, x1=2.2, y0=-1.9, y1=2.6, nx=nx, ny=ny, matrix_fn=BAND_FNS[name])
+    F_ref, max_abs_ref, frob2_ref = det_grid_whole(fld)
+    F = fld.det_grid()
+    assert F.shape == (nx + 1, ny + 1)
+    assert F.tobytes() == F_ref.tobytes()
+    assert fld.max_abs_det == max_abs_ref
+    assert fld.max_frobenius == math.sqrt(frob2_ref)
+
+
+def test_det_grid_memory_stays_near_its_result():
+    fld = sigma_mn(1, 4).chart_field(halfwidth=2.6, grid=1024)
+    fld.nodes()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        F = fld.det_grid()
+        det_peak = tracemalloc.get_traced_memory()[1] - base
+        extract_singular_set(fld)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert det_peak <= 2 * F.nbytes
+    # the figure the byte cap is checked against covers contouring too
+    assert peak <= det_grid_peak_bytes(1024, 1024)
 
 
 @given(st.integers(min_value=-8, max_value=8))
