@@ -3,7 +3,7 @@
 The jobs are the six of acceptance criterion 10, the large eigenline
 and fresnel runs, two near-uniaxial fresnel runs, and `sphere` plus
 `winding --out-csv` for all 21 sigma_mn pairs (m 0..2, n 0..6) at grid
-512.  Each runs in process through `wavesym.cli.main`, writes its
+512 and for five pairs at grid 2048.  Each runs in process through `wavesym.cli.main`, writes its
 artifacts to a temporary directory, and yields one line
 `job artifact sha256` per artifact (stdout counts as an artifact).
 Run it on two commits and diff the output to show that a change keeps
@@ -47,6 +47,16 @@ JOBS = [
 JOBS += [
     (f"{cmd}_{m}{n}", [cmd, "--m", str(m), "--n", str(n), "--grid", "512"], outputs)
     for m in range(3) for n in range(7)
+    for cmd, outputs in (("sphere", [("--out", "s.json")]),
+                         ("winding", [("--out", "w.json"), ("--out-csv", "w.csv")]))
+]
+# a grid-2048 det grid band holds 16 x 2049 complex values (524 KiB), above
+# the 256 KiB at which numpy elides temporaries into in-place ufuncs, which
+# no grid-512 band reaches; these pairs are those whose bands once rounded
+# differently from det_at at the same nodes
+JOBS += [
+    (f"{cmd}_{m}{n}_2048", [cmd, "--m", str(m), "--n", str(n), "--grid", "2048"], outputs)
+    for m, n in ((0, 3), (0, 6), (1, 6), (2, 5), (2, 6))
     for cmd, outputs in (("sphere", [("--out", "s.json")]),
                          ("winding", [("--out", "w.json"), ("--out-csv", "w.csv")]))
 ]

@@ -33,9 +33,9 @@ CONTOUR_REL_TOL = 1e-10
 GRADIENT_FLOOR_REL = 1e-6
 WINDING_RESIDUAL = 0.1
 _JUMP_LIMIT = (math.pi / 2.0) * (1.0 - 1e-9)
-# rows of xs per matrix_fn call in det_grid; of 4 to 256, 16 was the fastest
-# at grid 2048 on a 2.1 GHz Xeon with 2 MiB of L2 per core, where one band's
-# complex temporaries still fit
+# rows of xs per matrix_fn call in det_grid.  Swept over 4 to 64 at grid 2048
+# on a 2.1 GHz Xeon with 2 MiB of L2 per core: 8 to 24 rows were equally fast
+# (within 4%), 4 and 32 rows 10-20% slower, 64 about 30% slower
 DET_BAND_ROWS = 16
 # peak bytes per node of the det grid and its contouring: F (float64) plus
 # the sign, two edge-crossing and cell-crossing masks (bool) ...
@@ -63,7 +63,13 @@ class ChartSymbolField:
 
     matrix_fn maps coordinate arrays (X, Y) to the four entry arrays
     (m11, m12, m21, m22) of the coefficient matrix; it must be pure, so
-    repeated evaluation at the same point is bit identical.
+    repeated evaluation at the same point is bit identical.  That includes
+    arrays of different sizes: det_grid evaluates whole bands of nodes and
+    det_at a few points, and contouring compares the two.  So matrix_fn
+    fixes its operation order instead of leaving it to numpy, which elides
+    a temporary operand of 256 KiB or more into an in-place ufunc and may
+    swap the operands of a commutative one to do so; a complex product
+    can then round differently in the last bit (see the sphere module).
     """
 
     x0: float
@@ -109,10 +115,15 @@ class ChartSymbolField:
             xs, ys = self.nodes()
             F = np.empty((xs.size, ys.size))
             frob2 = []
+            # the node coordinates of one band: Y is the same for every band,
+            # X is refilled in place
+            X = np.empty((min(DET_BAND_ROWS, xs.size), ys.size))
+            Y = np.broadcast_to(ys, X.shape).copy()
             for i0 in range(0, xs.size, DET_BAND_ROWS):
-                X, Y = np.meshgrid(xs[i0:i0 + DET_BAND_ROWS], ys, indexing="ij")
-                m11, m12, m21, m22 = self.matrix_fn(X, Y)
-                np.subtract(m11 * m22, m12 * m21, out=F[i0:i0 + DET_BAND_ROWS])
+                rows = min(DET_BAND_ROWS, xs.size - i0)
+                X[:rows] = xs[i0:i0 + rows, None]
+                m11, m12, m21, m22 = self.matrix_fn(X[:rows], Y[:rows])
+                np.subtract(m11 * m22, m12 * m21, out=F[i0:i0 + rows])
                 frob2.append((m11**2 + m12**2 + m21**2 + m22**2).max())
             self._cache["det_grid"] = F
             self._cache["max_abs_det"] = float(max(F.max(), -F.min()))
@@ -192,52 +203,42 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     vx = S[:, :-1] != S[:, 1:]   # edge (i,j)-(i,j+1), shape (nx+1, ny)
 
     cell_cross = hx[:, :-1] | hx[:, 1:] | vx[:-1, :] | vx[1:, :]
-    cells = np.argwhere(cell_cross)
-    if cells.size == 0:
+    # flatnonzero: np.nonzero on a 2-d mask is an order of magnitude slower
+    ci, cj = np.divmod(np.flatnonzero(cell_cross), cell_cross.shape[1])
+    if ci.size == 0:
         return []
 
-    # saddle cells need a center sample to pick the branch pairing
-    segments: list[tuple[tuple, tuple]] = []
-    saddle_cells = []
-    for i, j in cells:
-        edges = []
-        if hx[i, j]:
-            edges.append(("h", i, j))
-        if vx[i + 1, j]:
-            edges.append(("v", i + 1, j))
-        if hx[i, j + 1]:
-            edges.append(("h", i, j + 1))
-        if vx[i, j]:
-            edges.append(("v", i, j))
-        if len(edges) == 2:
-            segments.append((edges[0], edges[1]))
-        elif len(edges) == 4:
-            saddle_cells.append((i, j))
-        # len 0 cannot happen here; odd counts are impossible by parity
-
-    if saddle_cells:
-        sc = np.array(saddle_cells)
-        cxs = 0.5 * (xs[sc[:, 0]] + xs[sc[:, 0] + 1])
-        cys = 0.5 * (ys[sc[:, 1]] + ys[sc[:, 1] + 1])
-        fc = fld.det_at(cxs, cys)
-        for (i, j), fcv in zip(saddle_cells, fc):
-            south, east = ("h", i, j), ("v", i + 1, j)
-            north, west = ("h", i, j + 1), ("v", i, j)
-            if (fcv >= 0.0) == S[i, j]:
-                # center joins the SW corner region; branches cut SE and NW
-                segments.append((south, east))
-                segments.append((north, west))
-            else:
-                segments.append((south, west))
-                segments.append((north, east))
+    # an edge is coded (kind * (nx + 1) + i) * (ny + 1) + j, kind 0 for the
+    # edge (i, j)-(i+1, j) and 1 for (i, j)-(i, j+1), so codes sort like
+    # (kind, i, j); the crossing edges of a cell in the order S, E, N, W
+    rows, cols = F.shape
+    side = np.column_stack([ci * cols + cj, (rows + ci + 1) * cols + cj,
+                            ci * cols + cj + 1, (rows + ci) * cols + cj])
+    crossed = np.column_stack([hx[ci, cj], vx[ci + 1, cj], hx[ci, cj + 1], vx[ci, cj]])
+    # a crossed cell has two crossing edges, or four at a saddle (parity
+    # rules out odd counts)
+    saddle = crossed.all(axis=1)
+    plain = ~saddle
+    pairs = [side[plain][crossed[plain]].reshape(-1, 2)]
+    if saddle.any():
+        # a center sample picks the branch pairing
+        si, sj = ci[saddle], cj[saddle]
+        fc = fld.det_at(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
+        # a center of the SW corner's sign joins that corner's region, and
+        # the branches cut off SE and NW; otherwise they cut off SW and NE
+        sw = (fc >= 0.0) == S[si, sj]
+        south, east, north, west = side[saddle].T
+        pairs.append(np.column_stack([south, np.where(sw, east, west)]))
+        pairs.append(np.column_stack([north, np.where(sw, west, east)]))
+    pairs = np.concatenate(pairs)
 
     # refine every crossing edge to a vertex by bisection along the edge
-    edge_keys = sorted({e for seg in segments for e in seg})
-    n_edges = len(edge_keys)
-    kinds, ei, ej = zip(*edge_keys)
-    ei = np.array(ei, dtype=np.intp)
-    ej = np.array(ej, dtype=np.intp)
-    vert = np.array(kinds) == "v"
+    edge_keys, ends = np.unique(pairs, return_inverse=True)
+    ends = ends.reshape(pairs.shape)
+    n_edges = edge_keys.size
+    vert, node = np.divmod(edge_keys, rows * cols)
+    vert = vert.astype(bool)
+    ei, ej = np.divmod(node, cols)
     bi = ei + ~vert   # far end (i+1, j) of an "h" edge, (i, j+1) of a "v" edge
     bj = ej + vert
     ax, ay, fa = xs[ei], ys[ej], F[ei, ej]
@@ -277,45 +278,43 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
         ax[upd_pos], ay[upd_pos], fa[upd_pos] = mx[sel_pos], my[sel_pos], fm[sel_pos]
         bx[upd_neg], by[upd_neg], fb[upd_neg] = mx[sel_neg], my[sel_neg], fm[sel_neg]
 
-    key_index = {e: k for k, e in enumerate(edge_keys)}
-    adjacency: dict[tuple, list[tuple]] = {e: [] for e in edge_keys}
-    for e1, e2 in segments:
-        adjacency[e1].append(e2)
-        adjacency[e2].append(e1)
-    for e in adjacency:
-        adjacency[e].sort()
+    # each edge lies in at most two cells, so it has one or two neighbours;
+    # both lists hold them in ascending edge order (-1 for none)
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    order = np.lexsort((head, tail))
+    tail, head = tail[order], head[order]
+    first = np.searchsorted(tail, np.arange(n_edges))
+    degree = np.bincount(tail, minlength=n_edges)
+    nb_lo = head[first].tolist()
+    nb_hi = np.where(degree == 2, head[np.minimum(first + 1, tail.size - 1)], -1).tolist()
 
-    visited: set[tuple] = set()
-    chains: list[tuple[list[tuple], bool]] = []
+    visited = [False] * n_edges
+    chains: list[tuple[list[int], bool]] = []
 
-    def walk(start: tuple) -> list[tuple]:
+    def walk(start: int) -> list[int]:
         chain = [start]
-        visited.add(start)
-        prev = None
+        visited[start] = True
         cur = start
         while True:
-            nxt = None
-            for nb in adjacency[cur]:
-                if nb != prev and nb not in visited:
-                    nxt = nb
+            for nxt in (nb_lo[cur], nb_hi[cur]):
+                if nxt >= 0 and not visited[nxt]:
                     break
-            if nxt is None:
+            else:
                 return chain
             chain.append(nxt)
-            visited.add(nxt)
-            prev, cur = cur, nxt
+            visited[nxt] = True
+            cur = nxt
 
-    endpoints = sorted(e for e in edge_keys if len(adjacency[e]) == 1)
-    for e in endpoints:
-        if e not in visited:
+    for e in np.nonzero(degree == 1)[0].tolist():
+        if not visited[e]:
             chains.append((walk(e), False))
-    for e in edge_keys:
-        if e not in visited:
+    for e in range(n_edges):
+        if not visited[e]:
             chains.append((walk(e), True))
 
     curves = []
     for chain, closed in chains:
-        idxs = np.array([key_index[e] for e in chain])
+        idxs = np.array(chain)
         pts = np.column_stack([vx_[idxs], vy_[idxs]])
         rr = res[idxs]
         if closed:
@@ -483,13 +482,26 @@ def knot_polyline(m: int, samples: int = 256) -> list[np.ndarray]:
 
 
 def polylines_csv(components: list[MultiplicityComponent]) -> str:
-    """CSV rows curve_id,x1,x2,kernel_angle_lifted for every vertex."""
-    from .serialize import fmt_float
+    """CSV rows curve_id,x1,x2,kernel_angle_lifted for every vertex.
+
+    Values print as serialize.fmt_float does.  .17g text carries a "." or
+    an "e" unless the value is integral, so only rows holding an integral
+    value go through _g17, which appends the ".0".
+    """
+    from .serialize import _g17
 
     lines = ["curve_id,x1,x2,kernel_angle_lifted"]
     for cid, comp in enumerate(components):
-        for (x, y), ang in zip(comp.base.polyline, comp.kernel_angles):
-            lines.append(f"{cid},{fmt_float(x)},{fmt_float(y)},{fmt_float(ang)}")
+        vals = np.column_stack([comp.base.polyline, comp.kernel_angles])
+        if not np.isfinite(vals).all():
+            raise InputError("non-finite value in serialized output")
+        vals = vals + 0.0   # -0.0 prints as 0.0
+        integral = (vals == np.trunc(vals)).any(axis=1).tolist()
+        for row, whole in zip(vals.tolist(), integral):
+            if whole:
+                lines.append(f"{cid},{_g17(row[0])},{_g17(row[1])},{_g17(row[2])}")
+            else:
+                lines.append("%d,%.17g,%.17g,%.17g" % (cid, row[0], row[1], row[2]))
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,18 @@ The model family sigma_mn takes v = z^m and s = z^n.  Its multiplicity
 circles |z| = r are the positive roots of (1 + r^2)^2 r^m = 4 r^n, which
 depend only on n - m; the kernel line winds n - m half turns along each
 transversal circle.
+
+The symbol kernel (PolyVF.evaluate, SphereSymbol.rep_grid and the
+chart field's matrix_fn) uses one fixed operation order at every array
+size.  numpy elides a temporary operand of 256 KiB or more into an
+in-place ufunc, and for a commutative ufunc it swaps the operands to
+do so when the temporary is on the right.  Its SIMD complex multiply
+fuses one product into the sum of the imaginary part, so a*b and b*a
+can differ in the last bit.  A product of two complex arrays is
+therefore never written with a temporary on its right: it runs as
+s * f, in place only on arrays the kernel allocated itself.  (A real
+factor is exact either way round.)  A large det grid band then agrees
+bit for bit with det_at at its nodes.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from .sym2 import SQRT2, ComplexRep, mod_pi, rotate_rep
 
 M_RANGE = (0, 2)
 N_RANGE = (0, 6)
+_INV_SQRT2 = 1.0 / SQRT2
 
 
 def frame_scale(r):
@@ -126,7 +139,24 @@ class PolyVF(object):
     a2: complex
 
     def evaluate(self, z):
-        return (self.a2 * z + self.a1) * z + self.a0
+        """(a2 z + a1) z + a0 by Horner's rule.
+
+        Terms with coefficient exactly 0 and multiplications by exactly 1
+        are skipped, and a constant polynomial returns its constant.  Both
+        are exact, so only the sign of a zero can differ from the full
+        quadratic; generic coefficients take the full Horner steps.
+        """
+        a0, a1, a2 = self.a0, self.a1, self.a2
+        if a2 != 0:
+            acc = z if a2 == 1 else a2 * z
+            if a1 != 0:
+                acc = acc + a1
+            acc = acc * z
+        elif a1 != 0:
+            acc = z if a1 == 1 else a1 * z
+        else:
+            return a0
+        return acc if a0 == 0 else acc + a0
 
     def transition(self) -> "PolyVF":
         """Pushforward under z -> 1/z, again polynomial of degree <= 2."""
@@ -139,6 +169,9 @@ class PolyVF(object):
         c = [0j, 0j, 0j]
         c[k] = 1.0 + 0j
         return cls(*c)
+
+
+_ONE = PolyVF.monomial(0)
 
 
 @dataclass(frozen=True)
@@ -155,14 +188,34 @@ class SphereSymbol:
         return c1, c2
 
     def rep_grid(self, Z: np.ndarray, chart: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Representative (u, w) arrays at complex chart coordinates Z."""
+        """Representative (u, w) arrays at complex chart coordinates Z.
+
+        Each distinct factor is evaluated once and constant 1 factors are
+        skipped.  s is multiplied left to right as s * f, in place only once
+        it is an array allocated here (see the module docstring).
+        """
         data = self.charts()[chart - 1]
         lam = 2.0 / (1.0 + (Z.real**2 + Z.imag**2))
         u = lam * data.v.evaluate(Z)
-        s = np.ones_like(Z)
+        values = {}
+        s, owned = None, False
         for f in data.factors:
-            s = s * f.evaluate(Z)
-        return u, lam**3 * s
+            if f == _ONE:
+                continue
+            if f not in values:
+                values[f] = f.evaluate(Z)
+            if s is None:
+                s = values[f]
+            elif owned:
+                s *= values[f]
+            else:
+                s, owned = s * values[f], True
+        if s is None:
+            return u, (lam**3).astype(complex)
+        if not owned:
+            return u, s * lam**3
+        s *= lam**3
+        return u, s
 
     def rep_at(self, p: SpherePoint) -> ComplexRep:
         Z = np.array([p.coord])
@@ -174,10 +227,17 @@ class SphereSymbol:
         """Coefficient matrix field of this symbol on a chart square."""
 
         def matrix_fn(X, Y):
-            u, w = self.rep_grid(X + 1j * Y, chart=chart)
-            pq = (u + w) / SQRT2
-            rs = 1j * (u - w) / SQRT2
-            return pq.real, rs.real, pq.imag, rs.imag
+            # the real and imaginary parts of (u + w) / SQRT2 and
+            # 1j (u - w) / SQRT2: numpy divides by a real scalar as a
+            # product with its rounded reciprocal, and 1j a is exactly
+            # (-a.imag, a.real)
+            Z = np.empty(np.broadcast_shapes(np.shape(X), np.shape(Y)), dtype=complex)
+            Z.real = X
+            Z.imag = Y
+            u, w = self.rep_grid(Z, chart=chart)
+            ur, ui, wr, wi = u.real, u.imag, w.real, w.imag
+            return ((ur + wr) * _INV_SQRT2, (wi - ui) * _INV_SQRT2,
+                    (ui + wi) * _INV_SQRT2, (ur - wr) * _INV_SQRT2)
 
         return ChartSymbolField(
             x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth,

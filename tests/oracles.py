@@ -6,8 +6,11 @@ instead of closed forms, dense grids instead of local refinement,
 loops over faces instead of the vectorized edge table.  The frame
 transports, the cyclic line lift and the pairwise separation loop at the
 end are the earlier per-caller copies that the shared primitives replaced;
-the single-start descent is the loop that the batched one replaced, and
-the whole-grid determinant is the one that the banded det_grid replaced.
+the single-start descent is the loop that the batched one replaced,
+the whole-grid determinant is the one that the banded det_grid replaced,
+the full-quadratic sphere representative is the kernel that the
+fixed-order one replaced, and the per-value CSV writer is the one that
+the row formatter replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import numpy as np
 
 from wavesym.eigenline import _tie_break_jitter
 from wavesym.errors import GluingMismatch, NotClosed, ZeroOnVertex
+from wavesym.serialize import fmt_float
 from wavesym.spheremesh import rotate_pq, tangent_frames
+from wavesym.sym2 import SQRT2
 
 
 def eig_quadratic(t: float, p: float, q: float) -> tuple[float, float]:
@@ -445,3 +450,46 @@ def det_grid_whole(fld) -> tuple[np.ndarray, float, float]:
     m11, m12, m21, m22 = fld.matrix_fn(X, Y)
     F = m11 * m22 - m12 * m21
     return F, float(np.abs(F).max()), float((m11**2 + m12**2 + m21**2 + m22**2).max())
+
+
+# ---------------------------------------------------------------------------
+# the sphere symbol kernel that the fixed-order one replaced: every
+# polynomial a full complex quadratic, s multiplied into ones.  On arrays
+# of 256 KiB or more numpy elides the temporary in s * f and computes f * s,
+# so compare against it only on smaller arrays.
+
+
+def _horner_full(f, z):
+    return (f.a2 * z + f.a1) * z + f.a0
+
+
+def rep_grid_full(sym, Z: np.ndarray, chart: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    data = sym.charts()[chart - 1]
+    lam = 2.0 / (1.0 + (Z.real**2 + Z.imag**2))
+    u = lam * _horner_full(data.v, Z)
+    s = np.ones_like(Z)
+    for f in data.factors:
+        s = s * _horner_full(f, Z)
+    return u, lam**3 * s
+
+
+def matrix_fn_full(sym, chart: int = 1):
+    def matrix_fn(X, Y):
+        u, w = rep_grid_full(sym, X + 1j * Y, chart=chart)
+        pq = (u + w) / SQRT2
+        rs = 1j * (u - w) / SQRT2
+        return pq.real, rs.real, pq.imag, rs.imag
+
+    return matrix_fn
+
+
+# ---------------------------------------------------------------------------
+# the per-value CSV writer that the row formatter replaced
+
+
+def polylines_csv_per_value(components) -> str:
+    lines = ["curve_id,x1,x2,kernel_angle_lifted"]
+    for cid, comp in enumerate(components):
+        for (x, y), ang in zip(comp.base.polyline, comp.kernel_angles):
+            lines.append(f"{cid},{fmt_float(x)},{fmt_float(y)},{fmt_float(ang)}")
+    return "\n".join(lines) + "\n"

@@ -18,6 +18,8 @@ from wavesym.multiplicity import (
     DET_BAND_ROWS,
     DET_GRID_BYTE_CAP,
     ChartSymbolField,
+    MultiplicityComponent,
+    SingularCurve,
     _face_boundary_samples,
     det_field,
     det_grid_peak_bytes,
@@ -37,7 +39,7 @@ from wavesym.multiplicity import (
 from wavesym.spheremesh import icosphere, transport_pq
 from wavesym.sphere import sigma_mn
 
-from .oracles import det_grid_whole, fibonacci_sphere
+from .oracles import det_grid_whole, fibonacci_sphere, polylines_csv_per_value
 
 
 def square_field(matrix_fn, halfwidth=2.0, grid=256):
@@ -129,6 +131,41 @@ def test_extract_degenerate_field():
         return z, z, z, z
     with pytest.raises(DegenerateField):
         extract_singular_set(square_field(zero, grid=32))
+
+
+def crossing_lines(fx, fy, grid=64):
+    """Field with det = (x - a)(y - b): the lines x = a and y = b cross at
+    (a, b), placed at fractions (fx, fy) of the cell [xs[20], xs[21]] x
+    [ys[24], ys[25]], which marching squares sees as a saddle cell."""
+    h = 4.0 / grid
+    a = -2.0 + (20 + fx) * h
+    b = -2.0 + (24 + fy) * h
+
+    def matrix_fn(X, Y):
+        zero = np.zeros_like(X)
+        return X - a, zero, zero, Y - b
+
+    return square_field(matrix_fn, grid=grid), a, b
+
+
+@pytest.mark.parametrize("fx,fy,joins_southeast", [(0.2, 0.2, True), (0.2, 0.8, False),
+                                                   (0.7, 0.6, True), (0.9, 0.4, False)])
+def test_extract_saddle_pairs_branches_by_center_sign(fx, fy, joins_southeast):
+    # the SW corner is positive; a positive center joins it, so the branches
+    # cut the SE and NW corners: the line below the saddle turns east
+    fld, a, b = crossing_lines(fx, fy)
+    curves = extract_singular_set(fld)
+    assert len(curves) == 2 and not any(c.closed for c in curves)
+    ends = sorted((tuple(np.round(c.polyline[0], 6)), tuple(np.round(c.polyline[-1], 6)))
+                  for c in curves)
+    a, b = round(a, 6), round(b, 6)
+    if joins_southeast:
+        want = [((-2.0, b), (a, 2.0)), ((a, -2.0), (2.0, b))]
+    else:
+        want = [((-2.0, b), (a, -2.0)), ((a, 2.0), (2.0, b))]
+    assert ends == want
+    for c in curves:
+        assert float(c.residuals.max()) <= 1e-10 * fld.max_abs_det
 
 
 def test_residuals_below_tolerance():
@@ -388,6 +425,34 @@ def test_polylines_csv_shape():
     assert len(lines) == 1 + sum(len(c.base.polyline) for c in comps)
     first = lines[1].split(",")
     assert first[0] == "0" and len(first) == 4
+
+
+def csv_component(values):
+    vals = np.asarray(values, dtype=float).reshape(-1, 3)
+    curve = SingularCurve(polyline=vals[:, :2], closed=False, length=0.0, residuals=np.zeros(len(vals)))
+    return MultiplicityComponent(base=curve, kernel_angles=vals[:, 2], winding=0, knot=(2, 0),
+                                 connected=False)
+
+
+def test_polylines_csv_matches_per_value_oracle():
+    special = [-0.0, 0.0, 1.0, -3.0, 4.0, 1e-5, -2.5e-5, 1.0000000000000002, 0.1, 1e16, -1e16,
+               1e16 + 2.0, 2.0**53 + 2.0, 1e17, 4503599627370495.5, 123456789.0, 1e-300, -7.0]
+    rng = np.random.default_rng(5)
+    scaled = rng.standard_normal(300) * 10.0 ** rng.integers(-7, 18, 300)
+    comps = [csv_component(special), csv_component(scaled),
+             csv_component(np.trunc(scaled)), csv_component(rng.standard_normal(30))]
+    assert polylines_csv(comps) == polylines_csv_per_value(comps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_polylines_csv_refuses_non_finite(bad, where):
+    row = [0.5, 1.0, -2.0]
+    row[where] = bad
+    comps = [csv_component([0.25, 0.5, 0.75]), csv_component([0.1, 0.2, 0.3] + row)]
+    for write in (polylines_csv, polylines_csv_per_value):
+        with pytest.raises(InputError, match="non-finite"):
+            write(comps)
 
 
 # --- signed zero counts ------------------------------------------------------

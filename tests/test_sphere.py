@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wavesym.errors import OutOfDomain, OutOfRange
-from wavesym.multiplicity import kernel_angle
+from wavesym.multiplicity import DET_BAND_ROWS, kernel_angle
 from wavesym.sphere import (
     PolyVF,
     SpherePoint,
+    SphereSymbol,
     alpha_root,
     analyze_mn,
     chart1_coord,
@@ -28,7 +29,7 @@ from wavesym.sphere import (
 )
 from wavesym.sym2 import SQRT2, rep_to_matrix
 
-from .oracles import ALPHA, INV_ALPHA
+from .oracles import ALPHA, INV_ALPHA, matrix_fn_full, rep_grid_full
 
 coords = st.floats(min_value=-20.0, max_value=20.0)
 
@@ -185,6 +186,76 @@ def test_chart_consistency_random_symbols():
         p = SpherePoint(chart=int(rng.integers(1, 3)), coord=z)
         worst = max(worst, rep_consistency_gap(sym, p))
     assert worst <= 1e-10
+
+
+# --- fixed-order symbol kernel ------------------------------------------------
+
+SIGMA_PAIRS = [(m, n) for m in range(3) for n in range(7)]
+
+
+def kernel_points(seed, count=2000):
+    """Random chart points, some on x = 0 or y = 0, and the origin.
+
+    2000 complex values take 32 KiB, below the 256 KiB at which numpy
+    elides temporaries, so the oracle multiplies in its written order.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, count)
+    y = rng.uniform(-3.0, 3.0, count)
+    x[:100] = 0.0
+    y[100:200] = 0.0
+    x[200] = y[200] = 0.0
+    return x, y
+
+
+def assert_kernel_matches_oracle(sym, x, y, chart):
+    # == counts +0 and -0 as equal: skipped exact terms may flip a zero's sign
+    u, w = sym.rep_grid(x + 1j * y, chart=chart)
+    u_ref, w_ref = rep_grid_full(sym, x + 1j * y, chart=chart)
+    assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
+    entries = sym.chart_field(chart=chart).matrix_fn(x, y)
+    for got, ref in zip(entries, matrix_fn_full(sym, chart)(x, y)):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("chart", (1, 2))
+@pytest.mark.parametrize("m,n", SIGMA_PAIRS)
+def test_sigma_kernel_matches_full_quadratic_oracle(m, n, chart):
+    assert_kernel_matches_oracle(sigma_mn(m, n), *kernel_points(10 * m + n), chart)
+
+
+@pytest.mark.parametrize("chart", (1, 2))
+@pytest.mark.parametrize("generic", (True, False))
+@pytest.mark.parametrize("seed", range(5))
+def test_random_symbol_kernel_matches_full_quadratic_oracle(seed, generic, chart):
+    # generic coefficients take the full Horner steps; otherwise each
+    # coefficient is drawn from 0, 1, -1 and a generic value, so every
+    # skipped term and skipped product runs too
+    rng = np.random.default_rng(100 + seed)
+
+    def coeff():
+        c = complex(*rng.standard_normal(2))
+        return c if generic else (0j, 1 + 0j, -1 + 0j, c)[rng.integers(4)]
+
+    v, *factors = (PolyVF(coeff(), coeff(), coeff()) for _ in range(4))
+    sym = SphereSymbol(v=v, factors=tuple(factors))
+    assert_kernel_matches_oracle(sym, *kernel_points(200 + seed), chart)
+
+
+@pytest.mark.parametrize("m,n", SIGMA_PAIRS)
+def test_det_grid_rows_equal_det_at_bit_for_bit(m, n):
+    # a grid-2048 band holds 16 x 2049 complex values (524 KiB), enough for
+    # numpy to elide temporaries; row by row, det_at never gets there
+    halfwidth = max(2.0, 1.3 * max(z_set(m, n).radii))   # as trace_sigma_mn
+    fld = sigma_mn(m, n).chart_field(chart=1, halfwidth=halfwidth, grid=2048)
+    F = fld.det_grid()
+    xs, ys = fld.nodes()
+    last_band = (xs.size - 1) // DET_BAND_ROWS * DET_BAND_ROWS
+    rows = [*range(DET_BAND_ROWS), xs.size // 2, *range(last_band, xs.size)]
+    for i in rows:
+        d = fld.det_at(np.full(ys.size, xs[i]), ys)
+        # + 0.0 turns -0.0 into 0.0, as fmt_float does
+        assert (d + 0.0).tobytes() == (F[i] + 0.0).tobytes(), f"row {i}"
 
 
 # --- multiplicity radii ---------------------------------------------------------
