@@ -17,6 +17,7 @@ changes, which reproduces chi exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,19 +26,19 @@ import numpy as np
 from .errors import GluingMismatch, InputError, NotConnected, ZeroOnVertex
 from .multiplicity import lift_angles
 from .spheremesh import (
+    MeshTopology,
     SurfaceMesh,
     _edge_table,
     boundary_loops,
-    connected_components,
-    euler_characteristic,
-    genus,
     icosphere,
-    is_consistently_oriented,
+    mesh_topology,
     min_separation,
     refine_on_sphere,
     tangent_frames,
     transport_pq,
 )
+# perfbench/tracing.py wraps these three at their eigenline names
+from .spheremesh import connected_components, euler_characteristic, is_consistently_oriented  # noqa: F401
 
 SHEET1_RADIUS = 0.95
 SHEET2_RADIUS = 1.05
@@ -76,13 +77,19 @@ class EigenlineManifold:
     collar: float
     subdivisions: int
 
+    @functools.cached_property
+    def topology(self) -> MeshTopology:
+        """One pass over the mesh's edge table, made on first use; chi,
+        genus, the orientation checks and the component count all read it."""
+        return mesh_topology(self.mesh)
+
     @property
     def chi(self) -> int:
-        return euler_characteristic(self.mesh)
+        return self.topology.chi
 
     @property
     def genus(self) -> int:
-        return genus(self.mesh)
+        return self.topology.genus
 
 
 def _angular_dist(points: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -101,6 +108,16 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
     removed around each and replaced by a cylinder through the
     projectivized eigenspace.  k = 0 yields the disjoint sheet pair.
     """
+    man = _glue_sheets(section_fn, multiplicity_points, tube_radius, collar, subdivisions)
+    # checked once the gluing's temporaries are freed: the edge-table pass
+    # on top of them would set the peak memory of the whole build
+    if man.cylinders and not man.topology.oriented:
+        raise GluingMismatch("glued surface is not consistently oriented")
+    return man
+
+
+def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float,
+                 collar: float, subdivisions: int) -> EigenlineManifold:
     if not (0.0 < collar < 1.0):
         raise InputError("collar must sit strictly between 0 and 1")
     if tube_radius <= 0.0 or tube_radius > 0.5:
@@ -246,8 +263,6 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
         faces=np.vstack(face_list),
         vertex_tags=np.concatenate(region),
     )
-    if k and not is_consistently_oriented(mesh):
-        raise GluingMismatch("glued surface is not consistently oriented")
     return EigenlineManifold(
         mesh=mesh,
         base_dirs=np.vstack(dirs),
@@ -313,7 +328,7 @@ def critical_scan(man: EigenlineManifold, section_fn=None, fd_step: float = 1e-5
     n = man.mesh.n_vertices
     if not np.bincount(faces.reshape(-1), minlength=n).all():
         raise GluingMismatch("isolated vertex in glued surface")
-    if not is_consistently_oriented(man.mesh):
+    if not man.topology.oriented:
         raise GluingMismatch("glued surface is not closed and consistently oriented")
     # on a closed oriented mesh face (v, a, b) makes a, b consecutive in v's star
     v = faces.reshape(-1)
@@ -360,12 +375,12 @@ def critical_scan(man: EigenlineManifold, section_fn=None, fd_step: float = 1e-5
         mask = man.region == sheet_code
         vals = man.lambda_s[mask]
         dirs = man.base_dirs[mask]
-        f = lam_sheet(sign)
-        x_min, v_min = refine_on_sphere(f, dirs[int(np.argmin(vals))], minimize=True)
-        x_max, v_max = refine_on_sphere(f, dirs[int(np.argmax(vals))], minimize=False)
+        # the sheet's minimum and maximum descend together, one row each
+        starts = dirs[[int(np.argmin(vals)), int(np.argmax(vals))]]
+        xs, vs = refine_on_sphere(lam_sheet(sign), starts, minimize=np.array([True, False]))
         extrema[name] = {
-            "min": v_min, "min_direction": [float(c) for c in x_min],
-            "max": v_max, "max_direction": [float(c) for c in x_max],
+            "min": float(vs[0]), "min_direction": [float(c) for c in xs[0]],
+            "max": float(vs[1]), "max_direction": [float(c) for c in xs[1]],
         }
     report["sheet_extrema"] = extrema
 
@@ -408,5 +423,5 @@ def eigenline_report(man: EigenlineManifold, section_fn=None) -> dict:
         report["genus"] = man.genus
     except NotConnected:
         report["genus"] = None
-        report["components"] = connected_components(man.mesh)
+        report["components"] = man.topology.components
     return report

@@ -26,6 +26,7 @@ from .errors import (
     RankZero,
     ZeroOnVertex,
 )
+from .serialize import float_row_lines, join_lines
 from .spheremesh import SurfaceMesh, tangent_frames, transport_pq
 from .sym2 import LinearSymbol2
 
@@ -484,25 +485,12 @@ def knot_polyline(m: int, samples: int = 256) -> list[np.ndarray]:
 def polylines_csv(components: list[MultiplicityComponent]) -> str:
     """CSV rows curve_id,x1,x2,kernel_angle_lifted for every vertex.
 
-    Values print as serialize.fmt_float does.  .17g text carries a "." or
-    an "e" unless the value is integral, so only rows holding an integral
-    value go through _g17, which appends the ".0".
+    Values print as serialize.fmt_float does.
     """
-    from .serialize import _g17
-
     lines = ["curve_id,x1,x2,kernel_angle_lifted"]
     for cid, comp in enumerate(components):
-        vals = np.column_stack([comp.base.polyline, comp.kernel_angles])
-        if not np.isfinite(vals).all():
-            raise InputError("non-finite value in serialized output")
-        vals = vals + 0.0   # -0.0 prints as 0.0
-        integral = (vals == np.trunc(vals)).any(axis=1).tolist()
-        for row, whole in zip(vals.tolist(), integral):
-            if whole:
-                lines.append(f"{cid},{_g17(row[0])},{_g17(row[1])},{_g17(row[2])}")
-            else:
-                lines.append("%d,%.17g,%.17g,%.17g" % (cid, row[0], row[1], row[2]))
-    return "\n".join(lines) + "\n"
+        float_row_lines(str(cid), ",", np.column_stack([comp.base.polyline, comp.kernel_angles]), lines)
+    return join_lines(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -78,17 +78,52 @@ def canonical_json(value) -> str:
     return "".join(out)
 
 
-def _vertex_lines(vertices: np.ndarray, out: list[str]) -> None:
-    v = np.asarray(vertices, dtype=float)
+# rows per % in the OBJ and CSV writers; 256 to 16384 format a subdiv-6
+# eigenline OBJ equally fast, and a block bounds the tuple of values
+TEXT_BLOCK_ROWS = 4096
+
+
+def _row_blocks(row_fmt: str, rows: np.ndarray, out: list[str]) -> None:
+    """Append row_fmt % row for every row, as newline-joined blocks of rows."""
+    for lo in range(0, len(rows), TEXT_BLOCK_ROWS):
+        block = rows[lo:lo + TEXT_BLOCK_ROWS]
+        out.append("\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist()))
+
+
+def float_row_lines(head: str, sep: str, values: np.ndarray, out: list[str]) -> None:
+    """Append sep.join([head] + [fmt_float(x) for x in row]) for every row of a 2-d array.
+
+    Raises InputError on a non-finite value.  .17g text carries a "." or
+    an "e" unless the value is integral, so only rows holding an integral
+    value go through _g17, which appends the ".0"; the rows between them
+    are formatted in blocks.
+    """
+    v = np.asarray(values, dtype=float)
     if not np.isfinite(v).all():
         raise InputError("non-finite value in serialized output")
-    # + 0.0 turns -0.0 into 0.0, as fmt_float does
-    out.extend(f"v {_g17(x)} {_g17(y)} {_g17(z)}" for x, y, z in (v + 0.0).tolist())
+    v = v + 0.0     # -0.0 prints as 0.0, as in fmt_float
+    row_fmt = sep.join([head] + ["%.17g"] * v.shape[1])
+    lo = 0
+    for i in np.flatnonzero((v == np.trunc(v)).any(axis=1)).tolist():
+        _row_blocks(row_fmt, v[lo:i], out)
+        out.append(sep.join([head] + [_g17(x) for x in v[i].tolist()]))
+        lo = i + 1
+    _row_blocks(row_fmt, v[lo:], out)
+
+
+def join_lines(lines: list[str]) -> str:
+    """The lines, each ended by a newline; "\n" for no lines.
+
+    Appending "" puts the last newline in the one join, so the text is
+    not copied again by a trailing + "\n".
+    """
+    lines.append("")
+    return "\n".join(lines) or "\n"
 
 
 def _face_lines(faces: np.ndarray, offset: int, out: list[str]) -> None:
-    rows = (np.asarray(faces, dtype=int) + 1 + offset).tolist()
-    out.extend("f %d %d %d" % (a, b, c) for a, b, c in rows)
+    rows = np.asarray(faces, dtype=int).reshape(-1, 3) + 1 + offset
+    _row_blocks("f %d %d %d", rows, out)
 
 
 def obj_objects(parts: list[tuple[str, SurfaceMesh]]) -> str:
@@ -97,17 +132,17 @@ def obj_objects(parts: list[tuple[str, SurfaceMesh]]) -> str:
     offset = 0
     for name, mesh in parts:
         out.append(f"o {name}")
-        _vertex_lines(mesh.vertices, out)
+        float_row_lines("v", " ", mesh.vertices, out)
         _face_lines(mesh.faces, offset, out)
         offset += mesh.n_vertices
-    return "\n".join(out) + "\n"
+    return join_lines(out)
 
 
 def obj_face_groups(mesh: SurfaceMesh, groups: list[tuple[str, np.ndarray]]) -> str:
     """OBJ text for one vertex pool whose faces are split into named groups."""
     out: list[str] = []
-    _vertex_lines(mesh.vertices, out)
+    float_row_lines("v", " ", mesh.vertices, out)
     for name, face_idx in groups:
         out.append(f"g {name}")
         _face_lines(mesh.faces[np.asarray(face_idx, dtype=int)], 0, out)
-    return "\n".join(out) + "\n"
+    return join_lines(out)

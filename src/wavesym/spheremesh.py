@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,30 +52,65 @@ def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     number of faces on each edge, and the edge id of every half-edge in
     the order of `_half_edges`.
     """
-    tail, head = _half_edges(faces)
-    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-    n = int(hi.max(initial=0)) + 1
-    keys, half, counts = np.unique(lo * n + hi, return_inverse=True, return_counts=True)
+    keys, n = _edge_keys(faces)
+    keys, half, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return np.column_stack([keys // n, keys % n]), counts, half
 
 
-def euler_characteristic(mesh: SurfaceMesh) -> int:
-    """V - E + F of a closed mesh.  Raises NotClosed on boundary edges."""
-    edges, counts, _ = _edge_table(mesh.faces)
-    bad = int(np.count_nonzero(counts != 2))
-    if bad:
-        raise NotClosed(f"{bad} edges are not shared by exactly two faces")
-    return mesh.n_vertices - len(edges) + mesh.n_faces
+def _edge_keys(faces: np.ndarray) -> tuple[np.ndarray, int]:
+    """lo * n + hi for the undirected edge of every half-edge, and n.
+
+    Built in place so that only the keys are alive while np.unique sorts
+    them: its own copies make the peak memory of a mesh pass.
+    """
+    tail, head = _half_edges(faces)
+    hi = np.maximum(tail, head)
+    n = int(hi.max(initial=0)) + 1
+    keys = np.minimum(tail, head)
+    keys *= n
+    keys += hi
+    return keys, n
 
 
-def connected_components(mesh: SurfaceMesh) -> int:
-    """Number of vertex components under the edge graph."""
-    edges, _, _ = _edge_table(mesh.faces)
+class MeshTopology(NamedTuple):
+    """What one pass over a mesh's edge table tells; see `mesh_topology`."""
+
+    n_vertices: int
+    n_edges: int
+    n_faces: int
+    open_edges: int     # edges not shared by exactly two faces
+    oriented: bool      # closed, and every edge traversed once in each direction
+    components: int     # vertex components of the edge graph, faceless vertices not counted
+
+    @property
+    def closed(self) -> bool:
+        return self.open_edges == 0
+
+    @property
+    def chi(self) -> int:
+        """V - E + F of a closed mesh.  Raises NotClosed on boundary edges."""
+        if self.open_edges:
+            raise NotClosed(f"{self.open_edges} edges are not shared by exactly two faces")
+        return self.n_vertices - self.n_edges + self.n_faces
+
+    @property
+    def genus(self) -> int:
+        """(2 - chi)/2 for a closed connected orientable mesh."""
+        if self.components != 1:
+            raise NotConnected("genus requires a connected surface")
+        chi = self.chi
+        if chi % 2 != 0:
+            raise WavesymError(f"odd Euler characteristic {chi}; mesh is not an orientable surface")
+        return (2 - chi) // 2
+
+
+def _component_count(n_vertices: int, edges: np.ndarray, faces: np.ndarray) -> int:
+    """Number of vertex components under the edge graph, over vertices on a face."""
     a, b = edges[:, 0], edges[:, 1]
     # min-label propagation: every label is a vertex of the same component,
     # never above its own id; hooking the labels (not the end vertices) and
     # pointer jumping keep the number of rounds logarithmic
-    label = np.arange(mesh.n_vertices)
+    label = np.arange(n_vertices)
     while True:
         la, lb = label[a], label[b]
         low = np.minimum(la, lb)
@@ -84,26 +120,42 @@ def connected_components(mesh: SurfaceMesh) -> int:
         while not np.array_equal(new[new], new):
             new = new[new]
         if np.array_equal(new, label):
-            return int(np.unique(label[mesh.faces]).size)
+            # each component keeps one root, its least vertex, labelled by itself
+            on_face = np.bincount(faces.reshape(-1), minlength=n_vertices) > 0
+            return int(np.count_nonzero(on_face & (label == np.arange(n_vertices))))
         label = new
+
+
+def mesh_topology(mesh: SurfaceMesh) -> MeshTopology:
+    """Closedness, orientation, chi and component count from one edge table."""
+    edges, counts, half = _edge_table(mesh.faces)
+    tail, head = _half_edges(mesh.faces)
+    open_edges = int(np.count_nonzero(counts != 2))
+    rising = np.bincount(half[tail < head], minlength=counts.size)
+    return MeshTopology(
+        n_vertices=mesh.n_vertices, n_edges=len(edges), n_faces=mesh.n_faces,
+        open_edges=open_edges, oriented=open_edges == 0 and bool(np.all(rising == 1)),
+        components=_component_count(mesh.n_vertices, edges, mesh.faces))
+
+
+def euler_characteristic(mesh: SurfaceMesh) -> int:
+    """V - E + F of a closed mesh.  Raises NotClosed on boundary edges."""
+    return mesh_topology(mesh).chi
+
+
+def connected_components(mesh: SurfaceMesh) -> int:
+    """Number of vertex components under the edge graph."""
+    return mesh_topology(mesh).components
 
 
 def is_consistently_oriented(mesh: SurfaceMesh) -> bool:
     """Each edge must be traversed exactly once in each direction."""
-    _, counts, half = _edge_table(mesh.faces)
-    tail, head = _half_edges(mesh.faces)
-    rising = np.bincount(half[tail < head], minlength=counts.size)
-    return bool(np.all(counts == 2) and np.all(rising == 1))
+    return mesh_topology(mesh).oriented
 
 
 def genus(mesh: SurfaceMesh) -> int:
     """(2 - chi)/2 for a closed connected orientable mesh."""
-    if connected_components(mesh) != 1:
-        raise NotConnected("genus requires a connected surface")
-    chi = euler_characteristic(mesh)
-    if chi % 2 != 0:
-        raise WavesymError(f"odd Euler characteristic {chi}; mesh is not an orientable surface")
-    return (2 - chi) // 2
+    return mesh_topology(mesh).genus
 
 
 def boundary_loops(faces: np.ndarray) -> list[list[int]]:
@@ -188,13 +240,30 @@ def tangent_frames(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    a = np.where(np.abs(pts[:, 2:3]) > 0.9, [[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
-    t1 = np.cross(a, pts)
+    polar = np.abs(pts[:, 2]) > 0.9
+    a = (np.where(polar, 1.0, 0.0), np.zeros(len(pts)), np.where(polar, 0.0, 1.0))
+    t1 = _cross(a, pts.T)
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(pts, t1)
+    t2 = _cross(pts.T, t1.T)
     if single:
         return t1[0], t2[0]
     return t1, t2
+
+
+def _cross(a, b) -> np.ndarray:
+    """Rows of a cross b from the columns (a0, a1, a2) and (b0, b1, b2).
+
+    The products and differences are np.cross's own, in its order, so the
+    rows are bit-equal to it; writing them out skips its axis handling,
+    which dominated the small calls of the descents and the gluing.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    out = np.empty((len(a0), 3))
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def rotate_pq(p: np.ndarray, q: np.ndarray, angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,13 +314,15 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.vecdot(x, x))[:, None]
 
 
-def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,
+def refine_on_sphere(f, x0: np.ndarray, minimize: bool | np.ndarray = True,
                      step: float = 0.1, min_step: float = 1e-13,
                      max_sweeps: int = 200) -> tuple[np.ndarray, np.ndarray | float]:
     """Local coordinate descent of a scalar f over the unit sphere, one row per start.
 
     x0 is (N, 3) or (3,); f maps an (N, 3) array of unit points to (N,)
-    values.  Each sweep tries x + h t1, x - h t1, x + h t2, x - h t2 in
+    values.  minimize is one bool for every row or an (N,) bool array;
+    a row that maximizes descends on -f, and a sign of +-1.0 is exact.
+    Each sweep tries x + h t1, x - h t1, x + h t2, x - h t2 in
     that order along the tangent frame of the sweep's start, and a row
     takes a candidate only when it is strictly better.  A sweep that
     improves nothing halves that row's step h; a row stops once
@@ -259,22 +330,22 @@ def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,
     follows the path it would follow alone.  Returns (x, f(x)) shaped
     like x0: (N, 3) and (N,), or (3,) and a float.
     """
-    sign = 1.0 if minimize else -1.0
     x = np.asarray(x0, dtype=float)
     single = x.ndim == 1
     x = unit_rows(np.atleast_2d(x))
+    sign = np.broadcast_to(np.where(minimize, 1.0, -1.0), len(x))
     best = sign * f(x)
     h = np.full(len(x), float(step))
     for _ in range(max_sweeps):
         rows = np.flatnonzero(h >= min_step)
         if not rows.size:
             break
-        xr, br, hr = x[rows], best[rows], h[rows, None]
+        xr, br, hr, sr = x[rows], best[rows], h[rows, None], sign[rows]
         t1, t2 = tangent_frames(xr)
         improved = np.zeros(rows.size, dtype=bool)
         for d in (t1, -t1, t2, -t2):
             cand = unit_rows(xr + hr * d)
-            val = sign * f(cand)
+            val = sr * f(cand)
             better = val < br
             xr[better] = cand[better]
             br[better] = val[better]
@@ -283,5 +354,5 @@ def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,
         best[rows] = br
         h[rows[~improved]] *= 0.5
     if single:
-        return x[0], float(sign * best[0])
+        return x[0], float(sign[0] * best[0])
     return x, sign * best

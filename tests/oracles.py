@@ -9,8 +9,9 @@ end are the earlier per-caller copies that the shared primitives replaced;
 the single-start descent is the loop that the batched one replaced,
 the whole-grid determinant is the one that the banded det_grid replaced,
 the full-quadratic sphere representative is the kernel that the
-fixed-order one replaced, and the per-value CSV writer is the one that
-the row formatter replaced.
+fixed-order one replaced, the per-value CSV and OBJ writers are the ones
+that the row and block formatters replaced, and the np.cross tangent
+frames are the ones that the written-out cross product replaced.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 import numpy as np
 
 from wavesym.eigenline import _tie_break_jitter
-from wavesym.errors import GluingMismatch, NotClosed, ZeroOnVertex
-from wavesym.serialize import fmt_float
+from wavesym.errors import GluingMismatch, InputError, NotClosed, ZeroOnVertex
+from wavesym.serialize import _g17, fmt_float
 from wavesym.spheremesh import rotate_pq, tangent_frames
 from wavesym.sym2 import SQRT2
 
@@ -493,3 +494,38 @@ def polylines_csv_per_value(components) -> str:
         for (x, y), ang in zip(comp.base.polyline, comp.kernel_angles):
             lines.append(f"{cid},{fmt_float(x)},{fmt_float(y)},{fmt_float(ang)}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the per-value OBJ writers that the block formatter replaced: lines
+# without their newline, appended to out
+
+
+def obj_vertex_lines(vertices: np.ndarray, out: list[str]) -> None:
+    v = np.asarray(vertices, dtype=float)
+    if not np.isfinite(v).all():
+        raise InputError("non-finite value in serialized output")
+    # + 0.0 turns -0.0 into 0.0, as fmt_float does
+    out.extend(f"v {_g17(x)} {_g17(y)} {_g17(z)}" for x, y, z in (v + 0.0).tolist())
+
+
+def obj_face_lines(faces: np.ndarray, offset: int, out: list[str]) -> None:
+    rows = (np.asarray(faces, dtype=int) + 1 + offset).tolist()
+    out.extend("f %d %d %d" % (a, b, c) for a, b, c in rows)
+
+
+# ---------------------------------------------------------------------------
+# the np.cross tangent frames that the written-out cross product replaced
+
+
+def tangent_frames_cross(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = np.atleast_2d(x)
+    a = np.where(np.abs(pts[:, 2:3]) > 0.9, [[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
+    t1 = np.cross(a, pts)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(pts, t1)
+    if single:
+        return t1[0], t2[0]
+    return t1, t2

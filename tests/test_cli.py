@@ -252,6 +252,29 @@ def test_n_out_of_range(capsys):
     assert "n must lie in [0, 6]" in err
 
 
+def test_parser_built_once_and_reused(capsys, monkeypatch):
+    # consecutive calls share one parser and give what calls with a
+    # freshly built parser give, bad arguments included
+    argvs = [["zset", "--m", "0", "--n", "1"], ["knots", "--winding", "3"],
+             ["zset", "--frequency", "7"], ["sphere", "--m", "1", "--n", "4", "--grid", "16"],
+             ["zset", "--m", "1", "--n", "2"], [], ["knots", "--winding", "2"]]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    built, build = [], cli.build_parser
+
+    def counted_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 2, 0]
+
+
 # --- numerical failure exit ------------------------------------------------------------
 
 

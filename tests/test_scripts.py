@@ -1,0 +1,28 @@
+"""The scripts under scripts/ run end to end on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import wavesym
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _env():
+    """The children import the wavesym this test imported, first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(wavesym.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_crystal_demo_writes_its_artifacts(tmp_path):
+    outdir = tmp_path / "demo"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "crystal_demo.py"), "--subdiv", "2",
+                           "--outdir", str(outdir)], capture_output=True, cwd=tmp_path, env=_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    for name in ("fresnel.obj", "eigenline.obj", "report.json"):
+        assert (outdir / name).stat().st_size > 0, name
+    assert "genus = 3" in proc.stdout.decode()

@@ -7,8 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wavesym.errors import InputError
-from wavesym.serialize import canonical_json, fmt_float, obj_face_groups, obj_objects
+from wavesym.serialize import (
+    TEXT_BLOCK_ROWS,
+    _face_lines,
+    canonical_json,
+    float_row_lines,
+    fmt_float,
+    obj_face_groups,
+    obj_objects,
+)
 from wavesym.spheremesh import SurfaceMesh
+
+from . import oracles
 
 
 def test_fmt_float_basics():
@@ -119,3 +129,56 @@ def test_obj_vertex_text_matches_fmt_float():
         nan_mesh = SurfaceMesh(vertices=np.array([[0.0, bad, 1.0]]), faces=np.zeros((0, 3), dtype=int))
         with pytest.raises(InputError):
             obj_face_groups(nan_mesh, [])
+
+
+def _obj_rows(n, seed, mixed):
+    """n vertex rows.  Plain rows hold no integral value, so they are
+    formatted in whole blocks; mixed rows carry 1e16 magnitudes, integral
+    values and -0.0 in about a third of the rows, the first and the last."""
+    rng = np.random.default_rng(seed)
+    top = 16.0 if mixed else 9.0
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.choice([-5.0, 0.0, top], size=(n, 3))
+    if mixed:
+        for col, special in enumerate((-0.0, 3.0, 0.0)):
+            v[rng.random(n) < 0.05, col] = special
+        v[[0, -1][:n], 1] = -2.0
+    return v
+
+
+@pytest.mark.parametrize("n", [0, 1, TEXT_BLOCK_ROWS - 1, TEXT_BLOCK_ROWS, TEXT_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_obj_blocks_match_per_value_writer(n, mixed):
+    verts = _obj_rows(n, n, mixed)
+    integral_rows = int((verts == np.trunc(verts)).any(axis=1).sum())
+    assert integral_rows >= min(n, 2) if mixed else integral_rows == 0
+    faces = np.random.default_rng(n).integers(0, max(n, 1), size=(n, 3))
+    got, want = [], []
+    float_row_lines("v", " ", verts, got)
+    oracles.obj_vertex_lines(verts, want)
+    assert "\n".join(got) == "\n".join(want)
+    got, want = [], []
+    _face_lines(faces, 7, got)
+    oracles.obj_face_lines(faces, 7, want)
+    assert "\n".join(got) == "\n".join(want)
+    want = []
+    oracles.obj_vertex_lines(verts, want)
+    want.append("g all")
+    oracles.obj_face_lines(faces, 0, want)
+    assert obj_face_groups(SurfaceMesh(vertices=verts, faces=faces), [("all", np.arange(n))]) == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_obj_blocks_refuse_non_finite_anywhere(bad):
+    n = TEXT_BLOCK_ROWS + 1
+    for row in (0, n // 2, TEXT_BLOCK_ROWS, n - 1):
+        for col in range(3):
+            verts = _obj_rows(n, 0, False)
+            verts[row, col] = bad
+            with pytest.raises(InputError):
+                obj_face_groups(SurfaceMesh(vertices=verts, faces=np.zeros((0, 3), dtype=int)), [])
+
+
+def test_obj_text_without_lines_is_one_newline():
+    empty = SurfaceMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=int))
+    assert obj_objects([]) == obj_face_groups(empty, []) == "\n"
+    assert obj_face_groups(empty, [("g", [])]) == "g g\n"

@@ -3,8 +3,12 @@ shared frame transport, cyclic line lift and axis separation against the
 per-caller copies they replaced, and the batched descent against the
 single-start loop."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavesym.eigenline import EigenlineManifold, build_eigenline_manifold, critical_scan
 from wavesym.errors import GluingMismatch, NotClosed, TransportFailure, WavesymError
@@ -17,6 +21,7 @@ from wavesym.spheremesh import (
     euler_characteristic,
     icosphere,
     is_consistently_oriented,
+    mesh_topology,
     min_separation,
     refine_on_sphere,
     tangent_frames,
@@ -76,6 +81,8 @@ MESHES = {
        for n in (1, 4, 30) for seed in (0, 1, 2)},
     "two_spheres": _two_spheres,
     "flipped_face": _flipped_face,
+    "isolated_vertex": lambda: SurfaceMesh(vertices=np.vstack([icosphere(1).vertices, [[0.0, 0.0, 2.0]]]),
+                                           faces=icosphere(1).faces),
     **{f"glued_k{k}": (lambda k=k: _glued(k).mesh) for k in (0, 2, 4)},
 }
 
@@ -97,9 +104,20 @@ def _pinched(faces):
     return any(d > 2 for d in degree.values())
 
 
+def _assert_topology_matches_loops(mesh):
+    topo = mesh_topology(mesh)
+    want_chi = _outcome(oracles.euler_characteristic, mesh)
+    assert _outcome(lambda m: topo.chi, mesh) == want_chi
+    assert topo.closed == (not isinstance(want_chi, tuple))
+    assert topo.components == oracles.connected_components(mesh)
+    assert topo.oriented == oracles.is_consistently_oriented(mesh)
+    return topo
+
+
 @pytest.mark.parametrize("name", sorted(MESHES))
 def test_combinatorics_match_loops(name):
     mesh = MESHES[name]()
+    _assert_topology_matches_loops(mesh)
     assert _outcome(euler_characteristic, mesh) == _outcome(oracles.euler_characteristic, mesh)
     assert connected_components(mesh) == oracles.connected_components(mesh)
     assert is_consistently_oriented(mesh) == oracles.is_consistently_oriented(mesh)
@@ -109,6 +127,41 @@ def test_combinatorics_match_loops(name):
             boundary_loops(mesh.faces)
     else:
         assert boundary_loops(mesh.faces) == oracles.boundary_loops(mesh.faces)
+
+
+def test_topology_fin_edge_is_open_and_unoriented():
+    # an oriented tetrahedron on vertices 0, 1, 3, 4 and a fin (3, 1, 2)
+    # on its edge 1-3: every edge has exactly one rising half-edge, but
+    # three faces share 1-3
+    tetra = [(0, 3, 1), (0, 1, 4), (0, 4, 3), (1, 3, 4)]
+    mesh = SurfaceMesh(vertices=np.random.default_rng(0).normal(size=(5, 3)), faces=tetra + [(3, 1, 2)])
+    topo = _assert_topology_matches_loops(mesh)
+    assert (topo.open_edges, topo.oriented, topo.components) == (3, False, 1)
+    assert is_consistently_oriented(SurfaceMesh(vertices=mesh.vertices, faces=tetra))
+
+
+@functools.cache
+def _built(name):
+    return MESHES[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(n for n in MESHES if n not in ("icosphere3", "icosphere4"))),
+       seed=st.integers(0, 2**32 - 1))
+def test_topology_ignores_vertex_labels_and_face_order(name, seed):
+    # relabel the vertices, shuffle the faces and rotate each face's
+    # corners: the surface and its orientation stay the same
+    mesh = _built(name)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    turns = rng.integers(0, 3, size=mesh.n_faces)
+    faces = perm[mesh.faces]
+    faces = faces[np.arange(mesh.n_faces)[:, None], (np.arange(3) + turns[:, None]) % 3]
+    faces = faces[rng.permutation(mesh.n_faces)]
+    moved = SurfaceMesh(vertices=vertices, faces=faces)
+    assert _assert_topology_matches_loops(moved) == mesh_topology(mesh)
 
 
 def test_pinched_boundary_is_refused():
@@ -218,6 +271,23 @@ def test_transport_refuses_point_on_center_axis():
         transport_pq(np.vstack([center, t1]), center, np.ones(2), np.zeros(2))
 
 
+def test_tangent_frames_bit_equal_to_np_cross():
+    rng = np.random.default_rng(7)
+    x = _unit_rows(rng, 20000)
+    polar = _unit_rows(rng, 3000)
+    polar[:, 2] = np.sign(polar[:, 2]) * rng.uniform(0.9, 1.0, 3000)
+    on_x0 = _unit_rows(rng, 3000)
+    on_x0[:, 0] = 0.0
+    pts = np.vstack([x, unit_rows(polar), unit_rows(on_x0), np.eye(3), -np.eye(3)])
+    assert (np.abs(pts[:, 2]) > 0.9).sum() > 3000 and (pts[:, 0] == 0.0).sum() >= 3000
+    got, want = tangent_frames(pts), oracles.tangent_frames_cross(pts)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    for p in pts[::997]:
+        for g, w in zip(tangent_frames(p), oracles.tangent_frames_cross(p)):
+            assert g.shape == (3,) and g.tobytes() == w.tobytes()
+
+
 def test_unit_rows_round_like_single_row_norm():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-8, 8, size=(20000, 1))
@@ -237,8 +307,10 @@ def _random_crystal(rng, ratio, low_end):
 def _assert_rows_match_single_starts(f, starts, rows, minimize):
     xs, vals = refine_on_sphere(f, starts, minimize=minimize)
     assert xs.shape == starts.shape and vals.shape == (len(starts),)
+    row_minimize = np.broadcast_to(minimize, len(starts))
     for i in rows:
-        x, v = oracles.refine_on_sphere(lambda p: f(p[None, :])[0], starts[i], minimize=minimize)
+        x, v = oracles.refine_on_sphere(lambda p: f(p[None, :])[0], starts[i],
+                                        minimize=bool(row_minimize[i]))
         assert np.array_equal(xs[i], x) and vals[i] == v
 
 
@@ -254,7 +326,7 @@ def test_batched_axis_descent_matches_single_starts(seed, ratio, low_end):
     _assert_rows_match_single_starts(gap2, seeds, range(0, 48, 6), minimize=True)
 
 
-@pytest.mark.parametrize("minimize", [True, False])
+@pytest.mark.parametrize("minimize", [True, False, np.array([True, False, False, True, False, True])])
 def test_batched_sheet_descent_matches_single_starts(minimize):
     rng = np.random.default_rng(11)
     crystal = _random_crystal(rng, 1e-6, False)
