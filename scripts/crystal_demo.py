@@ -1,99 +1,81 @@
-"""Run the full anisotropic-crystal pipeline and drop the artifacts in one place.
+"""Run the crystal pipeline through the wavesym CLI and summarize it in one place.
 
-Given a biaxial permittivity triple this locates the conical directions,
-exports both slowness sheets, glues the eigenline manifold over the
-punctured sphere, and prints the resulting census (Euler characteristic,
-genus, cylinder count) next to the sheet gap so the numbers can be eyeballed
-against each other.
+Runs `wavesym fresnel` and `wavesym eigenline` for one permittivity
+triple with their OBJ meshes written to the output directory, prints the
+conical directions, the sheet gap and the eigenline census (Euler
+characteristic, genus, cylinders) from their JSON reports, and stores
+both reports together as report.json.
 
 Usage:
     python3 scripts/crystal_demo.py [--epsilon 2.0,2.5,3.0] [--subdiv 4]
-                                    [--tube-radius 0.1] [--outdir demo_out]
+                                    [--tube-radius 0.1] [--collar 0.5]
+                                    [--outdir demo_out]
+
+A flag left out takes the CLI's default.  A failed CLI run ends the
+script with the CLI's exit code and message.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
+import contextlib
+import io
+import json
+import sys
 from pathlib import Path
 
-import numpy as np
-
-from wavesym.eigenline import build_eigenline_manifold, eigenline_report
-from wavesym.fresnel import (
-    Crystal,
-    compressed_grid,
-    fresnel_mesh,
-    fresnel_report,
-    min_sheet_gap,
-    singular_directions,
-)
-from wavesym.serialize import canonical_json, obj_face_groups, obj_objects
+from wavesym.cli import main as wavesym_main
+from wavesym.serialize import canonical_json
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    epsilon: tuple[float, float, float] = (2.0, 2.5, 3.0)
-    subdiv: int = 4
-    tube_radius: float = 0.1
-    collar: float = 0.5
-    outdir: Path = Path("demo_out")
+def run(argv: list[str]) -> dict:
+    """The JSON report one CLI run prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = wavesym_main(argv)
+    if code:
+        sys.exit(code)
+    return json.loads(out.getvalue())
 
 
-def parse_args() -> DemoConfig:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--epsilon", default="2.0,2.5,3.0",
-                    help="three principal permittivities, comma separated")
-    ap.add_argument("--subdiv", type=int, default=4)
-    ap.add_argument("--tube-radius", type=float, default=0.1)
-    ap.add_argument("--collar", type=float, default=0.5)
-    ap.add_argument("--outdir", type=Path, default=Path("demo_out"))
-    ns = ap.parse_args()
-    eps = tuple(float(part) for part in ns.epsilon.split(","))
-    if len(eps) != 3:
-        ap.error("--epsilon needs exactly three values")
-    return DemoConfig(epsilon=eps, subdiv=ns.subdiv, tube_radius=ns.tube_radius,
-                      collar=ns.collar, outdir=ns.outdir)
+def flags(**values: str | None) -> list[str]:
+    """CLI flags for the values given on this script's command line."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items() if value is not None]
 
 
 def main() -> None:
-    cfg = parse_args()
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    crystal = Crystal(eps=cfg.epsilon)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--epsilon", help="three principal permittivities, comma separated")
+    ap.add_argument("--subdiv")
+    ap.add_argument("--tube-radius")
+    ap.add_argument("--collar")
+    ap.add_argument("--outdir", type=Path, default=Path("demo_out"))
+    ns = ap.parse_args()
+    ns.outdir.mkdir(parents=True, exist_ok=True)
+    crystal = flags(epsilon=ns.epsilon, subdiv=ns.subdiv)
+    gluing = flags(tube_radius=ns.tube_radius, collar=ns.collar)
 
-    axes = singular_directions(crystal, subdivisions=cfg.subdiv)
-    print(f"epsilon = {cfg.epsilon}")
+    fresnel_obj = ns.outdir / "fresnel.obj"
+    fresnel = run(["fresnel", *crystal, "--out-obj", str(fresnel_obj)])
+    axes = fresnel["singular_directions"]
+    print(f"epsilon = {tuple(fresnel['epsilon'])}")
     print(f"conical directions ({len(axes)}):")
     for a in axes:
-        x = ", ".join(f"{v:+.6f}" for v in a.x)
-        print(f"  ({x})  residual {a.residual:.2e}  index {a.local_index:+d}")
-    print(f"index sum = {sum(a.local_index for a in axes)}")
+        x = ", ".join(f"{v:+.6f}" for v in a["x"])
+        print(f"  ({x})  residual {a['residual']:.2e}  index {a['index']:+d}")
+    print(f"index sum = {sum(a['index'] for a in axes)}")
+    print(f"\nslowness sheets: min gap {fresnel['min_sheet_gap']:.6e} -> {fresnel_obj}")
 
-    inner, outer = fresnel_mesh(crystal, subdivisions=cfg.subdiv)
-    obj_path = cfg.outdir / "fresnel.obj"
-    obj_path.write_text(obj_objects([("fresnel_inner", inner), ("fresnel_outer", outer)]))
-    gap = min_sheet_gap(crystal, subdivisions=cfg.subdiv)
-    print(f"\nslowness sheets: {len(inner.vertices)} vertices each, "
-          f"min gap {gap:.6e} -> {obj_path}")
-
-    section = lambda pts: compressed_grid(crystal, pts)
-    points = np.array([a.x for a in axes])
-    man = build_eigenline_manifold(section, points, tube_radius=cfg.tube_radius,
-                                   collar=cfg.collar, subdivisions=cfg.subdiv)
-    rep = eigenline_report(man, section_fn=section)
-    man_path = cfg.outdir / "eigenline.obj"
-    groups = [(name, np.arange(lo, hi)) for name, lo, hi in man.face_groups]
-    man_path.write_text(obj_face_groups(man.mesh, groups))
-    print(f"eigenline manifold: chi = {man.chi}, genus = {man.genus}, "
-          f"{len(man.cylinders)} cylinders -> {man_path}")
-    for i, cond in enumerate(rep.get("necessary_condition", [])):
+    eigenline_obj = ns.outdir / "eigenline.obj"
+    eigenline = run(["eigenline", *crystal, *gluing, "--out-obj", str(eigenline_obj)])
+    print(f"eigenline manifold: chi = {eigenline['chi']}, genus = {eigenline['genus']}, "
+          f"{eigenline['cylinders']} cylinders -> {eigenline_obj}")
+    for i, cond in enumerate(eigenline["necessary_condition"]):
         print(f"  cylinder {i}: |ds_r| = {cond['ds_r_norm']:.6e}, "
               f"lift {cond['lift_total']:+.6f} ({cond['status']})")
 
-    report = {"fresnel": fresnel_report(crystal, subdivisions=cfg.subdiv),
-              "eigenline": rep}
-    json_path = cfg.outdir / "report.json"
-    json_path.write_text(canonical_json(report))
+    json_path = ns.outdir / "report.json"
+    json_path.write_text(canonical_json({"fresnel": fresnel, "eigenline": eigenline}))
     print(f"combined report -> {json_path}")
 
 

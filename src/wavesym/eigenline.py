@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,13 @@ from .spheremesh import connected_components, euler_characteristic, is_consisten
 SHEET1_RADIUS = 0.95
 SHEET2_RADIUS = 1.05
 LIFT_TOTAL_TOL = 0.15
+# tangent step of the central differences in ds_r_norm
+DS_R_STEP = 1e-5
 
 
 @dataclass
 class CylinderRecord:
     point: np.ndarray
-    loop_sheet1: np.ndarray
-    loop_sheet2: np.ndarray
     core: np.ndarray
     angles: np.ndarray          # lifted eigenline angles along the gluing loop
     lift_total: float
@@ -254,17 +254,11 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         face_cursor += len(cyl_faces)
 
         cylinders.append(CylinderRecord(
-            point=p.copy(), loop_sheet1=a.copy(), loop_sheet2=b.copy(),
-            core=core_ids, angles=lift, lift_total=total,
+            point=p.copy(), core=core_ids, angles=lift, lift_total=total,
         ))
 
-    mesh = SurfaceMesh(
-        vertices=np.vstack(verts),
-        faces=np.vstack(face_list),
-        vertex_tags=np.concatenate(region),
-    )
     return EigenlineManifold(
-        mesh=mesh,
+        mesh=SurfaceMesh(vertices=np.vstack(verts), faces=np.vstack(face_list)),
         base_dirs=np.vstack(dirs),
         region=np.concatenate(region),
         lambda_s=np.concatenate(lam),
@@ -288,7 +282,7 @@ def _tie_break_jitter(n: int, scale: float) -> np.ndarray:
     return (2.0 * u - 1.0) * 1e-12 * scale
 
 
-def ds_r_norm(section_fn, p: np.ndarray, fd_step: float = 1e-5) -> float:
+def ds_r_norm(section_fn, p: np.ndarray) -> float:
     """Finite difference norm of the sphere gradient of the half trace s_r."""
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
@@ -300,15 +294,15 @@ def ds_r_norm(section_fn, p: np.ndarray, fd_step: float = 1e-5) -> float:
 
     grads = []
     for tv in (t1, t2):
-        xp = p + fd_step * tv
-        xm = p - fd_step * tv
+        xp = p + DS_R_STEP * tv
+        xm = p - DS_R_STEP * tv
         xp = xp / np.linalg.norm(xp)
         xm = xm / np.linalg.norm(xm)
-        grads.append((half_trace(xp) - half_trace(xm)) / (2.0 * fd_step))
+        grads.append((half_trace(xp) - half_trace(xm)) / (2.0 * DS_R_STEP))
     return math.hypot(grads[0], grads[1])
 
 
-def critical_scan(man: EigenlineManifold, section_fn=None, fd_step: float = 1e-5) -> dict:
+def critical_scan(man: EigenlineManifold, section_fn=None) -> dict:
     """Star based critical point census of the eigenvalue field.
 
     Each vertex contributes 1 - sc/2 to the Euler characteristic, where
@@ -388,7 +382,7 @@ def critical_scan(man: EigenlineManifold, section_fn=None, fd_step: float = 1e-5
     for cyl in man.cylinders:
         conds.append({
             "point": [float(c) for c in cyl.point],
-            "ds_r_norm": ds_r_norm(section_fn, cyl.point, fd_step=fd_step),
+            "ds_r_norm": ds_r_norm(section_fn, cyl.point),
             "status": "vacuous (isolated multiplicity point); classification deferred",
             "lift_total": cyl.lift_total,
         })

@@ -23,6 +23,9 @@ from .sym2 import Sym2Value
 
 AXIS_RESIDUAL_TOL = 1e-10
 AXIS_MERGE_ANGLE = 1e-3
+# smallest gap between principal permittivities, relative to the largest,
+# that is_biaxial counts as distinct
+BIAXIAL_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,9 @@ class Crystal:
     def inv_eps(self) -> np.ndarray:
         return np.diag([1.0 / e for e in self.eps])
 
-    def is_biaxial(self, rel_tol: float = 1e-12) -> bool:
+    def is_biaxial(self) -> bool:
         e = sorted(self.eps)
-        gap = rel_tol * e[2]
+        gap = BIAXIAL_REL_TOL * e[2]
         return (e[1] - e[0]) > gap and (e[2] - e[1]) > gap
 
 
@@ -181,8 +184,7 @@ def optic_axes_closed_form(crystal: Crystal) -> np.ndarray:
     return np.array(sorted(axes, key=lambda d: (round(d[0], 12), round(d[1], 12), round(d[2], 12))))
 
 
-def singular_directions(crystal: Crystal, subdivisions: int = 4,
-                        residual_tol: float = AXIS_RESIDUAL_TOL) -> list[SingularDirection]:
+def singular_directions(crystal: Crystal, subdivisions: int = 4) -> list[SingularDirection]:
     """Locate the optic axes numerically and attach their local indices.
 
     Seeds come from the smallest sheet gaps on an icosphere; coordinate
@@ -197,7 +199,7 @@ def singular_directions(crystal: Crystal, subdivisions: int = 4,
     seeds = mesh.vertices[np.argsort(vals)[:48]]
     found: list[np.ndarray] = []
     for x, v in zip(*refine_on_sphere(gap2, seeds)):
-        if math.sqrt(v) > residual_tol:
+        if math.sqrt(v) > AXIS_RESIDUAL_TOL:
             continue
         if all(float(np.dot(x, y)) < math.cos(AXIS_MERGE_ANGLE) for y in found):
             found.append(x)
@@ -211,14 +213,9 @@ def singular_directions(crystal: Crystal, subdivisions: int = 4,
     section = lambda pts: compressed_grid(crystal, pts)
     for d in found:
         g = math.sqrt(float(gap2(d[None, :])[0]))
-        idx = local_degree(section, d, radius=radius, samples=180)
+        idx = local_degree(section, d, radius=radius)
         axes.append(SingularDirection(x=d, residual=g, local_index=idx))
     return axes
-
-
-def axis_separation(axes: list[SingularDirection]) -> float:
-    """Smallest angle between axis directions."""
-    return min_separation(np.array([a.x for a in axes]))
 
 
 def fresnel_mesh(crystal: Crystal, subdivisions: int = 4) -> tuple[SurfaceMesh, SurfaceMesh]:

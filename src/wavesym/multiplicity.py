@@ -27,7 +27,7 @@ from .errors import (
     ZeroOnVertex,
 )
 from .serialize import float_row_lines, join_lines
-from .spheremesh import SurfaceMesh, tangent_frames, transport_pq
+from .spheremesh import SurfaceMesh, tangent_frames, transport_pq, unit_rows
 from .sym2 import LinearSymbol2
 
 CONTOUR_REL_TOL = 1e-10
@@ -46,6 +46,14 @@ _GRID_BYTES_PER_NODE = 8 + 4
 _BAND_BYTES_PER_NODE = 160
 # largest det_grid_peak_bytes a ChartSymbolField accepts: square grids up to 9352
 DET_GRID_BYTE_CAP = 2**30
+# signed_zero_count: first boundary samples per face edge, the share of the
+# largest vertex |(p, q)| below which a sample counts as a zero, and the
+# shortest boundary segment (chord of the unit sphere) it bisects
+BOUNDARY_SAMPLES_PER_EDGE = 8
+ZERO_FLOOR_REL = 1e-9
+MIN_BOUNDARY_SEGMENT = 1e-10
+# points on the local_degree circle
+LOCAL_DEGREE_SAMPLES = 180
 
 
 def det_grid_peak_bytes(nx: int, ny: int) -> int:
@@ -80,7 +88,7 @@ class ChartSymbolField:
     nx: int
     ny: int
     matrix_fn: MatrixFn
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.x1 > self.x0 and self.y1 > self.y0):
@@ -167,9 +175,6 @@ class SingularCurve:
     closed: bool
     length: float
     residuals: np.ndarray
-
-    def vertex_count(self) -> int:
-        return self.polyline.shape[0] - (1 if self.closed else 0)
 
 
 def _polyline_length(pts: np.ndarray) -> float:
@@ -343,8 +348,7 @@ class RegularValueCertificate(NamedTuple):
     floor: float
 
 
-def regular_value_check(fld: ChartSymbolField, curve: SingularCurve,
-                        floor_rel: float = GRADIENT_FLOOR_REL) -> RegularValueCertificate:
+def regular_value_check(fld: ChartSymbolField, curve: SingularCurve) -> RegularValueCertificate:
     """Certify 0 as a regular value of det M along the curve.
 
     Central differences with a dyadic step much smaller than the grid
@@ -359,7 +363,7 @@ def regular_value_check(fld: ChartSymbolField, curve: SingularCurve,
     gy = (fld.det_at(pts[:, 0], pts[:, 1] + dy) - fld.det_at(pts[:, 0], pts[:, 1] - dy)) / (2.0 * dy)
     gnorm = np.hypot(gx, gy)
     half_width = 0.5 * max(fld.x1 - fld.x0, fld.y1 - fld.y0)
-    floor = floor_rel * fld.max_abs_det / half_width
+    floor = GRADIENT_FLOOR_REL * fld.max_abs_det / half_width
     mg = float(gnorm.min())
     return RegularValueCertificate(transversal=mg > floor, min_gradient=mg, floor=floor)
 
@@ -507,11 +511,11 @@ def vector_loop_turns(p: np.ndarray, q: np.ndarray) -> int:
     return n
 
 
-def _face_boundary_samples(mesh: SurfaceMesh, samples_per_edge: int, spherical: bool) -> np.ndarray:
-    """(F, 3 * samples_per_edge, 3) points around each face boundary."""
+def _face_boundary_samples(mesh: SurfaceMesh) -> np.ndarray:
+    """(F, 3 * BOUNDARY_SAMPLES_PER_EDGE, 3) unit points around each face boundary."""
     v = mesh.vertices
     f = mesh.faces
-    ts = np.arange(samples_per_edge, dtype=float) / samples_per_edge
+    ts = np.arange(BOUNDARY_SAMPLES_PER_EDGE, dtype=float) / BOUNDARY_SAMPLES_PER_EDGE
     chunks = []
     for e in range(3):
         a = v[f[:, e]][:, None, :]
@@ -519,72 +523,78 @@ def _face_boundary_samples(mesh: SurfaceMesh, samples_per_edge: int, spherical: 
         pts = (1.0 - ts)[None, :, None] * a + ts[None, :, None] * b
         chunks.append(pts)
     loop = np.concatenate(chunks, axis=1)
-    if spherical:
-        loop = loop / np.linalg.norm(loop, axis=2, keepdims=True)
-    return loop
+    return loop / np.linalg.norm(loop, axis=2, keepdims=True)
 
 
-def signed_zero_count(mesh: SurfaceMesh, section_fn, geometry: str = "sphere",
-                      samples_per_edge: int = 8, vertex_tol: float = 1e-9) -> int:
+def signed_zero_count(mesh: SurfaceMesh, section_fn) -> int:
     """Sum of face-local degrees of the traceless part (p, q) of a section.
 
-    section_fn maps an (N, 3) array of surface points to arrays
-    (t, p, q) expressed in the standard tangent frame at each point (any
-    fixed global frame for planar geometry).  Faces are trivialized from
-    their centroid frame, so the total over a closed mesh is the Euler
-    number of the traceless operator bundle.
+    section_fn maps an (N, 3) array of unit sphere points to arrays
+    (t, p, q) expressed in the standard tangent frame at each point.
+    Faces are trivialized from their centroid frame, so the total over a
+    closed mesh is the Euler number of the traceless operator bundle.
 
-    Raises ZeroOnVertex when the section vanishes on a vertex or hugs
-    zero along a face boundary; perturb the mesh and retry.
+    Each face boundary is sampled BOUNDARY_SAMPLES_PER_EDGE times per
+    edge; a boundary segment whose angle step reaches a quarter turn is
+    bisected along its great circle until every step is shorter.  Raises
+    ZeroOnVertex when |(p, q)| falls to ZERO_FLOOR_REL of its largest
+    vertex value at a vertex or boundary sample, or when a segment still
+    turning a quarter turn is shorter than MIN_BOUNDARY_SEGMENT; perturb
+    the mesh and retry.
     """
-    if geometry not in ("sphere", "plane"):
-        raise InputError("geometry must be 'sphere' or 'plane'")
-    spherical = geometry == "sphere"
     _, pv, qv = section_fn(mesh.vertices)
     norms = np.hypot(pv, qv)
     scale = float(norms.max())
     if scale == 0.0:
         raise ZeroOnVertex("section vanishes identically on the vertices")
-    if float(norms.min()) <= vertex_tol * scale:
+    floor = ZERO_FLOOR_REL * scale
+    if float(norms.min()) <= floor:
         raise ZeroOnVertex("section vanishes on a mesh vertex")
+    centers = unit_rows(mesh.vertices[mesh.faces].mean(axis=1))
 
-    spe = samples_per_edge
-    faces_todo = np.arange(mesh.n_faces)
-    sub = mesh
-    total = 0
-    while True:
-        loop = _face_boundary_samples(sub, spe, spherical)
-        F, S, _ = loop.shape
-        pts = loop.reshape(-1, 3)
+    def angles(pts: np.ndarray, frame_centers: np.ndarray) -> np.ndarray:
         _, p, q = section_fn(pts)
-        if float(np.hypot(p, q).min()) <= vertex_tol * scale:
+        if float(np.hypot(p, q).min()) <= floor:
             raise ZeroOnVertex("section nearly vanishes on a face boundary")
-        if spherical:
-            centers = sub.vertices[sub.faces].mean(axis=1)
-            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-            p, q = transport_pq(pts, centers, p, q)
-        d = _angle_steps(np.arctan2(q, p).reshape(F, S), 2.0 * math.pi, cyclic=True)
-        bad = np.abs(d).max(axis=1) >= _JUMP_LIMIT
-        ok = ~bad
-        turns = d[ok].sum(axis=1) / (2.0 * math.pi)
-        rounded = np.round(turns)
-        if turns.size and float(np.abs(turns - rounded).max()) > 0.25:
-            raise LiftFailure("face boundary loop degree did not settle")
-        total += int(rounded.sum())
-        if not bad.any():
-            return total
-        if spe >= 64:
+        p, q = transport_pq(pts, frame_centers, p, q)
+        return np.arctan2(q, p)
+
+    loop = _face_boundary_samples(mesh)
+    F, S, _ = loop.shape
+    a = angles(loop.reshape(-1, 3), centers).reshape(F, S)
+    # the boundary segments still to count: face, end points (K, 2, 3), end angles (K, 2)
+    face = np.repeat(np.arange(F), S)
+    ends = np.stack([loop, np.roll(loop, -1, axis=1)], axis=2).reshape(-1, 2, 3)
+    ends_a = np.stack([a, np.roll(a, -1, axis=1)], axis=2).reshape(-1, 2)
+    turns = np.zeros(F)
+    while True:
+        d = _angle_steps(ends_a, 2.0 * math.pi, cyclic=False)[:, 0]
+        bad = np.abs(d) >= _JUMP_LIMIT
+        turns += np.bincount(face[~bad], weights=d[~bad], minlength=F)
+        face, ends, ends_a = face[bad], ends[bad], ends_a[bad]
+        if not face.size:
+            break
+        if float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()) < MIN_BOUNDARY_SEGMENT:
             raise ZeroOnVertex("section hugs zero along a face boundary")
-        sub = SurfaceMesh(vertices=sub.vertices, faces=sub.faces[bad])
-        spe *= 2
+        mid = unit_rows(ends.sum(axis=1))
+        mid_a = angles(mid, centers[face])
+        face = np.concatenate([face, face])
+        ends = np.concatenate([np.stack([ends[:, 0], mid], axis=1), np.stack([mid, ends[:, 1]], axis=1)])
+        ends_a = np.concatenate([np.column_stack([ends_a[:, 0], mid_a]),
+                                 np.column_stack([mid_a, ends_a[:, 1]])])
+    turns /= 2.0 * math.pi
+    rounded = np.round(turns)
+    if turns.size and float(np.abs(turns - rounded).max()) > 0.25:
+        raise LiftFailure("face boundary loop degree did not settle")
+    return int(rounded.sum())
 
 
-def local_degree(section_fn, center: np.ndarray, radius: float = 1e-2, samples: int = 90) -> int:
+def local_degree(section_fn, center: np.ndarray, radius: float) -> int:
     """Degree of (p, q) around a small spherical circle about center."""
     c = np.asarray(center, dtype=float)
     c = c / np.linalg.norm(c)
     t1, t2 = tangent_frames(c)
-    beta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    beta = np.linspace(0.0, 2.0 * math.pi, LOCAL_DEGREE_SAMPLES, endpoint=False)
     pts = (
         math.cos(radius) * c[None, :]
         + math.sin(radius) * (np.cos(beta)[:, None] * t1[None, :] + np.sin(beta)[:, None] * t2[None, :])

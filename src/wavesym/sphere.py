@@ -51,13 +51,10 @@ from .sym2 import SQRT2, ComplexRep, mod_pi, rotate_rep
 M_RANGE = (0, 2)
 N_RANGE = (0, 6)
 _INV_SQRT2 = 1.0 / SQRT2
-
-
-def frame_scale(r):
-    """Conformal factor lam(r) = 2 / (1 + r^2) of the chart metric."""
-    r = np.asarray(r, dtype=float)
-    out = 2.0 / (1.0 + r * r)
-    return float(out) if out.ndim == 0 else out
+# bracket width at which alpha_root stops bisecting
+ALPHA_ROOT_TOL = 1e-15
+# half width of the central difference transversality_h takes at r = 1
+TRANSVERSALITY_STEP = 1e-6
 
 
 def chart1_point(x: float, y: float) -> np.ndarray:
@@ -362,7 +359,7 @@ def z_set(m: int, n: int, tol: float = 1e-13) -> ZSet:
     )
 
 
-def alpha_root(tol: float = 1e-15) -> float:
+def alpha_root() -> float:
     """Unique real root of r^3 + r^2 + 3 r - 1, the small radius of the
     n - m = 1 multiplicity set (its reciprocal shows up for n - m = 3)."""
     lo, hi = 0.0, 1.0
@@ -372,7 +369,7 @@ def alpha_root(tol: float = 1e-15) -> float:
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= ALPHA_ROOT_TOL:
             break
         if c(mid) < 0.0:
             lo = mid
@@ -387,12 +384,13 @@ class TransversalityReport(NamedTuple):
     transversal: bool
 
 
-def transversality_h(m: int, n: int, step: float = 1e-6) -> TransversalityReport:
+def transversality_h(m: int, n: int) -> TransversalityReport:
     """Slope of the radial profile at r = 1; vanishes exactly when
     n - m = 2, the tangential family."""
     _validate_mn(m, n)
     analytic = 2.0 * (2.0 + m - n)
-    numeric = (radial_profile(m, n, 1.0 + step) - radial_profile(m, n, 1.0 - step)) / (2.0 * step)
+    h = TRANSVERSALITY_STEP
+    numeric = (radial_profile(m, n, 1.0 + h) - radial_profile(m, n, 1.0 - h)) / (2.0 * h)
     return TransversalityReport(
         analytic_slope=analytic,
         numeric_slope=float(numeric),

@@ -9,7 +9,7 @@ are appended in face order), which keeps every export byte reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +23,6 @@ class SurfaceMesh:
 
     vertices: np.ndarray
     faces: np.ndarray
-    # optional labels, e.g. sheet/cylinder regions on glued surfaces
-    vertex_tags: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -314,9 +312,14 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.vecdot(x, x))[:, None]
 
 
-def refine_on_sphere(f, x0: np.ndarray, minimize: bool | np.ndarray = True,
-                     step: float = 0.1, min_step: float = 1e-13,
-                     max_sweeps: int = 200) -> tuple[np.ndarray, np.ndarray | float]:
+# refine_on_sphere: first step, the step below which a row stops, and the sweep cap
+REFINE_STEP = 0.1
+REFINE_MIN_STEP = 1e-13
+REFINE_MAX_SWEEPS = 200
+
+
+def refine_on_sphere(f, x0: np.ndarray,
+                     minimize: bool | np.ndarray = True) -> tuple[np.ndarray, np.ndarray | float]:
     """Local coordinate descent of a scalar f over the unit sphere, one row per start.
 
     x0 is (N, 3) or (3,); f maps an (N, 3) array of unit points to (N,)
@@ -324,20 +327,20 @@ def refine_on_sphere(f, x0: np.ndarray, minimize: bool | np.ndarray = True,
     a row that maximizes descends on -f, and a sign of +-1.0 is exact.
     Each sweep tries x + h t1, x - h t1, x + h t2, x - h t2 in
     that order along the tangent frame of the sweep's start, and a row
-    takes a candidate only when it is strictly better.  A sweep that
-    improves nothing halves that row's step h; a row stops once
-    h < min_step, and every row after max_sweeps sweeps.  Each row
-    follows the path it would follow alone.  Returns (x, f(x)) shaped
-    like x0: (N, 3) and (N,), or (3,) and a float.
+    takes a candidate only when it is strictly better.  h starts at
+    REFINE_STEP; a sweep that improves nothing halves that row's h; a row
+    stops once h < REFINE_MIN_STEP, and every row after REFINE_MAX_SWEEPS
+    sweeps.  Each row follows the path it would follow alone.  Returns
+    (x, f(x)) shaped like x0: (N, 3) and (N,), or (3,) and a float.
     """
     x = np.asarray(x0, dtype=float)
     single = x.ndim == 1
     x = unit_rows(np.atleast_2d(x))
     sign = np.broadcast_to(np.where(minimize, 1.0, -1.0), len(x))
     best = sign * f(x)
-    h = np.full(len(x), float(step))
-    for _ in range(max_sweeps):
-        rows = np.flatnonzero(h >= min_step)
+    h = np.full(len(x), REFINE_STEP)
+    for _ in range(REFINE_MAX_SWEEPS):
+        rows = np.flatnonzero(h >= REFINE_MIN_STEP)
         if not rows.size:
             break
         xr, br, hr, sr = x[rows], best[rows], h[rows, None], sign[rows]

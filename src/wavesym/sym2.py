@@ -27,6 +27,8 @@ import numpy as np
 from .errors import MultiplePoint
 
 SQRT2 = math.sqrt(2.0)
+# largest off-diagonal mismatch from_matrix accepts, relative to max(1, max |entry|)
+SYM_TOL = 1e-12
 
 
 def mod_pi(theta: float) -> float:
@@ -49,23 +51,14 @@ class Sym2Value:
         h = self.t / 2.0
         return np.array([[h + self.p, self.q], [self.q, h - self.p]])
 
-    @property
-    def traceless_norm(self) -> float:
-        return math.hypot(self.p, self.q)
 
-    @property
-    def is_multiple(self) -> bool:
-        """True when both eigenvalues coincide (p = q = 0)."""
-        return self.p == 0.0 and self.q == 0.0
-
-
-def from_matrix(mat: np.ndarray, sym_tol: float = 1e-12) -> Sym2Value:
+def from_matrix(mat: np.ndarray) -> Sym2Value:
     """Split a symmetric 2x2 matrix into trace and traceless parts."""
     m = np.asarray(mat, dtype=float)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     scale = max(1.0, float(np.abs(m).max()))
-    if abs(m[0, 1] - m[1, 0]) > sym_tol * scale:
+    if abs(m[0, 1] - m[1, 0]) > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
     q = 0.5 * (m[0, 1] + m[1, 0])
     return Sym2Value(t=m[0, 0] + m[1, 1], p=0.5 * (m[0, 0] - m[1, 1]), q=q)

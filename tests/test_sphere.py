@@ -19,7 +19,6 @@ from wavesym.sphere import (
     chart2_coord,
     chart2_point,
     chart_transition_angle,
-    frame_scale,
     predicted_kernel_angle,
     radial_profile,
     rep_consistency_gap,
@@ -98,12 +97,6 @@ def test_transition_angle_values():
     assert chart_transition_angle(1j) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(OutOfDomain):
         chart_transition_angle(0j)
-
-
-def test_frame_scale():
-    assert frame_scale(0.0) == 2.0
-    assert frame_scale(1.0) == 1.0
-    assert np.allclose(frame_scale(np.array([0.0, 1.0, 3.0])), [2.0, 1.0, 0.2])
 
 
 # --- polynomial fields ---------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavesym.errors import MultiplePoint
@@ -127,14 +128,27 @@ def test_rotate_conjugate_isospectral(t, p, q, theta):
     assert abs(a[1] - b[1]) <= 1e-12 * scale
 
 
-@given(finite, finite, finite, finite, finite, finite)
-def test_traceless_metric_identity(pa, qa, pb, qb, t_unused1, t_unused2):
+@given(finite, finite, finite, finite)
+# cancellation: |rhs| = 39 while |pa pb| + |qa qb| = 6e6
+@example(999081.9999999999, 3.0, 3.0, -999069.0)
+def test_traceless_metric_identity(pa, qa, pb, qb):
     # for traceless A, B the metric tr(AB)/2 reduces to the dot product
     A = full_matrix(0.0, pa, qa)
     B = full_matrix(0.0, pb, qb)
     lhs = 0.5 * float(np.trace(A @ B))
     rhs = pa * pb + qa * qb
-    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+    exact = Fraction(pa) * Fraction(pb) + Fraction(qa) * Fraction(qb)
+    # Roundoff bound, u = 2^-53: a rounded product is xy (1 + d) + e with
+    # |d| <= u and |e| <= 2^-1075 (underflow), a rounded sum (x + y)(1 + d).
+    # With S = |pa pb| + |qa qb| >= |exact|, rhs and each diagonal entry of
+    # A @ B are off the exact dot product by at most 2u S + u^2 S + 2^-1074
+    # (1 + u).  The trace adds u |sum| <= 2u S + O(u^2 S), and halving at most
+    # 2^-1075, so lhs is off by at most 3u S + O(u^2 S) + 2^-1074 + 2^-1075.
+    # 4u S + 2^-1073 covers both; an FMA only tightens them.
+    S = abs(Fraction(pa) * Fraction(pb)) + abs(Fraction(qa) * Fraction(qb))
+    bound = 4 * Fraction(1, 2**53) * S + Fraction(1, 2**1073)
+    assert abs(Fraction(lhs) - exact) <= bound
+    assert abs(Fraction(rhs) - exact) <= bound
 
 
 def test_from_matrix_round_trip():
