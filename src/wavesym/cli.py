@@ -159,10 +159,10 @@ def _cmd_winding(cfg: RunConfig) -> None:
 
 def _cmd_fresnel(cfg: RunConfig) -> None:
     crystal = Crystal(eps=cfg.epsilon)
-    report = fresnel_report(crystal, subdivisions=cfg.subdiv)
-    _write_or_print(canonical_json(report), cfg.out)
+    axes = singular_directions(crystal, subdivisions=cfg.subdiv)
+    inner, outer, gap = fresnel_mesh(crystal, subdivisions=cfg.subdiv)
+    _write_or_print(canonical_json(fresnel_report(crystal, axes, gap)), cfg.out)
     if cfg.out_obj is not None:
-        inner, outer = fresnel_mesh(crystal, subdivisions=cfg.subdiv)
         Path(cfg.out_obj).write_text(
             obj_objects([("fresnel_inner", inner), ("fresnel_outer", outer)]))
 

@@ -147,7 +147,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         keep_face = ~removed[faces].any(axis=1)
         kept = faces[keep_face]
         # vertices whose link is pinched would give non simple boundaries
-        edges, counts, _ = _edge_table(kept)
+        edges, counts, half = _edge_table(kept)
         bad = np.bincount(edges[counts == 1].reshape(-1), minlength=base.n_vertices) > 2
         if not bad.any():
             break
@@ -158,7 +158,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
     if k and not used.any():
         raise InputError("tube disks swallow the whole sphere")
 
-    loops_base = boundary_loops(kept)
+    loops_base = boundary_loops(kept, counts, half)
     if len(loops_base) != k:
         raise GluingMismatch(
             f"disk removal produced {len(loops_base)} boundary loops for {k} points")

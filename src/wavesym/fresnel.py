@@ -11,6 +11,7 @@ directions, the optic axes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +39,12 @@ class Crystal:
         if len(self.eps) != 3 or any(e <= 0.0 for e in self.eps):
             raise InputError("permittivities must be three positive numbers")
 
-    @property
+    @functools.cached_property
     def inv_eps(self) -> np.ndarray:
-        return np.diag([1.0 / e for e in self.eps])
+        """diag(1/eps), computed once per crystal and read-only."""
+        ie = np.diag([1.0 / e for e in self.eps])
+        ie.flags.writeable = False
+        return ie
 
     def is_biaxial(self) -> bool:
         e = sorted(self.eps)
@@ -218,24 +222,21 @@ def singular_directions(crystal: Crystal, subdivisions: int = 4) -> list[Singula
     return axes
 
 
-def fresnel_mesh(crystal: Crystal, subdivisions: int = 4) -> tuple[SurfaceMesh, SurfaceMesh]:
-    """Triangulated inner and outer Fresnel sheets on an icosphere."""
+def fresnel_mesh(crystal: Crystal, subdivisions: int = 4) -> tuple[SurfaceMesh, SurfaceMesh, float]:
+    """Triangulated inner and outer Fresnel sheets on an icosphere, and their smallest gap.
+
+    The gap is the least sqrt(lambda_2) - sqrt(lambda_1) over the
+    icosphere vertices; both sheets share one face array.
+    """
     base = icosphere(subdivisions)
     s1, s2 = sheet_speeds(crystal, base.vertices)
-    inner = SurfaceMesh(vertices=base.vertices * s1[:, None], faces=base.faces.copy())
-    outer = SurfaceMesh(vertices=base.vertices * s2[:, None], faces=base.faces.copy())
-    return inner, outer
+    inner = SurfaceMesh(vertices=base.vertices * s1[:, None], faces=base.faces)
+    outer = SurfaceMesh(vertices=base.vertices * s2[:, None], faces=base.faces)
+    return inner, outer, float((s2 - s1).min())
 
 
-def min_sheet_gap(crystal: Crystal, subdivisions: int = 4) -> float:
-    base = icosphere(subdivisions)
-    s1, s2 = sheet_speeds(crystal, base.vertices)
-    return float((s2 - s1).min())
-
-
-def fresnel_report(crystal: Crystal, subdivisions: int = 4) -> dict:
+def fresnel_report(crystal: Crystal, axes: list[SingularDirection], min_sheet_gap: float) -> dict:
     """Axis data and sheet statistics as a serializable dict."""
-    axes = singular_directions(crystal, subdivisions=subdivisions)
     return {
         "epsilon": [float(e) for e in crystal.eps],
         "singular_directions": [
@@ -246,5 +247,5 @@ def fresnel_report(crystal: Crystal, subdivisions: int = 4) -> dict:
             }
             for a in axes
         ],
-        "min_sheet_gap": min_sheet_gap(crystal, subdivisions),
+        "min_sheet_gap": min_sheet_gap,
     }

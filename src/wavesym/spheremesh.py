@@ -2,8 +2,11 @@
 
 The icosphere here is the polar orientation: vertices at both poles plus
 two pentagonal rings, so (0, 0, +-1) are exact mesh vertices at every
-subdivision level.  Midpoint subdivision is deterministic (edge midpoints
-are appended in face order), which keeps every export byte reproducible.
+subdivision level.  Midpoint subdivision is deterministic, which keeps
+every export byte reproducible: each level appends the edge midpoints
+numbered by first appearance in the face-major half-edge walk (a->b,
+b->c, c->a of face 0, then of face 1, ...), and the four children of
+each face follow one another in its place.
 """
 
 from __future__ import annotations
@@ -156,9 +159,11 @@ def genus(mesh: SurfaceMesh) -> int:
     return mesh_topology(mesh).genus
 
 
-def boundary_loops(faces: np.ndarray) -> list[list[int]]:
-    """Vertex cycles of the boundary (edges used by exactly one face)."""
-    _, counts, half = _edge_table(faces)
+def boundary_loops(faces: np.ndarray, counts: np.ndarray, half: np.ndarray) -> list[list[int]]:
+    """Vertex cycles of the boundary (edges used by exactly one face).
+
+    counts and half are the faces' edge table, as `_edge_table` returns them.
+    """
     tail, head = _half_edges(faces)
     on_boundary = counts[half] == 1
     # boundary is traversed opposite to the face direction
@@ -202,7 +207,15 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 
 def icosphere(subdivisions: int = 0) -> SurfaceMesh:
-    """Unit icosphere with poles at (0, 0, +-1); 20 * 4^n faces."""
+    """Unit icosphere with poles at (0, 0, +-1); 20 * 4^n faces.
+
+    Each level keeps the vertices of the one before as a prefix and
+    appends the edge midpoints, numbered by first appearance in the
+    face-major half-edge walk a->b, b->c, c->a; the midpoint of an edge
+    is m / |m| with m = V[tail] + V[head] of its first half-edge.  Face i
+    of a level becomes faces 4i..4i+3 of the next, (a, ab, ca),
+    (ab, b, bc), (ca, bc, c), (ab, bc, ca).
+    """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
     verts, faces = _icosahedron()

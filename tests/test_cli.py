@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wavesym import cli
+from wavesym import cli, fresnel
 from wavesym.errors import GluingMismatch
 
 from .oracles import ALPHA
@@ -75,6 +75,27 @@ def test_fresnel_with_obj(tmp_path, capsys):
     text = obj_path.read_text()
     assert "o fresnel_inner" in text
     assert "o fresnel_outer" in text
+
+
+def test_fresnel_builds_one_sheet_mesh(tmp_path, monkeypatch):
+    # one icosphere for the axis search, one for both sheets, and the
+    # sheet speeds evaluated once for the report's gap and the OBJ
+    calls = {"icosphere": 0, "sheet_speeds": 0}
+
+    def counting(name):
+        fn = getattr(fresnel, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(fresnel, name, counting(name))
+    code = cli.main(["fresnel", "--subdiv", "3", "--out", str(tmp_path / "report.json"),
+                     "--out-obj", str(tmp_path / "surface.obj")])
+    assert code == 0
+    assert calls == {"icosphere": 2, "sheet_speeds": 1}
 
 
 def test_eigenline_with_obj(tmp_path, capsys):

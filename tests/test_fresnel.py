@@ -16,7 +16,6 @@ from wavesym.fresnel import (
     fresnel_sample,
     maxwell_apply,
     maxwell_matrix,
-    min_sheet_gap,
     optic_axes_closed_form,
     sheet_speeds,
     singular_directions,
@@ -61,6 +60,15 @@ def test_biaxial_detection():
 
 
 # --- full symbol ---------------------------------------------------------------
+
+
+def test_inv_eps_is_computed_once_and_read_only():
+    crystal = Crystal(eps=(2.0, 2.5, 4.0))
+    ie = crystal.inv_eps
+    assert crystal.inv_eps is ie
+    assert ie.tobytes() == np.diag([0.5, 0.4, 0.25]).tobytes()
+    with pytest.raises(ValueError):
+        ie[0, 0] = 1.0
 
 
 def test_apply_cross_only():
@@ -266,7 +274,7 @@ def test_axes_permutation_invariant_up_to_relabeling():
 
 
 def test_isotropic_mesh_is_double_unit_sphere():
-    inner, outer = fresnel_mesh(Crystal(eps=(1.0, 1.0, 1.0)), subdivisions=3)
+    inner, outer, _ = fresnel_mesh(Crystal(eps=(1.0, 1.0, 1.0)), subdivisions=3)
     for mesh in (inner, outer):
         norms = np.linalg.norm(mesh.vertices, axis=1)
         assert float(np.abs(norms - 1.0).max()) <= 1e-12
@@ -285,7 +293,7 @@ def test_sheets_touch_near_axes():
 
 
 def test_min_sheet_gap_frozen():
-    assert min_sheet_gap(BIAXIAL, subdivisions=4) == pytest.approx(
+    assert fresnel_mesh(BIAXIAL, subdivisions=4)[2] == pytest.approx(
         0.00035881061591636065, rel=1e-12)
 
 
@@ -297,7 +305,7 @@ def test_gap_antipodal_symmetry():
 
 
 def test_gap_shrinks_toward_isotropy():
-    gaps = [min_sheet_gap(Crystal(eps=e), subdivisions=3)
+    gaps = [fresnel_mesh(Crystal(eps=e), subdivisions=3)[2]
             for e in ((2.0, 2.5, 3.0), (2.2, 2.5, 2.8), (2.4, 2.5, 2.6))]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
@@ -306,7 +314,8 @@ def test_gap_shrinks_toward_isotropy():
 
 
 def test_report_shape():
-    rep = fresnel_report(BIAXIAL, subdivisions=3)
+    rep = fresnel_report(BIAXIAL, singular_directions(BIAXIAL, subdivisions=3),
+                         fresnel_mesh(BIAXIAL, subdivisions=3)[2])
     assert rep["epsilon"] == [2.0, 2.5, 3.0]
     assert len(rep["singular_directions"]) == 4
     entry = rep["singular_directions"][0]

@@ -16,6 +16,7 @@ from wavesym.fresnel import Crystal, _gap_squared, compressed_grid, singular_dir
 from wavesym.multiplicity import lift_angles
 from wavesym.spheremesh import (
     SurfaceMesh,
+    _edge_table,
     boundary_loops,
     connected_components,
     euler_characteristic,
@@ -124,9 +125,40 @@ def test_combinatorics_match_loops(name):
     if _pinched(mesh.faces):
         # the loop walk never returns to its start on a pinched boundary
         with pytest.raises(WavesymError, match="pinched"):
-            boundary_loops(mesh.faces)
+            boundary_loops(mesh.faces, *_edge_table(mesh.faces)[1:])
     else:
-        assert boundary_loops(mesh.faces) == oracles.boundary_loops(mesh.faces)
+        assert boundary_loops(mesh.faces, *_edge_table(mesh.faces)[1:]) == oracles.boundary_loops(mesh.faces)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_icosphere_level_structure(k):
+    coarse, fine = icosphere(k), icosphere(k + 1)
+    V, F = coarse.n_vertices, coarse.n_faces
+    assert (V, F) == (10 * 4**k + 2, 20 * 4**k)
+    assert (fine.n_vertices, fine.n_faces) == (10 * 4 ** (k + 1) + 2, 20 * 4 ** (k + 1))
+    assert fine.vertices[:V].tobytes() == coarse.vertices.tobytes()
+    # rows 4i..4i+3 are the children of face i: (a, ab, ca), (ab, b, bc),
+    # (ca, bc, c), (ab, bc, ca), each of ab, bc, ca a new vertex at the
+    # normalized sum of its edge's ends
+    a, b, c = coarse.faces.T
+    kids = fine.faces.reshape(F, 4, 3)
+    ab, bc, ca = kids[:, 0, 1], kids[:, 1, 2], kids[:, 2, 0]
+    want = np.stack([np.column_stack(corners) for corners in
+                     ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))], axis=1)
+    assert np.array_equal(kids, want)
+    cv = coarse.vertices
+    for mid, (i, j) in ((ab, (a, b)), (bc, (b, c)), (ca, (c, a))):
+        assert mid.min() >= V
+        s = cv[i] + cv[j]
+        assert np.abs(fine.vertices[mid] - s / np.linalg.norm(s, axis=1, keepdims=True)).max() <= 1e-15
+    # the new vertices are numbered by first appearance in the face-major walk
+    seen: dict[int, None] = {}
+    for v in np.column_stack([ab, bc, ca]).ravel().tolist():
+        seen.setdefault(v)
+    assert list(seen) == list(range(V, fine.n_vertices))
+    topo = mesh_topology(fine)
+    assert (topo.closed, topo.oriented, topo.chi, topo.components) == (True, True, 2, 1)
+    assert np.abs(np.linalg.norm(fine.vertices, axis=1) - 1.0).max() <= 4 * 2.0**-53
 
 
 def test_topology_fin_edge_is_open_and_unoriented():
@@ -173,7 +205,7 @@ def test_pinched_boundary_is_refused():
     faces = np.delete(f, [i, j], axis=0)
     assert _pinched(faces)
     with pytest.raises(WavesymError, match="pinched"):
-        boundary_loops(faces)
+        boundary_loops(faces, *_edge_table(faces)[1:])
 
 
 CENSUS_KEYS = ("minima", "maxima", "saddle_multiplicity", "chi_from_criticals", "points")
