@@ -1,7 +1,7 @@
 """Numerical topology of first-order hyperbolic symbols on surfaces.
 
-Subpackages by theme: sym2 (pointwise 2x2 symmetric algebra and the
-complex representation), multiplicity (planar contour extraction,
+Subpackages by theme: sym2 (the (t, p, q) and (u, w) conventions and the
+closed-form eigenvalues), multiplicity (planar contour extraction,
 kernel-line winding, signed zero counts), sphere (polynomial symbol
 fields on the round sphere and the sigma_mn family), fresnel (biaxial
 crystal optics), eigenline (the glued two-sheet eigenline surface),
@@ -14,35 +14,20 @@ from .errors import (
     GluingMismatch,
     InputError,
     LiftFailure,
-    MultiplePoint,
     NotBiaxial,
     NotClosed,
     NotConnected,
-    OutOfDomain,
     OutOfRange,
     RankZero,
     TransportFailure,
     WavesymError,
     ZeroOnVertex,
 )
-from .sym2 import (
-    ComplexRep,
-    LinearSymbol2,
-    Sym2Value,
-    eigenline_angles,
-    eigenvalues,
-    is_invertible,
-    matrix_to_rep,
-    rep_to_matrix,
-    rotate_conjugate,
-    rotate_rep,
-)
 from .multiplicity import (
     ChartSymbolField,
     MultiplicityComponent,
     SingularCurve,
     extract_singular_set,
-    kernel_angle,
     knot_polyline,
     knot_type,
     local_degree,
@@ -52,10 +37,8 @@ from .multiplicity import (
 )
 from .sphere import (
     PolyVF,
-    SpherePoint,
     SphereSymbol,
     ZSet,
-    alpha_root,
     analyze_mn,
     sigma_mn,
     transversality_h,
@@ -63,13 +46,9 @@ from .sphere import (
 )
 from .fresnel import (
     Crystal,
-    FresnelSample,
     SingularDirection,
-    compressed_operator,
     fresnel_mesh,
     fresnel_report,
-    fresnel_sample,
-    maxwell_matrix,
     singular_directions,
 )
 from .eigenline import (
@@ -84,61 +63,42 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChartSymbolField",
-    "ComplexRep",
     "ComputationError",
     "Crystal",
     "DegenerateField",
     "EigenlineManifold",
-    "FresnelSample",
     "GluingMismatch",
     "InputError",
     "LiftFailure",
-    "LinearSymbol2",
-    "MultiplePoint",
     "MultiplicityComponent",
     "NotBiaxial",
     "NotClosed",
     "NotConnected",
-    "OutOfDomain",
     "OutOfRange",
     "PolyVF",
     "RankZero",
     "SingularCurve",
     "SingularDirection",
-    "SpherePoint",
     "SphereSymbol",
     "SurfaceMesh",
-    "Sym2Value",
     "TransportFailure",
     "WavesymError",
     "ZSet",
     "ZeroOnVertex",
-    "alpha_root",
     "analyze_mn",
     "build_eigenline_manifold",
-    "compressed_operator",
     "critical_scan",
-    "eigenline_angles",
     "eigenline_report",
-    "eigenvalues",
     "euler_characteristic",
     "extract_singular_set",
     "fresnel_mesh",
     "fresnel_report",
-    "fresnel_sample",
     "genus",
     "icosphere",
-    "is_invertible",
-    "kernel_angle",
     "knot_polyline",
     "knot_type",
     "local_degree",
-    "matrix_to_rep",
-    "maxwell_matrix",
     "regular_value_check",
-    "rep_to_matrix",
-    "rotate_conjugate",
-    "rotate_rep",
     "sigma_mn",
     "signed_zero_count",
     "singular_directions",

@@ -23,7 +23,7 @@ from .fresnel import Crystal, compressed_grid, fresnel_mesh, fresnel_report, sin
 from .multiplicity import knot_polyline, knot_type, polylines_csv
 # perfbench/tracing.py wraps these three at their cli names
 from .multiplicity import extract_singular_set, regular_value_check, trace_component  # noqa: F401
-from .serialize import canonical_json, fmt_float, obj_face_groups, obj_objects
+from .serialize import canonical_json, float_row_lines, join_lines, obj_face_groups, obj_objects
 from .sphere import _validate_mn, analyze_mn, trace_sigma_mn, z_set
 
 # config-file keys and their parsers; flag values override these
@@ -159,7 +159,7 @@ def _cmd_winding(cfg: RunConfig) -> None:
 
 def _cmd_fresnel(cfg: RunConfig) -> None:
     crystal = Crystal(eps=cfg.epsilon)
-    axes = singular_directions(crystal, subdivisions=cfg.subdiv)
+    axes = singular_directions(crystal)
     inner, outer, gap = fresnel_mesh(crystal, subdivisions=cfg.subdiv)
     _write_or_print(canonical_json(fresnel_report(crystal, axes, gap)), cfg.out)
     if cfg.out_obj is not None:
@@ -174,7 +174,7 @@ def _cmd_eigenline(cfg: RunConfig) -> None:
     points = np.array([a.x for a in axes])
     man = build_eigenline_manifold(section, points, tube_radius=cfg.tube_radius,
                                    collar=cfg.collar, subdivisions=cfg.subdiv)
-    report = eigenline_report(man, section_fn=section)
+    report = eigenline_report(man, section)
     _write_or_print(canonical_json(report), cfg.out)
     if cfg.out_obj is not None:
         groups = [(name, np.arange(lo, hi)) for name, lo, hi in man.face_groups]
@@ -192,9 +192,8 @@ def _cmd_knots(cfg: RunConfig) -> None:
     if cfg.out_csv is not None:
         lines = ["component_id,base_angle,fiber_angle"]
         for cid, comp in enumerate(knot_polyline(cfg.winding, samples=cfg.samples)):
-            for base, fiber in comp:
-                lines.append(f"{cid},{fmt_float(base)},{fmt_float(fiber)}")
-        Path(cfg.out_csv).write_text("\n".join(lines) + "\n")
+            float_row_lines(str(cid), ",", comp, lines)
+        Path(cfg.out_csv).write_text(join_lines(lines))
 
 
 _DISPATCH = {

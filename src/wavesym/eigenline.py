@@ -39,6 +39,7 @@ from .spheremesh import (
 )
 # perfbench/tracing.py wraps these three at their eigenline names
 from .spheremesh import connected_components, euler_characteristic, is_consistently_oriented  # noqa: F401
+from .sym2 import eigenvalues_grid
 
 SHEET1_RADIUS = 0.95
 SHEET2_RADIUS = 1.05
@@ -182,11 +183,12 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
     n_kept = old_ids.size
 
     tK, pK, qK = section_fn(V[old_ids])
+    lam1, lam2 = eigenvalues_grid(tK, pK, qK)
     sK = np.hypot(pK, qK)
 
     verts: list[np.ndarray] = [SHEET1_RADIUS * V[old_ids], SHEET2_RADIUS * V[old_ids]]
     dirs: list[np.ndarray] = [V[old_ids], V[old_ids]]
-    lam: list[np.ndarray] = [0.5 * tK - sK, 0.5 * tK + sK]
+    lam: list[np.ndarray] = [lam1, lam2]
     lam0: list[np.ndarray] = [-sK, sK]
     srs: list[np.ndarray] = [0.5 * tK, 0.5 * tK]
     region: list[np.ndarray] = [np.zeros(n_kept, dtype=int), np.ones(n_kept, dtype=int)]
@@ -302,18 +304,14 @@ def ds_r_norm(section_fn, p: np.ndarray) -> float:
     return math.hypot(grads[0], grads[1])
 
 
-def critical_scan(man: EigenlineManifold, section_fn=None) -> dict:
+def critical_scan(man: EigenlineManifold) -> dict:
     """Star based critical point census of the eigenvalue field.
 
     Each vertex contributes 1 - sc/2 to the Euler characteristic, where
     sc counts sign changes of the field around its neighbor cycle; ties
     are broken by a tiny deterministic jitter.  Critical points are
     listed for sheet vertices only (cylinder cores are level circles of
-    the field, not honest criticals).  When section_fn is given the
-    global sheet extrema are re-refined continuously, and each conical
-    point reports its raw |d s_r| value; the derivative condition along
-    a multiplicity curve is vacuous for isolated points, so no
-    classification is attempted.
+    the field, not honest criticals).
     """
     values = man.lambda_s
     scale = max(float(np.abs(values).max()), 1.0)
@@ -344,7 +342,7 @@ def critical_scan(man: EigenlineManifold, section_fn=None) -> dict:
     ]
     # each star is a cycle, so every sc is even
     chi_combinatorial = n - int(sc.sum()) // 2
-    report = {
+    return {
         "minima": int(is_min.sum()),
         "maxima": int(is_max.sum()),
         "saddle_multiplicity": int((sc[is_saddle] // 2 - 1).sum()),
@@ -353,8 +351,10 @@ def critical_scan(man: EigenlineManifold, section_fn=None) -> dict:
         "consistent": chi_combinatorial == man.chi,
         "points": points,
     }
-    if section_fn is None:
-        return report
+
+
+def _sheet_extrema(man: EigenlineManifold, section_fn) -> dict:
+    """Each sheet's minimum and maximum, refined on the section from its extreme vertices."""
 
     def lam_sheet(sign: float):
         def f(x: np.ndarray) -> np.ndarray:
@@ -376,24 +376,28 @@ def critical_scan(man: EigenlineManifold, section_fn=None) -> dict:
             "min": float(vs[0]), "min_direction": [float(c) for c in xs[0]],
             "max": float(vs[1]), "max_direction": [float(c) for c in xs[1]],
         }
-    report["sheet_extrema"] = extrema
+    return extrema
 
-    conds = []
-    for cyl in man.cylinders:
-        conds.append({
+
+def eigenline_report(man: EigenlineManifold, section_fn) -> dict:
+    """Topology, critical census and section data of the manifold as a serializable dict.
+
+    Besides the census, the global sheet extrema are re-refined on
+    section_fn, and each conical point reports its raw |d s_r| value;
+    the derivative condition along a multiplicity curve is vacuous for
+    isolated points, so no classification is attempted.
+    """
+    crit = critical_scan(man)
+    extrema = _sheet_extrema(man, section_fn)
+    conds = [
+        {
             "point": [float(c) for c in cyl.point],
             "ds_r_norm": ds_r_norm(section_fn, cyl.point),
             "status": "vacuous (isolated multiplicity point); classification deferred",
             "lift_total": cyl.lift_total,
-        })
-    report["necessary_condition"] = conds
-    return report
-
-
-def eigenline_report(man: EigenlineManifold, section_fn=None) -> dict:
-    """Topology and critical data of the manifold as a serializable dict."""
-    crit = critical_scan(man, section_fn=section_fn)
-
+        }
+        for cyl in man.cylinders
+    ]
     report = {
         "chi": man.chi,
         "cylinders": len(man.cylinders),
@@ -408,11 +412,9 @@ def eigenline_report(man: EigenlineManifold, section_fn=None) -> dict:
             for k in ("minima", "maxima", "saddle_multiplicity",
                       "chi_from_criticals", "consistent")
         },
+        "necessary_condition": conds,
+        "sheet_extrema": extrema,
     }
-    if "necessary_condition" in crit:
-        report["necessary_condition"] = crit["necessary_condition"]
-    if "sheet_extrema" in crit:
-        report["sheet_extrema"] = crit["sheet_extrema"]
     try:
         report["genus"] = man.genus
     except NotConnected:

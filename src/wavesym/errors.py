@@ -23,16 +23,8 @@ class OutOfRange(InputError):
     """A parameter lies outside its documented range."""
 
 
-class OutOfDomain(InputError):
-    """A query point lies outside the field's rectangle."""
-
-
 class NotBiaxial(InputError):
     """The dielectric tensor has a repeated eigenvalue."""
-
-
-class MultiplePoint(ComputationError):
-    """The traceless part vanishes, so every line is an eigenline."""
 
 
 class RankZero(ComputationError):

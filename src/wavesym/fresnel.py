@@ -20,10 +20,13 @@ import numpy as np
 from .errors import InputError, NotBiaxial
 from .multiplicity import local_degree
 from .spheremesh import SurfaceMesh, icosphere, min_separation, refine_on_sphere, tangent_frames
-from .sym2 import Sym2Value
+from .sym2 import eigenvalues_grid
 
 AXIS_RESIDUAL_TOL = 1e-10
 AXIS_MERGE_ANGLE = 1e-3
+# icosphere level whose vertices seed the axis search, whatever mesh a
+# command builds, so every command reports the same axes
+AXIS_SEARCH_SUBDIV = 4
 # smallest gap between principal permittivities, relative to the largest,
 # that is_biaxial counts as distinct
 BIAXIAL_REL_TOL = 1e-12
@@ -52,37 +55,6 @@ class Crystal:
         return (e[1] - e[0]) > gap and (e[2] - e[1]) > gap
 
 
-def _cross_matrix(xi: np.ndarray) -> np.ndarray:
-    x, y, z = xi
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
-
-
-def maxwell_matrix(crystal: Crystal, xi: np.ndarray) -> np.ndarray:
-    """Full 6x6 symbol [[0, K], [-K eps^{-1}, 0]] with K = cross(xi, .).
-
-    Its characteristic roots are 0 (twice) and +-sqrt(lambda_i(xi)) |xi|
-    for the two compressed eigenvalues lambda_i.
-    """
-    xi = np.asarray(xi, dtype=float)
-    K = _cross_matrix(xi)
-    top = np.hstack([np.zeros((3, 3)), K])
-    bot = np.hstack([-K @ crystal.inv_eps, np.zeros((3, 3))])
-    return np.vstack([top, bot])
-
-
-def maxwell_apply(crystal: Crystal, xi: np.ndarray, E: np.ndarray,
-                  B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol applied to a field pair: (xi x B, -xi x (eps^{-1} E))."""
-    xi = np.asarray(xi, dtype=float)
-    E = np.asarray(E, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return np.cross(xi, B), -np.cross(xi, crystal.inv_eps @ E)
-
-
 def compressed_grid(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compressed operator components (t, p, q) at unit directions.
 
@@ -101,52 +73,10 @@ def compressed_grid(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, n
     return a11 + a22, 0.5 * (a11 - a22), a12
 
 
-def compressed_operator(crystal: Crystal, xi: np.ndarray) -> Sym2Value:
-    """Compressed symbol at a covector, scaled by |xi|^2."""
-    xi = np.asarray(xi, dtype=float)
-    n2 = float(xi @ xi)
-    if n2 <= 0.0:
-        raise InputError("covector must be nonzero")
-    t, p, q = compressed_grid(crystal, (xi / math.sqrt(n2))[None, :])
-    return Sym2Value(t=float(t[0]) * n2, p=float(p[0]) * n2, q=float(q[0]) * n2)
-
-
-def _sheet_eigenvalues(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_1, lambda_2) at unit directions, lambda_1 <= lambda_2."""
-    t, p, q = compressed_grid(crystal, points)
-    rad = np.hypot(p, q)
-    return 0.5 * t - rad, 0.5 * t + rad
-
-
 def sheet_speeds(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(lambda_1), sqrt(lambda_2)) at unit directions, slow sheet first."""
-    lam1, lam2 = _sheet_eigenvalues(crystal, points)
+    lam1, lam2 = eigenvalues_grid(*compressed_grid(crystal, points))
     return np.sqrt(np.maximum(lam1, 0.0)), np.sqrt(lam2)
-
-
-@dataclass(frozen=True)
-class FresnelSample:
-    """Both surface points sqrt(lambda_i) xi along one unit direction."""
-
-    xi: np.ndarray
-    lam1: float
-    lam2: float
-    points: tuple[np.ndarray, np.ndarray]
-
-
-def fresnel_sample(crystal: Crystal, xi: np.ndarray) -> FresnelSample:
-    xi = np.asarray(xi, dtype=float)
-    n = np.linalg.norm(xi)
-    if n <= 0.0:
-        raise InputError("direction must be nonzero")
-    u = xi / n
-    lam1, lam2 = (float(lam[0]) for lam in _sheet_eigenvalues(crystal, u[None, :]))
-    return FresnelSample(
-        xi=u,
-        lam1=lam1,
-        lam2=lam2,
-        points=(math.sqrt(max(lam1, 0.0)) * u, math.sqrt(lam2) * u),
-    )
 
 
 def _gap_squared(crystal: Crystal):
@@ -165,40 +95,18 @@ class SingularDirection:
     local_index: int
 
 
-def optic_axes_closed_form(crystal: Crystal) -> np.ndarray:
-    """The four conical directions of a biaxial crystal.
-
-    With inverse permittivities a1 > a2 > a3 the axes live in the plane
-    of the extreme principal directions, at angle beta from the small
-    axis with cos^2 beta = (a2 - a3) / (a1 - a3).
-    """
-    if not crystal.is_biaxial():
-        raise NotBiaxial("conical directions require three distinct permittivities")
-    a = np.array([1.0 / e for e in crystal.eps])
-    order = np.argsort(-a)
-    ah, am, al = a[order]
-    c2 = (am - al) / (ah - al)
-    c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
-    e_high = np.eye(3)[order[0]]
-    e_low = np.eye(3)[order[2]]
-    axes = []
-    for sg_s in (1.0, -1.0):
-        for sg_c in (1.0, -1.0):
-            axes.append(sg_s * s * e_high + sg_c * c * e_low)
-    return np.array(sorted(axes, key=lambda d: (round(d[0], 12), round(d[1], 12), round(d[2], 12))))
-
-
-def singular_directions(crystal: Crystal, subdivisions: int = 4) -> list[SingularDirection]:
+def singular_directions(crystal: Crystal) -> list[SingularDirection]:
     """Locate the optic axes numerically and attach their local indices.
 
-    Seeds come from the smallest sheet gaps on an icosphere; coordinate
-    descent on the squared gap drives each seed to a conical point.
+    Seeds come from the smallest sheet gaps on the vertices of the
+    AXIS_SEARCH_SUBDIV icosphere; coordinate descent on the squared gap
+    drives each seed to a conical point.
     Raises NotBiaxial when the crystal cannot have four isolated axes.
     """
     if not crystal.is_biaxial():
         raise NotBiaxial("optic axis search requires a biaxial crystal")
     gap2 = _gap_squared(crystal)
-    mesh = icosphere(subdivisions)
+    mesh = icosphere(AXIS_SEARCH_SUBDIV)
     vals = gap2(mesh.vertices)
     seeds = mesh.vertices[np.argsort(vals)[:48]]
     found: list[np.ndarray] = []

@@ -1,7 +1,9 @@
 """Multiplicity sets of 2x2 symbol fields over planar charts.
 
 A chart field assigns to every chart point x a coefficient matrix M(x)
-(see sym2.LinearSymbol2).  The multiplicity locus of the field projects to
+with rows (m11, m12), (m21, m22): M maps a covector xi to the traceless
+components (p, q) = M xi of the operator the symbol assigns to xi (see
+sym2 for (t, p, q)).  The multiplicity locus of the field projects to
 the zero set of f = det M, which is extracted here by marching squares
 with edgewise bisection.  On a closed extracted curve the kernel line of
 M turns by an integer number of half turns; that integer classifies the
@@ -22,13 +24,11 @@ from .errors import (
     DegenerateField,
     InputError,
     LiftFailure,
-    OutOfDomain,
     RankZero,
     ZeroOnVertex,
 )
 from .serialize import float_row_lines, join_lines
 from .spheremesh import SurfaceMesh, tangent_frames, transport_pq, unit_rows
-from .sym2 import LinearSymbol2
 
 CONTOUR_REL_TOL = 1e-10
 GRADIENT_FLOOR_REL = 1e-6
@@ -100,9 +100,6 @@ class ChartSymbolField:
             raise InputError(f"a {self.nx} x {self.ny} grid needs about {need / 2**30:.2f} GiB for its "
                              f"det grid, above the {DET_GRID_BYTE_CAP / 2**30:.0f} GiB cap")
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         if "nodes" not in self._cache:
             xs = np.linspace(self.x0, self.x1, self.nx + 1)
@@ -148,19 +145,6 @@ class ChartSymbolField:
     def max_frobenius(self) -> float:
         self.det_grid()
         return math.sqrt(self._cache["max_frob2"])
-
-    def matrix_at(self, x: float, y: float) -> LinearSymbol2:
-        if not self.contains(x, y):
-            raise OutOfDomain(f"({x}, {y}) outside chart rectangle")
-        m11, m12, m21, m22 = self.matrix_fn(np.array([x]), np.array([y]))
-        return LinearSymbol2(float(m11[0]), float(m12[0]), float(m21[0]), float(m22[0]))
-
-
-def det_field(fld: ChartSymbolField, x: float, y: float) -> float:
-    """f(x, y) = det M(x, y); rejects points outside the rectangle."""
-    if not fld.contains(x, y):
-        raise OutOfDomain(f"({x}, {y}) outside chart rectangle")
-    return float(fld.det_at(np.array([x]), np.array([y]))[0])
 
 
 @dataclass
@@ -379,22 +363,12 @@ def _kernel_angles_raw(m11, m12, m21, m22) -> np.ndarray:
     return np.where(ang == math.pi, 0.0, ang)
 
 
-def kernel_angle(fld: ChartSymbolField, x: float, y: float) -> float:
-    """Line angle in [0, pi) spanned by ker M(x, y) (covector side).
-
-    Only meaningful on the singular set; the determinant at the point
-    must already be small.  Raises RankZero when M itself vanishes.
-    """
-    m = fld.matrix_at(x, y)
-    if abs(m.det()) > 1e-6 * max(fld.max_abs_det, 1e-300):
-        raise InputError("kernel angle queried away from the singular set")
-    if m.frobenius() <= 1e-12 * max(fld.max_frobenius, 1e-300):
-        raise RankZero("coefficient matrix vanishes; kernel line undefined")
-    return float(_kernel_angles_raw(np.array(m.m11), np.array(m.m12), np.array(m.m21), np.array(m.m22)))
-
-
 def kernel_angles_along(fld: ChartSymbolField, pts: np.ndarray) -> np.ndarray:
-    """Vectorized kernel line angles at the given (K, 2) points."""
+    """Line angles in [0, pi) spanned by ker M (covector side) at (K, 2) points.
+
+    Only meaningful on the singular set, where det M is already small.
+    Raises RankZero where M itself vanishes.
+    """
     m11, m12, m21, m22 = fld.matrix_fn(pts[:, 0], pts[:, 1])
     frob = np.sqrt(m11**2 + m12**2 + m21**2 + m22**2)
     if np.any(frob <= 1e-12 * max(fld.max_frobenius, 1e-300)):

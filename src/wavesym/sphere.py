@@ -1,12 +1,15 @@
 """Symbol fields on the round 2-sphere built from polynomial data.
 
-The sphere is covered by two conformal charts glued over the twice
-punctured sphere by the coordinate inversion z -> 1/z.  A symbol field
-is specified by a degree <= 2 polynomial v together with three further
-degree <= 2 factors whose product s has degree <= 6; in the first chart
-its complex representative is
+A symbol field is specified by a degree <= 2 polynomial v together with
+three further degree <= 2 factors whose product s has degree <= 6; in the
+stereographic chart z its complex representative is
 
     (u, w)(z) = (lam(|z|) v(z),  lam(|z|)^3 s(z)),   lam(r) = 2 / (1 + r^2).
+
+Those degrees make it a global section: under the inversion z -> 1/z onto
+the second chart it is again of this form, with the polynomials pushed
+forward (the test suite checks that consistency).  So every computation
+here works in the one chart z.
 
 The model family sigma_mn takes v = z^m and s = z^n.  Its multiplicity
 circles |z| = r are the positive roots of (1 + r^2)^2 r^m = 4 r^n, which
@@ -28,14 +31,13 @@ bit for bit with det_at at its nodes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfDomain, OutOfRange
+from .errors import OutOfRange
 from .multiplicity import (
     CONTOUR_REL_TOL,
     ChartSymbolField,
@@ -46,85 +48,13 @@ from .multiplicity import (
     regular_value_check,
     trace_component,
 )
-from .sym2 import SQRT2, ComplexRep, mod_pi, rotate_rep
+from .sym2 import SQRT2
 
 M_RANGE = (0, 2)
 N_RANGE = (0, 6)
 _INV_SQRT2 = 1.0 / SQRT2
-# bracket width at which alpha_root stops bisecting
-ALPHA_ROOT_TOL = 1e-15
 # half width of the central difference transversality_h takes at r = 1
 TRANSVERSALITY_STEP = 1e-6
-
-
-def chart1_point(x: float, y: float) -> np.ndarray:
-    """Chart 1 coordinates -> point on the unit sphere (misses (0,0,1))."""
-    lam = 2.0 / (1.0 + x * x + y * y)
-    return np.array([lam * x, lam * y, 1.0 - lam])
-
-
-def chart2_point(x: float, y: float) -> np.ndarray:
-    """Chart 2 coordinates -> point on the unit sphere (misses (0,0,-1))."""
-    lam = 2.0 / (1.0 + x * x + y * y)
-    return np.array([lam * x, -lam * y, lam - 1.0])
-
-
-def chart1_coord(p: np.ndarray) -> complex:
-    p = np.asarray(p, dtype=float)
-    lam = 1.0 - p[2]
-    if lam <= 1e-15:
-        raise OutOfDomain("chart 1 does not cover (0, 0, 1)")
-    return complex(p[0] / lam, p[1] / lam)
-
-
-def chart2_coord(p: np.ndarray) -> complex:
-    p = np.asarray(p, dtype=float)
-    lam = 1.0 + p[2]
-    if lam <= 1e-15:
-        raise OutOfDomain("chart 2 does not cover (0, 0, -1)")
-    return complex(p[0] / lam, -p[1] / lam)
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Point of the sphere held as (chart, complex coordinate)."""
-
-    chart: int
-    coord: complex
-
-    def __post_init__(self):
-        if self.chart not in (1, 2):
-            raise OutOfRange("chart must be 1 or 2")
-
-    def transition(self) -> "SpherePoint":
-        """Same point in the other chart; undefined at the chart origin
-        (the origin of each chart is the pole the other chart misses)."""
-        if self.coord == 0:
-            raise OutOfDomain("chart origin is not covered by the other chart")
-        return SpherePoint(chart=3 - self.chart, coord=1.0 / self.coord)
-
-    def to_xyz(self) -> np.ndarray:
-        x, y = self.coord.real, self.coord.imag
-        return chart1_point(x, y) if self.chart == 1 else chart2_point(x, y)
-
-    @classmethod
-    def from_xyz(cls, p: np.ndarray) -> "SpherePoint":
-        p = np.asarray(p, dtype=float)
-        if p[2] <= 0.0:
-            return cls(chart=1, coord=chart1_coord(p))
-        return cls(chart=2, coord=chart2_coord(p))
-
-
-def chart_transition_angle(z: complex) -> float:
-    """Angle the chart 2 frame is turned against the chart 1 frame at z.
-
-    The inversion has complex derivative -1/z^2, so frames rotate by
-    pi - 2 arg(z) (equivalently pi + 2 arg(z) modulo 2 pi, which acts the
-    same on representatives because e^{3 i pi} = e^{i pi}).
-    """
-    if z == 0:
-        raise OutOfDomain("transition angle undefined at the chart origin")
-    return math.pi - 2.0 * cmath.phase(z)
 
 
 @dataclass(frozen=True)
@@ -155,10 +85,6 @@ class PolyVF(object):
             return a0
         return acc if a0 == 0 else acc + a0
 
-    def transition(self) -> "PolyVF":
-        """Pushforward under z -> 1/z, again polynomial of degree <= 2."""
-        return PolyVF(-self.a2, -self.a1, -self.a0)
-
     @classmethod
     def monomial(cls, k: int) -> "PolyVF":
         if k not in (0, 1, 2):
@@ -179,24 +105,18 @@ class SphereSymbol:
     v: PolyVF
     factors: tuple[PolyVF, PolyVF, PolyVF]
 
-    def charts(self) -> tuple["_ChartData", "_ChartData"]:
-        c1 = _ChartData(self.v, self.factors)
-        c2 = _ChartData(self.v.transition(), tuple(f.transition() for f in self.factors))
-        return c1, c2
-
-    def rep_grid(self, Z: np.ndarray, chart: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def rep_grid(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Representative (u, w) arrays at complex chart coordinates Z.
 
         Each distinct factor is evaluated once and constant 1 factors are
         skipped.  s is multiplied left to right as s * f, in place only once
         it is an array allocated here (see the module docstring).
         """
-        data = self.charts()[chart - 1]
         lam = 2.0 / (1.0 + (Z.real**2 + Z.imag**2))
-        u = lam * data.v.evaluate(Z)
+        u = lam * self.v.evaluate(Z)
         values = {}
         s, owned = None, False
-        for f in data.factors:
+        for f in self.factors:
             if f == _ONE:
                 continue
             if f not in values:
@@ -214,13 +134,7 @@ class SphereSymbol:
         s *= lam**3
         return u, s
 
-    def rep_at(self, p: SpherePoint) -> ComplexRep:
-        Z = np.array([p.coord])
-        u, w = self.rep_grid(Z, chart=p.chart)
-        return ComplexRep(complex(u[0]), complex(w[0]))
-
-    def chart_field(self, chart: int = 1, halfwidth: float = 2.0,
-                    grid: int = 512) -> ChartSymbolField:
+    def chart_field(self, halfwidth: float = 2.0, grid: int = 512) -> ChartSymbolField:
         """Coefficient matrix field of this symbol on a chart square."""
 
         def matrix_fn(X, Y):
@@ -231,7 +145,7 @@ class SphereSymbol:
             Z = np.empty(np.broadcast_shapes(np.shape(X), np.shape(Y)), dtype=complex)
             Z.real = X
             Z.imag = Y
-            u, w = self.rep_grid(Z, chart=chart)
+            u, w = self.rep_grid(Z)
             ur, ui, wr, wi = u.real, u.imag, w.real, w.imag
             return ((ur + wr) * _INV_SQRT2, (wi - ui) * _INV_SQRT2,
                     (ui + wi) * _INV_SQRT2, (ur - wr) * _INV_SQRT2)
@@ -240,12 +154,6 @@ class SphereSymbol:
             x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth,
             nx=grid, ny=grid, matrix_fn=matrix_fn,
         )
-
-
-@dataclass(frozen=True)
-class _ChartData:
-    v: PolyVF
-    factors: tuple[PolyVF, PolyVF, PolyVF]
 
 
 def _validate_mn(m: int, n: int) -> None:
@@ -268,26 +176,6 @@ def sigma_mn(m: int, n: int) -> SphereSymbol:
         degs.append(d)
         left -= d
     return SphereSymbol(v=PolyVF.monomial(m), factors=tuple(PolyVF.monomial(d) for d in degs))
-
-
-def rep_consistency_gap(sym: SphereSymbol, p: SpherePoint) -> float:
-    """Norm gap between the two chart evaluations after frame alignment.
-
-    Zero (to rounding) for every well formed symbol; used to confirm
-    chart independence numerically.
-    """
-    q = p.transition()
-    rep_here = sym.rep_at(p)
-    rep_there = sym.rep_at(q)
-    z = p.coord if p.chart == 1 else q.coord
-    delta = chart_transition_angle(z)
-    if p.chart == 1:
-        aligned = rotate_rep(rep_here, delta)
-        other = rep_there
-    else:
-        aligned = rotate_rep(rep_there, delta)
-        other = rep_here
-    return math.hypot(abs(aligned.u - other.u), abs(aligned.w - other.w))
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +247,6 @@ def z_set(m: int, n: int, tol: float = 1e-13) -> ZSet:
     )
 
 
-def alpha_root() -> float:
-    """Unique real root of r^3 + r^2 + 3 r - 1, the small radius of the
-    n - m = 1 multiplicity set (its reciprocal shows up for n - m = 3)."""
-    lo, hi = 0.0, 1.0
-
-    def c(r: float) -> float:
-        return ((r + 1.0) * r + 3.0) * r - 1.0
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ALPHA_ROOT_TOL:
-            break
-        if c(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 class TransversalityReport(NamedTuple):
     analytic_slope: float
     numeric_slope: float
@@ -396,11 +265,6 @@ def transversality_h(m: int, n: int) -> TransversalityReport:
         numeric_slope=float(numeric),
         transversal=(n - m != 2),
     )
-
-
-def predicted_kernel_angle(m: int, n: int, theta: float) -> float:
-    """Kernel line angle on the multiplicity circle at base angle theta."""
-    return mod_pi(0.5 * (n - m) * theta + math.pi / 2.0)
 
 
 class CurveTrace(NamedTuple):
@@ -429,7 +293,7 @@ def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR
     zs = z_set(m, n, tol=tol_root)
     tv = transversality_h(m, n)
     halfwidth = max(2.0, 1.3 * max(zs.radii))
-    fld = sigma_mn(m, n).chart_field(chart=1, halfwidth=halfwidth, grid=grid)
+    fld = sigma_mn(m, n).chart_field(halfwidth=halfwidth, grid=grid)
     rows = []
     for c in extract_singular_set(fld, rel_tol=tol_contour):
         cert = regular_value_check(fld, c)

@@ -12,17 +12,26 @@ the full-quadratic sphere representative is the kernel that the
 fixed-order one replaced, the per-value CSV and OBJ writers are the ones
 that the row and block formatters replaced, and the np.cross tangent
 frames are the ones that the written-out cross product replaced.
+
+The closed-form optic axes, the alpha root by bisection, the predicted
+kernel angle on the unit circle, the (u, w) unpacking that divides by
+sqrt(2), and the chart 2 consistency check (the pushforward of a
+polynomial under z -> 1/z, the frame turn of the inversion and the
+rotation action on (u, w)) are references that tests compare the live
+pipelines against; the library itself works in chart 1 only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from wavesym.eigenline import _tie_break_jitter
-from wavesym.errors import GluingMismatch, InputError, NotClosed, ZeroOnVertex
+from wavesym.errors import GluingMismatch, InputError, NotBiaxial, NotClosed, ZeroOnVertex
 from wavesym.serialize import _g17, fmt_float
+from wavesym.sphere import PolyVF, SphereSymbol
 from wavesym.spheremesh import rotate_pq, tangent_frames
 from wavesym.sym2 import SQRT2
 
@@ -54,12 +63,21 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def maxwell_det(crystal_inv_eps: np.ndarray, xi: np.ndarray, tau: float) -> float:
-    """det(tau I + sigma(xi)) for the 6x6 Maxwell symbol, via LU."""
+def maxwell_symbol(crystal_inv_eps: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The 6x6 Maxwell symbol [[0, K], [-K eps^{-1}, 0]], K = cross(xi, .).
+
+    On a field pair (E, B) it gives (xi x B, -xi x (eps^{-1} E)); its
+    characteristic roots are 0 (twice) and +-sqrt(lambda_i(xi)) |xi| for
+    the two compressed eigenvalues lambda_i.
+    """
     x, y, z = xi
     K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    sig = np.block([[np.zeros((3, 3)), K], [-K @ crystal_inv_eps, np.zeros((3, 3))]])
-    return float(np.linalg.det(tau * np.eye(6) + sig))
+    return np.block([[np.zeros((3, 3)), K], [-K @ crystal_inv_eps, np.zeros((3, 3))]])
+
+
+def maxwell_det(crystal_inv_eps: np.ndarray, xi: np.ndarray, tau: float) -> float:
+    """det(tau I + sigma(xi)) for the 6x6 Maxwell symbol, via LU."""
+    return float(np.linalg.det(tau * np.eye(6) + maxwell_symbol(crystal_inv_eps, xi)))
 
 
 def maxwell_root_residual(crystal_inv_eps: np.ndarray, xi: np.ndarray, tau: float,
@@ -186,6 +204,48 @@ def half_trace_sphere_gradient(inv_eps: np.ndarray, x: np.ndarray) -> np.ndarray
     """Analytic tangential gradient of s_r(x) = (tr eps^{-1} - <eps^{-1}x, x>)/2."""
     ex = inv_eps @ x
     return -(ex - float(ex @ x) * x)
+
+
+def optic_axes_closed_form(crystal) -> np.ndarray:
+    """The four conical directions of a biaxial crystal.
+
+    With inverse permittivities a1 > a2 > a3 the axes live in the plane
+    of the extreme principal directions, at angle beta from the small
+    axis with cos^2 beta = (a2 - a3) / (a1 - a3).
+    """
+    if not crystal.is_biaxial():
+        raise NotBiaxial("conical directions require three distinct permittivities")
+    a = np.array([1.0 / e for e in crystal.eps])
+    order = np.argsort(-a)
+    ah, am, al = a[order]
+    c2 = (am - al) / (ah - al)
+    c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
+    e_high = np.eye(3)[order[0]]
+    e_low = np.eye(3)[order[2]]
+    axes = []
+    for sg_s in (1.0, -1.0):
+        for sg_c in (1.0, -1.0):
+            axes.append(sg_s * s * e_high + sg_c * c * e_low)
+    return np.array(sorted(axes, key=lambda d: (round(d[0], 12), round(d[1], 12), round(d[2], 12))))
+
+
+def alpha_root() -> float:
+    """Unique real root of r^3 + r^2 + 3 r - 1 by bisection to a 1e-15
+    bracket: the small radius of the n - m = 1 multiplicity set (its
+    reciprocal shows up for n - m = 3)."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if ((mid + 1.0) * mid + 3.0) * mid - 1.0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def predicted_kernel_angle(m: int, n: int, theta: float) -> float:
+    """Kernel line angle in [0, pi) of sigma_mn on the unit circle at base angle theta."""
+    return (0.5 * (n - m) * theta + math.pi / 2.0) % math.pi
 
 
 # frozen reference values, computed by 200-step decimal bisection of the
@@ -441,6 +501,58 @@ def refine_on_sphere(f, x0: np.ndarray, minimize: bool = True,
 
 
 # ---------------------------------------------------------------------------
+# the (u, w) unpacking and the chart 2 consistency check.  Chart 2 has
+# coordinate 1/z; its representative of a symbol is the chart 1 formula
+# applied to the pushed-forward polynomials, and it agrees with the chart 1
+# representative once the inversion's frame turn acts on (u, w).
+
+
+def rep_to_matrix(u, w) -> np.ndarray:
+    """Coefficient matrix of (u, w), elementwise over arrays: column 1 (the
+    xi1 slot) is p + i q = (u + w)/sqrt(2), column 2 is r + i s =
+    i (u - w)/sqrt(2)."""
+    pq = (u + w) / SQRT2
+    rs = 1j * (u - w) / SQRT2
+    return np.array([[pq.real, rs.real], [pq.imag, rs.imag]])
+
+
+def rotate_rep(u: complex, w: complex, theta: float) -> tuple[complex, complex]:
+    """Rotation action on the complex pair: (u, w) -> (e^{i theta} u, e^{3 i theta} w)."""
+    return (complex(math.cos(theta), math.sin(theta)) * u,
+            complex(math.cos(3.0 * theta), math.sin(3.0 * theta)) * w)
+
+
+def transition(f: PolyVF) -> PolyVF:
+    """Pushforward of a polynomial vector field under z -> 1/z, again of degree <= 2."""
+    return PolyVF(-f.a2, -f.a1, -f.a0)
+
+
+def chart2_symbol(sym: SphereSymbol) -> SphereSymbol:
+    """The symbol whose chart 1 formula gives sym's chart 2 representative."""
+    return SphereSymbol(v=transition(sym.v), factors=tuple(transition(f) for f in sym.factors))
+
+
+def chart_transition_angle(z: complex) -> float:
+    """Angle the chart 2 frame is turned against the chart 1 frame at z != 0.
+
+    The inversion has complex derivative -1/z^2, so frames rotate by
+    pi - 2 arg(z) (equivalently pi + 2 arg(z) modulo 2 pi, which acts the
+    same on representatives because e^{3 i pi} = e^{i pi}).
+    """
+    return math.pi - 2.0 * cmath.phase(z)
+
+
+def rep_consistency_gap(sym: SphereSymbol, z: complex) -> float:
+    """Gap between the live chart 1 representative at z and the chart 2
+    one at 1/z (full-quadratic kernel) once frames align; zero to
+    rounding for every well formed symbol."""
+    u1, w1 = (complex(a[0]) for a in sym.rep_grid(np.array([z])))
+    u2, w2 = (complex(a[0]) for a in rep_grid_full(chart2_symbol(sym), np.array([1.0 / z])))
+    u, w = rotate_rep(u1, w1, chart_transition_angle(z))
+    return math.hypot(abs(u - u2), abs(w - w2))
+
+
+# ---------------------------------------------------------------------------
 # the whole-grid determinant that the banded det_grid replaced
 
 
@@ -464,22 +576,19 @@ def _horner_full(f, z):
     return (f.a2 * z + f.a1) * z + f.a0
 
 
-def rep_grid_full(sym, Z: np.ndarray, chart: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    data = sym.charts()[chart - 1]
+def rep_grid_full(sym, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam = 2.0 / (1.0 + (Z.real**2 + Z.imag**2))
-    u = lam * _horner_full(data.v, Z)
+    u = lam * _horner_full(sym.v, Z)
     s = np.ones_like(Z)
-    for f in data.factors:
+    for f in sym.factors:
         s = s * _horner_full(f, Z)
     return u, lam**3 * s
 
 
-def matrix_fn_full(sym, chart: int = 1):
+def matrix_fn_full(sym):
     def matrix_fn(X, Y):
-        u, w = rep_grid_full(sym, X + 1j * Y, chart=chart)
-        pq = (u + w) / SQRT2
-        rs = 1j * (u - w) / SQRT2
-        return pq.real, rs.real, pq.imag, rs.imag
+        (m11, m12), (m21, m22) = rep_to_matrix(*rep_grid_full(sym, X + 1j * Y))
+        return m11, m12, m21, m22
 
     return matrix_fn
 

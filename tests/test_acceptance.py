@@ -18,12 +18,12 @@ import pytest
 import wavesym
 from wavesym.errors import NotBiaxial
 from wavesym.eigenline import build_eigenline_manifold
-from wavesym.fresnel import Crystal, compressed_grid, fresnel_sample, singular_directions
+from wavesym.fresnel import Crystal, compressed_grid, sheet_speeds, singular_directions
 from wavesym.multiplicity import extract_singular_set, trace_component
-from wavesym.sphere import alpha_root, analyze_mn, sigma_mn, transversality_h, z_set
+from wavesym.sphere import analyze_mn, sigma_mn, transversality_h, z_set
 from wavesym.sym2 import eigenvalues_grid
 
-from .oracles import maxwell_root_residuals
+from .oracles import alpha_root, maxwell_root_residuals
 
 ALL_MN = [(m, n) for m in range(3) for n in range(7)]
 
@@ -166,7 +166,7 @@ def test_criterion_05_unit_circle_winding():
     for m, n in ALL_MN:
         if n - m == 2:
             continue
-        fld = sigma_mn(m, n).chart_field(chart=1, halfwidth=2.0, grid=512)
+        fld = sigma_mn(m, n).chart_field(halfwidth=2.0, grid=512)
         curves = extract_singular_set(fld)
         assert curves, (m, n)
         radii = [float(np.hypot(c.polyline[:, 0], c.polyline[:, 1]).mean()) for c in curves]
@@ -199,7 +199,7 @@ def test_criterion_07_characteristic_equation():
     rng = np.random.default_rng(707)
     xis = rng.standard_normal((1000, 3))
     xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-    roots = np.sqrt([[s.lam1, s.lam2] for s in (fresnel_sample(crystal, xi) for xi in xis)])
+    roots = np.column_stack(sheet_speeds(crystal, xis))
     taus = np.stack([roots[:, 0], -roots[:, 0], roots[:, 1], -roots[:, 1]], axis=1).ravel()
     res = maxwell_root_residuals(inv_eps, np.repeat(xis, 4, axis=0), taus)
     assert float(res.max()) <= 1e-9

@@ -5,6 +5,8 @@ import pytest
 
 from wavesym import cli, fresnel
 from wavesym.errors import GluingMismatch
+from wavesym.multiplicity import knot_polyline
+from wavesym.serialize import canonical_json, fmt_float
 
 from .oracles import ALPHA
 
@@ -98,6 +100,23 @@ def test_fresnel_builds_one_sheet_mesh(tmp_path, monkeypatch):
     assert calls == {"icosphere": 2, "sheet_speeds": 1}
 
 
+def test_axis_search_ignores_subdiv(capsys):
+    # both crystal commands search one fixed mesh for the optic axes, so
+    # fresnel reports the same axes at every --subdiv and eigenline glues
+    # its cylinders around them
+    reported = set()
+    for k in (2, 3, 4, 5):
+        code, out, _ = run(capsys, "fresnel", "--subdiv", str(k))
+        assert code == 0
+        reported.add(canonical_json(json.loads(out)["singular_directions"]))
+    assert len(reported) == 1
+    axes = np.array([a["x"] for a in json.loads(reported.pop())])
+    code, out, _ = run(capsys, "eigenline", "--subdiv", "3")
+    assert code == 0
+    points = np.array([c["point"] for c in json.loads(out)["necessary_condition"]])
+    assert np.allclose(points, axes, rtol=0.0, atol=1e-15)
+
+
 def test_eigenline_with_obj(tmp_path, capsys):
     obj_path = tmp_path / "manifold.obj"
     code, out, _ = run(capsys, "eigenline", "--subdiv", "3",
@@ -112,6 +131,14 @@ def test_eigenline_with_obj(tmp_path, capsys):
         assert group in text
 
 
+def knot_csv_per_value(winding, samples):
+    """The knots CSV text written one fmt_float value at a time."""
+    lines = ["component_id,base_angle,fiber_angle"]
+    for cid, comp in enumerate(knot_polyline(winding, samples=samples)):
+        lines += [f"{cid},{fmt_float(base)},{fmt_float(fiber)}" for base, fiber in comp]
+    return "\n".join(lines) + "\n"
+
+
 def test_knots_with_csv(tmp_path, capsys):
     csv_path = tmp_path / "knot.csv"
     code, out, _ = run(capsys, "knots", "--winding", "3",
@@ -123,6 +150,7 @@ def test_knots_with_csv(tmp_path, capsys):
     assert lines[0] == "component_id,base_angle,fiber_angle"
     assert len(lines) == 1 + 64          # one component, 2 * samples rows
     assert all(line.startswith("0,") for line in lines[1:])
+    assert csv_path.read_text() == knot_csv_per_value(3, 32)
 
 
 def test_knots_even_winding_two_components(tmp_path, capsys):
@@ -133,6 +161,7 @@ def test_knots_even_winding_two_components(tmp_path, capsys):
     assert json.loads(out)["connected"] is False
     lines = csv_path.read_text().strip().split("\n")[1:]
     assert {line.split(",")[0] for line in lines} == {"0", "1"}
+    assert csv_path.read_text() == knot_csv_per_value(2, 16)
 
 
 def test_reruns_byte_identical(capsys):

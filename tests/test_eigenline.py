@@ -80,7 +80,7 @@ def test_no_points_give_disjoint_spheres():
     assert connected_components(m.mesh) == 2
     with pytest.raises(NotConnected):
         m.genus
-    rep = eigenline_report(m)
+    rep = eigenline_report(m, crystal_section(BIAXIAL))
     assert rep["genus"] is None
     assert rep["components"] == 2
 
@@ -213,7 +213,7 @@ def test_sheet_extrema_frozen_values():
     sec = crystal_section(c)
     m = build_eigenline_manifold(sec, crystal_axes(c),
                                  tube_radius=0.1, collar=0.5, subdivisions=4)
-    ex = critical_scan(m, section_fn=sec)["sheet_extrema"]
+    ex = eigenline_report(m, sec)["sheet_extrema"]
     assert ex["sheet1"]["min"] == pytest.approx(0.25, abs=1e-12)
     assert ex["sheet1"]["max"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert ex["sheet2"]["min"] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -235,7 +235,7 @@ def test_sheet_extrema_are_global_dense_grid():
 
 def test_report_schema(man):
     sec = crystal_section(BIAXIAL)
-    rep = eigenline_report(man, section_fn=sec)
+    rep = eigenline_report(man, sec)
     assert rep["chi"] == -4
     assert rep["genus"] == 3
     assert rep["cylinders"] == 4
@@ -250,12 +250,6 @@ def test_report_schema(man):
         assert "classification deferred" in entry["status"]
         assert abs(abs(entry["lift_total"]) - math.pi) <= LIFT_TOTAL_TOL * math.pi
     assert set(rep["sheet_extrema"]) == {"sheet1", "sheet2"}
-
-
-def test_report_without_section_omits_refined_blocks(man):
-    rep = eigenline_report(man)
-    assert "necessary_condition" not in rep
-    assert "sheet_extrema" not in rep
 
 
 # --- validation -----------------------------------------------------------------------

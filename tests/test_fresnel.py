@@ -2,25 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wavesym.errors import InputError, NotBiaxial
 from wavesym.fresnel import (
     Crystal,
-    FresnelSample,
     compressed_grid,
-    compressed_operator,
     fresnel_mesh,
     fresnel_report,
-    fresnel_sample,
-    maxwell_apply,
-    maxwell_matrix,
-    optic_axes_closed_form,
     sheet_speeds,
     singular_directions,
 )
 from wavesym.spheremesh import icosphere, min_separation
+from wavesym.sym2 import eigenvalues_grid
 
 from .oracles import (
     AXIS_COS_BETA,
@@ -28,6 +21,8 @@ from .oracles import (
     AXIS_SIN_BETA,
     fibonacci_sphere,
     maxwell_root_residual,
+    maxwell_symbol,
+    optic_axes_closed_form,
     sheet_values_brute,
 )
 
@@ -36,12 +31,6 @@ E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 BIAXIAL = Crystal(eps=(2.0, 2.5, 3.0))
-
-unit3 = st.tuples(
-    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
-).map(np.array).filter(lambda v: np.linalg.norm(v) > 1e-2).map(
-    lambda v: v / np.linalg.norm(v))
-
 
 # --- crystal ------------------------------------------------------------------
 
@@ -59,9 +48,6 @@ def test_biaxial_detection():
     assert not Crystal(eps=(2.0, 2.0, 2.0)).is_biaxial()
 
 
-# --- full symbol ---------------------------------------------------------------
-
-
 def test_inv_eps_is_computed_once_and_read_only():
     crystal = Crystal(eps=(2.0, 2.5, 4.0))
     ie = crystal.inv_eps
@@ -69,6 +55,14 @@ def test_inv_eps_is_computed_once_and_read_only():
     assert ie.tobytes() == np.diag([0.5, 0.4, 0.25]).tobytes()
     with pytest.raises(ValueError):
         ie[0, 0] = 1.0
+
+
+# --- the 6x6 symbol that the characteristic-equation checks use -----------------
+
+
+def maxwell_apply(crystal, xi, E, B):
+    out = maxwell_symbol(crystal.inv_eps, xi) @ np.concatenate([E, B])
+    return out[:3], out[3:]
 
 
 def test_apply_cross_only():
@@ -91,14 +85,13 @@ def test_apply_kernel_direction():
 
 
 def test_matrix_agrees_with_apply():
+    # the symbol acts as (E, B) -> (xi x B, -xi x (eps^{-1} E))
     rng = np.random.default_rng(3)
     for _ in range(20):
         xi, E, B = rng.standard_normal((3, 3))
-        M = maxwell_matrix(BIAXIAL, xi)
-        out = M @ np.concatenate([E, B])
         ae, ab = maxwell_apply(BIAXIAL, xi, E, B)
-        assert np.allclose(out[:3], ae, atol=1e-14)
-        assert np.allclose(out[3:], ab, atol=1e-14)
+        assert np.allclose(ae, np.cross(xi, B), atol=1e-14)
+        assert np.allclose(ab, -np.cross(xi, BIAXIAL.inv_eps @ E), atol=1e-14)
 
 
 # --- compression ----------------------------------------------------------------
@@ -106,25 +99,15 @@ def test_matrix_agrees_with_apply():
 
 def test_compressed_isotropic():
     iso = Crystal(eps=(1.0, 1.0, 1.0))
-    s = compressed_operator(iso, E3)
-    assert s.t == pytest.approx(2.0, abs=1e-15)
-    assert math.hypot(s.p, s.q) <= 1e-15
+    t, p, q = compressed_grid(iso, E3[None, :])
+    assert t[0] == pytest.approx(2.0, abs=1e-15)
+    assert math.hypot(p[0], q[0]) <= 1e-15
 
 
 def test_compressed_axis_eigenvalues():
-    from wavesym.sym2 import eigenvalues
-    s = compressed_operator(Crystal(eps=(2.0, 3.0, 4.0)), E3)
-    lo, hi = eigenvalues(s)
-    assert lo == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert hi == pytest.approx(1.0 / 2.0, abs=1e-15)
-
-
-def test_compressed_scales_with_norm_squared():
-    s1 = compressed_operator(BIAXIAL, E3)
-    s2 = compressed_operator(BIAXIAL, 2.0 * E3)
-    assert s2.t == pytest.approx(4.0 * s1.t, rel=1e-14)
-    with pytest.raises(InputError):
-        compressed_operator(BIAXIAL, np.zeros(3))
+    lo, hi = eigenvalues_grid(*compressed_grid(Crystal(eps=(2.0, 3.0, 4.0)), E3[None, :]))
+    assert lo[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert hi[0] == pytest.approx(1.0 / 2.0, abs=1e-15)
 
 
 def test_compressed_frame_independent():
@@ -146,19 +129,16 @@ def test_compressed_frame_independent():
 def test_sample_isotropic_doubles_sphere():
     iso = Crystal(eps=(1.0, 1.0, 1.0))
     xi = np.array([0.6, 0.0, 0.8])
-    s = fresnel_sample(iso, xi)
-    assert isinstance(s, FresnelSample)
-    assert np.allclose(s.points[0], xi, atol=1e-14)
-    assert np.allclose(s.points[1], xi, atol=1e-14)
+    v1, v2 = sheet_speeds(iso, xi[None, :])
+    assert np.allclose(v1[0] * xi, xi, atol=1e-14)
+    assert np.allclose(v2[0] * xi, xi, atol=1e-14)
 
 
 def test_sample_axis_radii():
-    s = fresnel_sample(Crystal(eps=(2.0, 3.0, 4.0)), E3)
-    assert np.linalg.norm(s.points[0]) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
-    assert np.linalg.norm(s.points[1]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-14)
-    assert s.lam1 <= s.lam2
-    with pytest.raises(InputError):
-        fresnel_sample(BIAXIAL, np.zeros(3))
+    v1, v2 = sheet_speeds(Crystal(eps=(2.0, 3.0, 4.0)), E3[None, :])
+    assert v1[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
+    assert v2[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-14)
+    assert v1[0] <= v2[0]
 
 
 def test_sample_speeds_solve_full_characteristic_equation():
@@ -169,10 +149,9 @@ def test_sample_speeds_solve_full_characteristic_equation():
     for _ in range(24):
         xi = rng.standard_normal(3)
         xi /= np.linalg.norm(xi)
-        s = fresnel_sample(BIAXIAL, xi)
-        for lam in (s.lam1, s.lam2):
+        for speed in sheet_speeds(BIAXIAL, xi[None, :]):
             for sign in (1.0, -1.0):
-                tau = sign * math.sqrt(lam)
+                tau = sign * float(speed[0])
                 assert maxwell_root_residual(inv_eps, xi, tau) <= 1e-9
 
 
@@ -314,7 +293,7 @@ def test_gap_shrinks_toward_isotropy():
 
 
 def test_report_shape():
-    rep = fresnel_report(BIAXIAL, singular_directions(BIAXIAL, subdivisions=3),
+    rep = fresnel_report(BIAXIAL, singular_directions(BIAXIAL),
                          fresnel_mesh(BIAXIAL, subdivisions=3)[2])
     assert rep["epsilon"] == [2.0, 2.5, 3.0]
     assert len(rep["singular_directions"]) == 4

@@ -10,11 +10,10 @@ from wavesym.errors import (
     DegenerateField,
     InputError,
     LiftFailure,
-    OutOfDomain,
     RankZero,
     ZeroOnVertex,
 )
-from wavesym.fresnel import Crystal, optic_axes_closed_form
+from wavesym.fresnel import Crystal
 from wavesym.multiplicity import (
     DET_BAND_ROWS,
     DET_GRID_BYTE_CAP,
@@ -22,10 +21,8 @@ from wavesym.multiplicity import (
     MultiplicityComponent,
     SingularCurve,
     _face_boundary_samples,
-    det_field,
     det_grid_peak_bytes,
     extract_singular_set,
-    kernel_angle,
     kernel_angles_along,
     knot_polyline,
     knot_type,
@@ -40,7 +37,7 @@ from wavesym.multiplicity import (
 from wavesym.spheremesh import icosphere, transport_pq
 from wavesym.sphere import sigma_mn
 
-from .oracles import det_grid_whole, fibonacci_sphere, polylines_csv_per_value
+from .oracles import det_grid_whole, fibonacci_sphere, optic_axes_closed_form, polylines_csv_per_value
 
 
 def square_field(matrix_fn, halfwidth=2.0, grid=256):
@@ -61,32 +58,31 @@ def radial_h(m, n, r):
     return (lam * r**m) ** 2 - (lam**3 * r**n) ** 2
 
 
-# --- det_field ---------------------------------------------------------------
+# --- det_at ------------------------------------------------------------------
+
+
+def det_at(fld, x, y):
+    """det M at one chart point, as a float."""
+    return float(fld.det_at(np.array([x]), np.array([y]))[0])
 
 
 def test_det_identity_field():
     fld = square_field(constant_identity)
-    assert det_field(fld, 0.3, -1.2) == 1.0
+    assert det_at(fld, 0.3, -1.2) == 1.0
 
 
 def test_det_equal_rows_is_zero():
     def equal_rows(X, Y):
         return X, Y, X, Y
     fld = square_field(equal_rows)
-    assert det_field(fld, 0.5, 0.7) == 0.0
-
-
-def test_det_out_of_domain():
-    fld = square_field(constant_identity)
-    with pytest.raises(OutOfDomain):
-        det_field(fld, 5.0, 0.0)
+    assert det_at(fld, 0.5, 0.7) == 0.0
 
 
 def test_det_sigma06_profile():
     # oracle: h(r)/2 with h the radial determinant profile
-    fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=64)
-    on = det_field(fld, 1.0, 0.0)
-    off = det_field(fld, 0.5, 0.0)
+    fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=64)
+    on = det_at(fld, 1.0, 0.0)
+    off = det_at(fld, 0.5, 0.0)
     assert abs(on) <= 1e-14
     assert abs(off - 0.5 * radial_h(0, 6, 0.5)) <= 1e-12
     assert abs(off) > 0.1
@@ -96,7 +92,7 @@ def test_det_sigma06_profile():
 
 
 def test_extract_sigma06_single_circle():
-    fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=256)
+    fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=256)
     curves = extract_singular_set(fld)
     assert len(curves) == 1
     c = curves[0]
@@ -107,7 +103,7 @@ def test_extract_sigma06_single_circle():
 
 
 def test_extract_sigma01_two_circles():
-    fld = sigma_mn(0, 1).chart_field(chart=1, halfwidth=2.0, grid=256)
+    fld = sigma_mn(0, 1).chart_field(halfwidth=2.0, grid=256)
     curves = extract_singular_set(fld)
     assert len(curves) == 2
     # descending length: unit circle first, alpha circle second
@@ -170,7 +166,7 @@ def test_extract_saddle_pairs_branches_by_center_sign(fx, fy, joins_southeast):
 
 
 def test_residuals_below_tolerance():
-    fld = sigma_mn(0, 3).chart_field(chart=1, halfwidth=2.0, grid=128)
+    fld = sigma_mn(0, 3).chart_field(halfwidth=2.0, grid=128)
     for c in extract_singular_set(fld):
         assert float(c.residuals.max()) <= 1e-10 * fld.max_abs_det
 
@@ -179,7 +175,7 @@ def test_refinement_keeps_vertices_on_curve():
     """Bisection pins vertices to the zero set, so doubling the grid moves
     them by far less than the O(h^2) interpolation bound."""
     for grid in (128, 256):
-        fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=grid)
+        fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=grid)
         c = extract_singular_set(fld)[0]
         radii = np.hypot(c.polyline[:, 0], c.polyline[:, 1])
         h = 4.0 / grid
@@ -187,7 +183,7 @@ def test_refinement_keeps_vertices_on_curve():
 
 
 def test_closed_curves_counterclockwise():
-    fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=128)
+    fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=128)
     c = extract_singular_set(fld)[0]
     x, y = c.polyline[:-1, 0], c.polyline[:-1, 1]
     area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -198,7 +194,7 @@ def test_closed_curves_counterclockwise():
 
 
 def test_regular_sigma06():
-    fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=128)
+    fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=128)
     c = extract_singular_set(fld)[0]
     assert regular_value_check(fld, c).transversal is True
 
@@ -206,13 +202,13 @@ def test_regular_sigma06():
 def test_degenerate_sigma02_invisible_to_sign_marching():
     # n - m = 2: det has a tangential double zero on |z| = 1, no sign
     # change, so the contour extractor finds nothing
-    fld = sigma_mn(0, 2).chart_field(chart=1, halfwidth=2.0, grid=256)
+    fld = sigma_mn(0, 2).chart_field(halfwidth=2.0, grid=256)
     assert extract_singular_set(fld) == []
 
 
 def test_degenerate_sigma02_fails_certificate():
     # hand the checker the true zero circle: gradient vanishes on it
-    fld = sigma_mn(0, 2).chart_field(chart=1, halfwidth=2.0, grid=64)
+    fld = sigma_mn(0, 2).chart_field(halfwidth=2.0, grid=64)
     th = np.linspace(0.0, 2.0 * math.pi, 257)
     ring = np.column_stack([np.cos(th), np.sin(th)])
     from wavesym.multiplicity import SingularCurve
@@ -239,6 +235,11 @@ def test_linear_field_gradient_exact():
 # --- kernel angles -----------------------------------------------------------
 
 
+def kernel_angle(fld, x, y):
+    """kernel_angles_along at one chart point, as a float."""
+    return float(kernel_angles_along(fld, np.array([[x, y]]))[0])
+
+
 def test_kernel_angle_row_kill():
     def fld_fn(X, Y):
         one = np.ones_like(X)
@@ -259,31 +260,24 @@ def test_kernel_angle_column():
 
 def test_kernel_angle_nullvector_residual():
     # certified by ||M xi|| <= 1e-8 ||M||
-    fld = sigma_mn(1, 4).chart_field(chart=1, halfwidth=2.0, grid=64)
+    fld = sigma_mn(1, 4).chart_field(halfwidth=2.0, grid=64)
     for theta in np.linspace(0.0, 2.0 * math.pi, 17):
         x, y = math.cos(theta), math.sin(theta)
         ang = kernel_angle(fld, x, y)
-        sym = fld.matrix_at(x, y)
+        M = np.array(fld.matrix_fn(np.array([x]), np.array([y]))).reshape(2, 2)
         xi = np.array([math.cos(ang), math.sin(ang)])
-        M = sym.matrix()
         assert np.linalg.norm(M @ xi) <= 1e-8 * np.linalg.norm(M)
 
 
 def test_kernel_angle_sigma_formula():
     # closed form on the unit circle: 1/2 (n-m) theta + pi/2 mod pi
     for (m, n) in ((0, 6), (1, 4), (0, 1)):
-        fld = sigma_mn(m, n).chart_field(chart=1, halfwidth=2.0, grid=64)
+        fld = sigma_mn(m, n).chart_field(halfwidth=2.0, grid=64)
         for theta in (0.1, 0.9, 2.4, 4.0):
             got = kernel_angle(fld, math.cos(theta), math.sin(theta))
             want = (0.5 * (n - m) * theta + math.pi / 2.0) % math.pi
             delta = abs(got - want) % math.pi
             assert min(delta, math.pi - delta) <= 1e-8
-
-
-def test_kernel_angle_rejects_invertible_point():
-    fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=64)
-    with pytest.raises(InputError):
-        kernel_angle(fld, 0.5, 0.0)
 
 
 def test_kernel_angle_rank_zero():
@@ -337,7 +331,7 @@ def test_vector_lift_matches_loop_turns(k):
 
 
 def test_winding_sigma06_is_six():
-    fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=256)
+    fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=256)
     c = extract_singular_set(fld)[0]
     comp = trace_component(fld, c)
     assert comp.winding == 6
@@ -346,7 +340,7 @@ def test_winding_sigma06_is_six():
 
 
 def test_winding_sigma14_is_three():
-    fld = sigma_mn(1, 4).chart_field(chart=1, halfwidth=2.0, grid=256)
+    fld = sigma_mn(1, 4).chart_field(halfwidth=2.0, grid=256)
     curves = extract_singular_set(fld)
     comp = trace_component(fld, curves[0])
     assert comp.winding == 3
@@ -368,14 +362,14 @@ def test_winding_constant_kernel():
 
 def test_winding_stable_under_grid_refinement():
     for grid in (128, 256, 512):
-        fld = sigma_mn(0, 3).chart_field(chart=1, halfwidth=2.0, grid=grid)
+        fld = sigma_mn(0, 3).chart_field(halfwidth=2.0, grid=grid)
         curves = extract_singular_set(fld)
         comp = trace_component(fld, curves[0])
         assert comp.winding == 3
 
 
 def test_winding_negates_under_reversal():
-    fld = sigma_mn(0, 3).chart_field(chart=1, halfwidth=2.0, grid=256)
+    fld = sigma_mn(0, 3).chart_field(halfwidth=2.0, grid=256)
     c = extract_singular_set(fld)[0]
     comp = trace_component(fld, c)
     rev = type(c)(polyline=c.polyline[::-1].copy(), closed=True,
@@ -385,7 +379,7 @@ def test_winding_negates_under_reversal():
 
 
 def test_component_lift_steps_bounded():
-    fld = sigma_mn(0, 6).chart_field(chart=1, halfwidth=2.0, grid=256)
+    fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=256)
     comp = trace_component(fld, extract_singular_set(fld)[0])
     steps = np.abs(np.diff(comp.kernel_angles))
     assert float(steps.max()) < math.pi / 2.0
@@ -418,7 +412,7 @@ def test_knot_polyline_rejects_tiny_sample_count():
 
 
 def test_polylines_csv_shape():
-    fld = sigma_mn(0, 1).chart_field(chart=1, halfwidth=2.0, grid=128)
+    fld = sigma_mn(0, 1).chart_field(halfwidth=2.0, grid=128)
     comps = [trace_component(fld, c) for c in extract_singular_set(fld)]
     text = polylines_csv(comps)
     lines = text.strip().split("\n")
