@@ -1,11 +1,12 @@
 """Numerical topology of first-order hyperbolic symbols on surfaces.
 
-Subpackages by theme: sym2 (the (t, p, q) and (u, w) conventions and the
-closed-form eigenvalues), multiplicity (planar contour extraction,
-kernel-line winding, signed zero counts), sphere (polynomial symbol
-fields on the round sphere and the sigma_mn family), fresnel (biaxial
-crystal optics), eigenline (the glued two-sheet eigenline surface),
-serialize and cli (deterministic artifacts).
+Subpackages by theme: sym2 (the (t, p, q) and (u, w) conventions, the
+closed-form eigenvalues, det, norm and kernel line), multiplicity
+(planar contour extraction, kernel-line winding, signed zero counts),
+sphere (polynomial symbol fields on the round sphere and the sigma_mn
+family), fresnel (biaxial crystal optics), eigenline (the glued
+two-sheet eigenline surface), serialize and cli (deterministic
+artifacts).
 """
 
 from .errors import (

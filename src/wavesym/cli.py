@@ -20,11 +20,11 @@ import numpy as np
 from .eigenline import build_eigenline_manifold, eigenline_report
 from .errors import InputError, WavesymError
 from .fresnel import Crystal, compressed_grid, fresnel_mesh, fresnel_report, singular_directions
-from .multiplicity import knot_polyline, knot_type, polylines_csv
+from .multiplicity import CONTOUR_REL_TOL, knot_polyline, knot_type, polylines_csv
 # perfbench/tracing.py wraps these three at their cli names
 from .multiplicity import extract_singular_set, regular_value_check, trace_component  # noqa: F401
 from .serialize import canonical_json, float_row_lines, join_lines, obj_face_groups, obj_objects
-from .sphere import _validate_mn, analyze_mn, trace_sigma_mn, z_set
+from .sphere import ROOT_REL_TOL, _validate_mn, analyze_mn, trace_sigma_mn, z_set
 
 # config-file keys and their parsers; flag values override these
 _FIELD_PARSERS = {
@@ -59,8 +59,8 @@ class RunConfig:
     winding: int = 3
     tube_radius: float = 0.1
     collar: float = 0.5
-    tol_contour: float = 1e-10
-    tol_root: float = 1e-13
+    tol_contour: float = CONTOUR_REL_TOL
+    tol_root: float = ROOT_REL_TOL
     out: str | None = None
     out_csv: str | None = None
     out_obj: str | None = None
@@ -147,7 +147,7 @@ def _cmd_winding(cfg: RunConfig) -> None:
     *_, rows = trace_sigma_mn(cfg.m, cfg.n, grid=cfg.grid,
                               tol_contour=cfg.tol_contour, tol_root=cfg.tol_root)
     entries = [
-        {"length": row.curve.length, "min_grad": row.cert.min_gradient,
+        {"length": row.curve.length, "min_grad": row.cert.min_gradient, "grad_floor": row.cert.floor,
          "transversal": row.cert.transversal, **row.winding_fields()}
         for row in rows
     ]

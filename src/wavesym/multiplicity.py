@@ -1,13 +1,13 @@
 """Multiplicity sets of 2x2 symbol fields over planar charts.
 
-A chart field assigns to every chart point x a coefficient matrix M(x)
-with rows (m11, m12), (m21, m22): M maps a covector xi to the traceless
-components (p, q) = M xi of the operator the symbol assigns to xi (see
-sym2 for (t, p, q)).  The multiplicity locus of the field projects to
-the zero set of f = det M, which is extracted here by marching squares
-with edgewise bisection.  On a closed extracted curve the kernel line of
-M turns by an integer number of half turns; that integer classifies the
-multiplicity curve as a (2, m) torus knot or link.
+A chart field assigns to every chart point x the complex pair (u, w) of
+a symbol, whose coefficient matrix M maps a covector xi to the traceless
+part of the operator the symbol assigns to xi (see sym2).  The
+multiplicity locus of the field projects to the zero set of
+f = det M = (|u|^2 - |w|^2) / 2, which is extracted here by marching
+squares with edgewise bisection.  On a closed extracted curve the kernel
+line of M turns by an integer number of half turns; that integer
+classifies the multiplicity curve as a (2, m) torus knot or link.
 
 Everything is deterministic: grids, traversal order, tie breaks.
 """
@@ -29,20 +29,21 @@ from .errors import (
 )
 from .serialize import float_row_lines, join_lines
 from .spheremesh import SurfaceMesh, tangent_frames, transport_pq, unit_rows
+from .sym2 import det_norm2, kernel_angle
 
 CONTOUR_REL_TOL = 1e-10
 GRADIENT_FLOOR_REL = 1e-6
 WINDING_RESIDUAL = 0.1
 _JUMP_LIMIT = (math.pi / 2.0) * (1.0 - 1e-9)
-# rows of xs per matrix_fn call in det_grid.  Swept over 4 to 64 at grid 2048
+# rows of xs per rep_fn call in det_grid.  Swept over 4 to 64 at grid 2048
 # on a 2.1 GHz Xeon with 2 MiB of L2 per core: 8 to 24 rows were equally fast
 # (within 4%), 4 and 32 rows 10-20% slower, 64 about 30% slower
 DET_BAND_ROWS = 16
 # peak bytes per node of the det grid and its contouring: F (float64) plus
 # the sign, two edge-crossing and cell-crossing masks (bool) ...
 _GRID_BYTES_PER_NODE = 8 + 4
-# ... plus, per node of one band, the temporaries of matrix_fn (about 130 B
-# for the sphere symbols: coordinates, complex chart values, four entries)
+# ... plus, per node of one band, the temporaries of rep_fn and det_norm2
+# (at most 105 B for the sphere symbols under tracemalloc)
 _BAND_BYTES_PER_NODE = 160
 # largest det_grid_peak_bytes a ChartSymbolField accepts: square grids up to 9352
 DET_GRID_BYTE_CAP = 2**30
@@ -63,22 +64,26 @@ def det_grid_peak_bytes(nx: int, ny: int) -> int:
     return rows * cols * _GRID_BYTES_PER_NODE + min(DET_BAND_ROWS, rows) * cols * _BAND_BYTES_PER_NODE
 
 
-MatrixFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+def _chart_points(X, Y) -> np.ndarray:
+    """Complex chart coordinates X + i Y, built without complex arithmetic."""
+    Z = np.empty(np.broadcast_shapes(np.shape(X), np.shape(Y)), dtype=complex)
+    Z.real, Z.imag = X, Y
+    return Z
 
 
 @dataclass
 class ChartSymbolField:
     """Symbol field on the rectangle [x0, x1] x [y0, y1].
 
-    matrix_fn maps coordinate arrays (X, Y) to the four entry arrays
-    (m11, m12, m21, m22) of the coefficient matrix; it must be pure, so
+    rep_fn maps an array of complex chart coordinates z = x + i y to the
+    arrays (u, w) of the symbol's complex pair; it must be pure, so
     repeated evaluation at the same point is bit identical.  That includes
     arrays of different sizes: det_grid evaluates whole bands of nodes and
-    det_at a few points, and contouring compares the two.  So matrix_fn
-    fixes its operation order instead of leaving it to numpy, which elides
-    a temporary operand of 256 KiB or more into an in-place ufunc and may
-    swap the operands of a commutative one to do so; a complex product
-    can then round differently in the last bit (see the sphere module).
+    det_at a few points, and contouring compares the two.  So rep_fn fixes
+    its operation order instead of leaving it to numpy, which elides a
+    temporary operand of 256 KiB or more into an in-place ufunc and may
+    swap the operands of a commutative one to do so; a complex product can
+    then round differently in the last bit (see the sphere module).
     """
 
     x0: float
@@ -87,7 +92,7 @@ class ChartSymbolField:
     y1: float
     nx: int
     ny: int
-    matrix_fn: MatrixFn
+    rep_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -108,32 +113,29 @@ class ChartSymbolField:
         return self._cache["nodes"]
 
     def det_at(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        m11, m12, m21, m22 = self.matrix_fn(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
-        return m11 * m22 - m12 * m21
+        return det_norm2(*self.rep_fn(_chart_points(X, Y)))[0]
 
     def det_grid(self) -> np.ndarray:
         """Determinant on the nodes, indexed [i, j] = (xs[i], ys[j]).
 
-        matrix_fn runs on DET_BAND_ROWS rows of xs at a time, so only the
+        rep_fn runs on DET_BAND_ROWS rows of xs at a time, so only the
         result and one band of temporaries are ever held.
         """
         if "det_grid" not in self._cache:
             xs, ys = self.nodes()
             F = np.empty((xs.size, ys.size))
-            frob2 = []
-            # the node coordinates of one band: Y is the same for every band,
-            # X is refilled in place
-            X = np.empty((min(DET_BAND_ROWS, xs.size), ys.size))
-            Y = np.broadcast_to(ys, X.shape).copy()
+            norm2 = []
+            # the nodes of one band: the imaginary parts are the same for
+            # every band, the real parts are refilled in place
+            Z = _chart_points(np.zeros((min(DET_BAND_ROWS, xs.size), 1)), ys)
             for i0 in range(0, xs.size, DET_BAND_ROWS):
                 rows = min(DET_BAND_ROWS, xs.size - i0)
-                X[:rows] = xs[i0:i0 + rows, None]
-                m11, m12, m21, m22 = self.matrix_fn(X[:rows], Y[:rows])
-                np.subtract(m11 * m22, m12 * m21, out=F[i0:i0 + rows])
-                frob2.append((m11**2 + m12**2 + m21**2 + m22**2).max())
+                Z.real[:rows] = xs[i0:i0 + rows, None]
+                F[i0:i0 + rows], n2 = det_norm2(*self.rep_fn(Z[:rows]))
+                norm2.append(n2.max())
             self._cache["det_grid"] = F
             self._cache["max_abs_det"] = float(max(F.max(), -F.min()))
-            self._cache["max_frob2"] = float(np.max(frob2))
+            self._cache["max_norm2"] = float(np.max(norm2))
         return self._cache["det_grid"]
 
     @property
@@ -142,9 +144,9 @@ class ChartSymbolField:
         return self._cache["max_abs_det"]
 
     @property
-    def max_frobenius(self) -> float:
+    def max_norm2(self) -> float:
         self.det_grid()
-        return math.sqrt(self._cache["max_frob2"])
+        return self._cache["max_norm2"]
 
 
 @dataclass
@@ -182,8 +184,7 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
         raise InputError("rel_tol must be positive")
     F = fld.det_grid()
     max_abs = fld.max_abs_det
-    frob2 = fld._cache["max_frob2"]
-    if max_abs <= 1e-14 * max(1.0, frob2):
+    if max_abs <= 1e-14 * max(1.0, fld.max_norm2):
         raise DegenerateField("det M vanishes on the whole grid")
     tol = rel_tol * max_abs
 
@@ -352,28 +353,16 @@ def regular_value_check(fld: ChartSymbolField, curve: SingularCurve) -> RegularV
     return RegularValueCertificate(transversal=mg > floor, min_gradient=mg, floor=floor)
 
 
-def _kernel_angles_raw(m11, m12, m21, m22) -> np.ndarray:
-    # right singular direction of the least singular value of M,
-    # via the top eigenline of M^T M turned a quarter turn
-    A = m11 * m11 + m21 * m21
-    D = m12 * m12 + m22 * m22
-    B = m11 * m12 + m21 * m22
-    top = 0.5 * np.arctan2(2.0 * B, A - D)
-    ang = np.mod(top + math.pi / 2.0, math.pi)
-    return np.where(ang == math.pi, 0.0, ang)
-
-
 def kernel_angles_along(fld: ChartSymbolField, pts: np.ndarray) -> np.ndarray:
     """Line angles in [0, pi) spanned by ker M (covector side) at (K, 2) points.
 
     Only meaningful on the singular set, where det M is already small.
     Raises RankZero where M itself vanishes.
     """
-    m11, m12, m21, m22 = fld.matrix_fn(pts[:, 0], pts[:, 1])
-    frob = np.sqrt(m11**2 + m12**2 + m21**2 + m22**2)
-    if np.any(frob <= 1e-12 * max(fld.max_frobenius, 1e-300)):
+    u, w = fld.rep_fn(_chart_points(pts[:, 0], pts[:, 1]))
+    if np.any(det_norm2(u, w)[1] <= 1e-24 * fld.max_norm2):
         raise RankZero("coefficient matrix vanishes on the curve")
-    return _kernel_angles_raw(m11, m12, m21, m22)
+    return kernel_angle(u, w)
 
 
 def _angle_steps(angles: np.ndarray, period: float, cyclic: bool) -> np.ndarray:
@@ -412,6 +401,7 @@ class MultiplicityComponent:
     winding: int
     knot: tuple[int, int]
     connected: bool
+    winding_residual: float
 
 
 def trace_component(fld: ChartSymbolField, curve: SingularCurve) -> MultiplicityComponent:
@@ -421,15 +411,11 @@ def trace_component(fld: ChartSymbolField, curve: SingularCurve) -> Multiplicity
     lifted, total = lift_angles(kernel_angles_along(fld, curve.polyline))
     total /= math.pi
     m = int(round(total))
-    if abs(total - m) >= WINDING_RESIDUAL:
-        raise LiftFailure(f"winding residual {abs(total - m):.3g} exceeds {WINDING_RESIDUAL}")
-    return MultiplicityComponent(
-        base=curve,
-        kernel_angles=lifted,
-        winding=m,
-        knot=(2, m),
-        connected=(m % 2 != 0),
-    )
+    residual = abs(total - m)
+    if residual >= WINDING_RESIDUAL:
+        raise LiftFailure(f"winding residual {residual:.3g} exceeds {WINDING_RESIDUAL}")
+    return MultiplicityComponent(base=curve, kernel_angles=lifted, winding=m, knot=(2, m),
+                                 connected=(m % 2 != 0), winding_residual=residual)
 
 
 class KnotType(NamedTuple):

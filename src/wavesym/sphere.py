@@ -16,8 +16,8 @@ circles |z| = r are the positive roots of (1 + r^2)^2 r^m = 4 r^n, which
 depend only on n - m; the kernel line winds n - m half turns along each
 transversal circle.
 
-The symbol kernel (PolyVF.evaluate, SphereSymbol.rep_grid and the
-chart field's matrix_fn) uses one fixed operation order at every array
+The symbol kernel (PolyVF.evaluate, and SphereSymbol.rep_grid as the
+chart field's rep_fn) uses one fixed operation order at every array
 size.  numpy elides a temporary operand of 256 KiB or more into an
 in-place ufunc, and for a commutative ufunc it swaps the operands to
 do so when the temporary is on the right.  Its SIMD complex multiply
@@ -25,8 +25,9 @@ fuses one product into the sum of the imaginary part, so a*b and b*a
 can differ in the last bit.  A product of two complex arrays is
 therefore never written with a temporary on its right: it runs as
 s * f, in place only on arrays the kernel allocated itself.  (A real
-factor is exact either way round.)  A large det grid band then agrees
-bit for bit with det_at at its nodes.
+factor is exact either way round, and det M and |M|^2 are real
+arithmetic on (u, w).)  A large det grid band then agrees bit for bit
+with det_at at its nodes.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ from .multiplicity import (
     regular_value_check,
     trace_component,
 )
-from .sym2 import SQRT2
 
 M_RANGE = (0, 2)
 N_RANGE = (0, 6)
-_INV_SQRT2 = 1.0 / SQRT2
+# relative bracket width at which z_set stops bisecting a radius
+ROOT_REL_TOL = 1e-13
 # half width of the central difference transversality_h takes at r = 1
 TRANSVERSALITY_STEP = 1e-6
 
@@ -127,32 +128,19 @@ class SphereSymbol:
                 s *= values[f]
             else:
                 s, owned = s * values[f], True
+        lam3 = lam * lam * lam
         if s is None:
-            return u, (lam**3).astype(complex)
+            return u, lam3.astype(complex)
         if not owned:
-            return u, s * lam**3
-        s *= lam**3
+            return u, s * lam3
+        s *= lam3
         return u, s
 
     def chart_field(self, halfwidth: float = 2.0, grid: int = 512) -> ChartSymbolField:
-        """Coefficient matrix field of this symbol on a chart square."""
-
-        def matrix_fn(X, Y):
-            # the real and imaginary parts of (u + w) / SQRT2 and
-            # 1j (u - w) / SQRT2: numpy divides by a real scalar as a
-            # product with its rounded reciprocal, and 1j a is exactly
-            # (-a.imag, a.real)
-            Z = np.empty(np.broadcast_shapes(np.shape(X), np.shape(Y)), dtype=complex)
-            Z.real = X
-            Z.imag = Y
-            u, w = self.rep_grid(Z)
-            ur, ui, wr, wi = u.real, u.imag, w.real, w.imag
-            return ((ur + wr) * _INV_SQRT2, (wi - ui) * _INV_SQRT2,
-                    (ui + wi) * _INV_SQRT2, (ur - wr) * _INV_SQRT2)
-
+        """This symbol's (u, w) field on a chart square."""
         return ChartSymbolField(
             x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth,
-            nx=grid, ny=grid, matrix_fn=matrix_fn,
+            nx=grid, ny=grid, rep_fn=self.rep_grid,
         )
 
 
@@ -201,7 +189,7 @@ class ZSet(NamedTuple):
     includes_infinity: bool
 
 
-def z_set(m: int, n: int, tol: float = 1e-13) -> ZSet:
+def z_set(m: int, n: int, tol: float = ROOT_REL_TOL) -> ZSet:
     """Multiplicity radii of sigma_mn in chart 1, plus the isolated
     singular points at the chart origin and at infinity.
 
@@ -275,14 +263,18 @@ class CurveTrace(NamedTuple):
     component: MultiplicityComponent | None
 
     def winding_fields(self) -> dict:
+        """The traced winding with its lift margins, the winding residual
+        and the largest step of the lifted angle (below a quarter turn)."""
         comp = self.component
         if comp is None:
-            return {"winding": None, "knot": None, "connected": None}
-        return {"winding": comp.winding, "knot": list(comp.knot), "connected": comp.connected}
+            return dict.fromkeys(("winding", "knot", "connected", "winding_residual", "max_angle_step"))
+        return {"winding": comp.winding, "knot": list(comp.knot), "connected": comp.connected,
+                "winding_residual": comp.winding_residual,
+                "max_angle_step": float(np.abs(np.diff(comp.kernel_angles)).max())}
 
 
 def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL,
-                   tol_root: float = 1e-13) -> tuple[ZSet, TransversalityReport, float, list[CurveTrace]]:
+                   tol_root: float = ROOT_REL_TOL) -> tuple[ZSet, TransversalityReport, float, list[CurveTrace]]:
     """Extract, certify and trace the chart 1 multiplicity curves of sigma_mn.
 
     A kernel line is traced only along a closed, certified curve of a
@@ -303,7 +295,7 @@ def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR
 
 
 def analyze_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL,
-               tol_root: float = 1e-13) -> dict:
+               tol_root: float = ROOT_REL_TOL) -> dict:
     """Full chart 1 pipeline for sigma_mn.
 
     Extracts the multiplicity curves, certifies transversality, and

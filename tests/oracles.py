@@ -33,7 +33,8 @@ from wavesym.errors import GluingMismatch, InputError, NotBiaxial, NotClosed, Ze
 from wavesym.serialize import _g17, fmt_float
 from wavesym.sphere import PolyVF, SphereSymbol
 from wavesym.spheremesh import rotate_pq, tangent_frames
-from wavesym.sym2 import SQRT2
+
+SQRT2 = math.sqrt(2.0)
 
 
 def eig_quadratic(t: float, p: float, q: float) -> tuple[float, float]:
@@ -556,13 +557,21 @@ def rep_consistency_gap(sym: SphereSymbol, z: complex) -> float:
 # the whole-grid determinant that the banded det_grid replaced
 
 
+def det_norm2_written_out(u, w) -> tuple[np.ndarray, np.ndarray]:
+    """((|u|^2 - |w|^2) / 2, |u|^2 + |w|^2) in the live closed form's order."""
+    a = u.real * u.real + u.imag * u.imag
+    b = w.real * w.real + w.imag * w.imag
+    return 0.5 * (a - b), a + b
+
+
 def det_grid_whole(fld) -> tuple[np.ndarray, float, float]:
-    """(F, max |F|, max Frobenius^2) with matrix_fn run once on every node."""
+    """(F, max |F|, max |u|^2 + |w|^2) with rep_fn run once on every node."""
     xs, ys = fld.nodes()
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    m11, m12, m21, m22 = fld.matrix_fn(X, Y)
-    F = m11 * m22 - m12 * m21
-    return F, float(np.abs(F).max()), float((m11**2 + m12**2 + m21**2 + m22**2).max())
+    Z = np.empty((xs.size, ys.size), dtype=complex)
+    Z.real = xs[:, None]
+    Z.imag = ys[None, :]
+    F, norm2 = det_norm2_written_out(*fld.rep_fn(Z))
+    return F, float(np.abs(F).max()), float(norm2.max())
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +591,7 @@ def rep_grid_full(sym, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.ones_like(Z)
     for f in sym.factors:
         s = s * _horner_full(f, Z)
-    return u, lam**3 * s
-
-
-def matrix_fn_full(sym):
-    def matrix_fn(X, Y):
-        (m11, m12), (m21, m22) = rep_to_matrix(*rep_grid_full(sym, X + 1j * Y))
-        return m11, m12, m21, m22
-
-    return matrix_fn
+    return u, lam * lam * lam * s
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from wavesym import cli, fresnel
 from wavesym.errors import GluingMismatch
-from wavesym.multiplicity import knot_polyline
+from wavesym.multiplicity import _JUMP_LIMIT, WINDING_RESIDUAL, knot_polyline
 from wavesym.serialize import canonical_json, fmt_float
 
 from .oracles import ALPHA
@@ -64,6 +64,23 @@ def test_winding_with_csv(tmp_path, capsys):
     assert lines[0] == "curve_id,x1,x2,kernel_angle_lifted"
     assert len(lines) > 100
     assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(3) for n in range(7)])
+def test_winding_margins_under_their_thresholds(capsys, m, n):
+    code, out, _ = run(capsys, "winding", "--m", str(m), "--n", str(n), "--grid", "512")
+    assert code == 0
+    curves = json.loads(out)["curves"]
+    traced = [c for c in curves if c["winding"] is not None]
+    # the unit circle is traced on every transversal pair, nothing on a tangential one
+    assert bool(traced) == (n - m != 2)
+    for c in curves:
+        if c["winding"] is None:
+            assert c["winding_residual"] is None and c["max_angle_step"] is None
+        else:
+            assert c["min_grad"] > c["grad_floor"] > 0.0
+            assert 0.0 <= c["winding_residual"] < WINDING_RESIDUAL
+            assert 0.0 <= c["max_angle_step"] < _JUMP_LIMIT
 
 
 def test_fresnel_with_obj(tmp_path, capsys):

@@ -37,18 +37,28 @@ from wavesym.multiplicity import (
 from wavesym.spheremesh import icosphere, transport_pq
 from wavesym.sphere import sigma_mn
 
-from .oracles import det_grid_whole, fibonacci_sphere, optic_axes_closed_form, polylines_csv_per_value
+from .oracles import (
+    det_grid_whole,
+    fibonacci_sphere,
+    optic_axes_closed_form,
+    polylines_csv_per_value,
+    rep_to_matrix,
+)
 
 
-def square_field(matrix_fn, halfwidth=2.0, grid=256):
+def square_field(rep_fn, halfwidth=2.0, grid=256):
     return ChartSymbolField(x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth,
-                            nx=grid, ny=grid, matrix_fn=matrix_fn)
+                            nx=grid, ny=grid, rep_fn=rep_fn)
 
 
-def constant_identity(X, Y):
-    one = np.ones_like(X)
-    zero = np.zeros_like(X)
-    return one, zero, zero, one
+def pair(u, w):
+    """(u, w) as complex arrays, u and w real or complex arrays of one shape."""
+    return np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
+
+
+def scaled_identity(Z):
+    # (u, w) = (2, 0) is M = sqrt(2) I: det 2, kernel nowhere
+    return pair(np.full(Z.shape, 2.0), np.zeros(Z.shape))
 
 
 def radial_h(m, n, r):
@@ -67,13 +77,16 @@ def det_at(fld, x, y):
 
 
 def test_det_identity_field():
-    fld = square_field(constant_identity)
-    assert det_at(fld, 0.3, -1.2) == 1.0
+    fld = square_field(scaled_identity)
+    assert det_at(fld, 0.3, -1.2) == 2.0
 
 
 def test_det_equal_rows_is_zero():
-    def equal_rows(X, Y):
-        return X, Y, X, Y
+    # u = (x + y) + i (x - y), w = (x - y) + i (x + y): both rows of M are
+    # sqrt(2) (x, y), and |u|^2, |w|^2 sum the same two squares
+    def equal_rows(Z):
+        s, d = Z.real + Z.imag, Z.real - Z.imag
+        return s + 1j * d, d + 1j * s
     fld = square_field(equal_rows)
     assert det_at(fld, 0.5, 0.7) == 0.0
 
@@ -114,18 +127,16 @@ def test_extract_sigma01_two_circles():
 
 
 def test_extract_no_zeros():
-    def positive(X, Y):
-        one = np.ones_like(X)
-        # det = 1 + x^2 + y^2 > 0 everywhere
-        return one, -Y, Y, one + X * X
+    def positive(Z):
+        # 2 det = (1 + |z|^2)^2 - |z|^2 > 0 everywhere
+        return pair(1.0 + (Z.real * Z.real + Z.imag * Z.imag), Z)
     curves = extract_singular_set(square_field(positive, grid=64))
     assert curves == []
 
 
 def test_extract_degenerate_field():
-    def zero(X, Y):
-        z = np.zeros_like(X)
-        return z, z, z, z
+    def zero(Z):
+        return pair(np.zeros(Z.shape), np.zeros(Z.shape))
     with pytest.raises(DegenerateField):
         extract_singular_set(square_field(zero, grid=32))
 
@@ -138,11 +149,12 @@ def crossing_lines(fx, fy, grid=64):
     a = -2.0 + (20 + fx) * h
     b = -2.0 + (24 + fy) * h
 
-    def matrix_fn(X, Y):
-        zero = np.zeros_like(X)
-        return X - a, zero, zero, Y - b
+    def rep_fn(Z):
+        # real u = P + Q, w = P - Q: det = ((P + Q)^2 - (P - Q)^2) / 2 = 2 P Q
+        P, Q = Z.real - a, Z.imag - b
+        return pair(P + Q, P - Q)
 
-    return square_field(matrix_fn, grid=grid), a, b
+    return square_field(rep_fn, grid=grid), a, b
 
 
 @pytest.mark.parametrize("fx,fy,joins_southeast", [(0.2, 0.2, True), (0.2, 0.8, False),
@@ -220,10 +232,10 @@ def test_degenerate_sigma02_fails_certificate():
 
 
 def test_linear_field_gradient_exact():
-    def linear(X, Y):
-        one = np.ones_like(X)
-        zero = np.zeros_like(X)
-        return X, zero, zero, one   # det = x
+    def linear(Z):
+        # real u = 1 + x/2, w = 1 - x/2: det = (u^2 - w^2) / 2 = x
+        half = 0.5 * Z.real
+        return pair(1.0 + half, 1.0 - half)
     fld = square_field(linear, grid=64)
     curves = extract_singular_set(fld)
     assert len(curves) == 1
@@ -241,19 +253,17 @@ def kernel_angle(fld, x, y):
 
 
 def test_kernel_angle_row_kill():
-    def fld_fn(X, Y):
-        one = np.ones_like(X)
-        zero = np.zeros_like(X)
-        return one, zero, zero, zero   # M = [[1,0],[0,0]], kernel = e2
+    def fld_fn(Z):
+        # u = w = 1: M = [[sqrt(2), 0], [0, 0]], kernel = e2
+        return pair(np.ones(Z.shape), np.ones(Z.shape))
     fld = square_field(fld_fn, grid=32)
     assert kernel_angle(fld, 0.0, 0.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_kernel_angle_column():
-    def fld_fn(X, Y):
-        one = np.ones_like(X)
-        zero = np.zeros_like(X)
-        return zero, one, zero, zero   # rows (0,1),(0,0): kernel = e1
+    def fld_fn(Z):
+        # u = -i, w = i: rows (0, sqrt(2)), (0, 0), kernel = e1
+        return pair(np.full(Z.shape, -1j), np.full(Z.shape, 1j))
     fld = square_field(fld_fn, grid=32)
     assert kernel_angle(fld, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -264,7 +274,7 @@ def test_kernel_angle_nullvector_residual():
     for theta in np.linspace(0.0, 2.0 * math.pi, 17):
         x, y = math.cos(theta), math.sin(theta)
         ang = kernel_angle(fld, x, y)
-        M = np.array(fld.matrix_fn(np.array([x]), np.array([y]))).reshape(2, 2)
+        M = rep_to_matrix(*(complex(a[0]) for a in fld.rep_fn(np.array([complex(x, y)]))))
         xi = np.array([math.cos(ang), math.sin(ang)])
         assert np.linalg.norm(M @ xi) <= 1e-8 * np.linalg.norm(M)
 
@@ -281,8 +291,9 @@ def test_kernel_angle_sigma_formula():
 
 
 def test_kernel_angle_rank_zero():
-    def spiral(X, Y):
-        return X, -Y, Y, X      # M(0,0) = 0, det = x^2 + y^2
+    def spiral(Z):
+        # u = z, w = 0: M = [[x, -y], [y, x]] / sqrt(2), zero at the origin
+        return Z, np.zeros(Z.shape, dtype=complex)
     fld = square_field(spiral, grid=32)
     with pytest.raises(RankZero):
         kernel_angle(fld, 0.0, 0.0)
@@ -348,10 +359,10 @@ def test_winding_sigma14_is_three():
 
 
 def test_winding_constant_kernel():
-    def shifted(X, Y):
-        one = np.ones_like(X)
-        zero = np.zeros_like(X)
-        return X * X + Y * Y - 1.0, zero, zero, one   # det = r^2 - 1, kernel e1 on circle
+    def shifted(Z):
+        # u = |z|^2, w = -1: det = (r^4 - 1) / 2, -conj(u) w = r^2 > 0 so
+        # the kernel is e1 on the circle
+        return pair(Z.real * Z.real + Z.imag * Z.imag, np.full(Z.shape, -1.0))
     fld = square_field(shifted, grid=256)
     c = extract_singular_set(fld)[0]
     comp = trace_component(fld, c)
@@ -426,7 +437,7 @@ def csv_component(values):
     vals = np.asarray(values, dtype=float).reshape(-1, 3)
     curve = SingularCurve(polyline=vals[:, :2], closed=False, length=0.0, residuals=np.zeros(len(vals)))
     return MultiplicityComponent(base=curve, kernel_angles=vals[:, 2], winding=0, knot=(2, 0),
-                                 connected=False)
+                                 connected=False, winding_residual=0.0)
 
 
 def test_polylines_csv_matches_per_value_oracle():
@@ -593,33 +604,33 @@ def test_zero_on_vertex_raises():
 
 def test_field_requires_min_grid():
     with pytest.raises(InputError):
-        square_field(constant_identity, grid=8)
+        square_field(scaled_identity, grid=8)
 
 
 def test_field_rejects_empty_rectangle():
     with pytest.raises(InputError):
         ChartSymbolField(x0=1.0, x1=-1.0, y0=0.0, y1=1.0, nx=32, ny=32,
-                         matrix_fn=constant_identity)
+                         rep_fn=scaled_identity)
 
 
 def test_field_cache_is_not_state():
     # the cache is neither set by callers nor compared
     with pytest.raises(TypeError):
         ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=16,
-                         matrix_fn=constant_identity, _cache={})
-    fld = square_field(constant_identity, grid=16)
+                         rep_fn=scaled_identity, _cache={})
+    fld = square_field(scaled_identity, grid=16)
     fld.det_grid()
-    assert fld == square_field(constant_identity, grid=16)
+    assert fld == square_field(scaled_identity, grid=16)
 
 
 def test_field_refuses_grid_above_byte_cap():
     # construction only: a refused field never allocates its grid
     side = max(g for g in range(16, 20000) if det_grid_peak_bytes(g, g) <= DET_GRID_BYTE_CAP)
-    square_field(constant_identity, grid=side)
+    square_field(scaled_identity, grid=side)
     with pytest.raises(InputError, match="cap"):
-        square_field(constant_identity, grid=side + 1)
+        square_field(scaled_identity, grid=side + 1)
     with pytest.raises(InputError, match="cap"):
-        ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=10**9, matrix_fn=constant_identity)
+        ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=10**9, rep_fn=scaled_identity)
     with pytest.raises(InputError, match="cap"):
         sigma_mn(1, 4).chart_field(grid=100_000)
 
@@ -627,11 +638,12 @@ def test_field_refuses_grid_above_byte_cap():
 # --- banded det grid -----------------------------------------------------------
 
 
-def wavy(X, Y):
-    return np.sin(3.0 * X) * Y, X * X - Y, np.cos(X * Y), X + Y**3
+def wavy(Z):
+    X, Y = Z.real, Z.imag
+    return np.sin(3.0 * X) * Y + 1j * (X * X - Y), np.cos(X * Y) + 1j * (X + Y**3)
 
 
-BAND_FNS = {f"sigma{m}{n}": sigma_mn(m, n).chart_field().matrix_fn
+BAND_FNS = {f"sigma{m}{n}": sigma_mn(m, n).chart_field().rep_fn
             for m, n in ((0, 3), (1, 4), (2, 5), (2, 6))}
 BAND_FNS["wavy"] = wavy
 # grids whose nx + 1 node rows fill whole bands exactly or overrun by one or two rows
@@ -644,13 +656,13 @@ BAND_SHAPES = [(g, g) for g in BAND_GRIDS] + [(2 * DET_BAND_ROWS + 1, 23), (17, 
 @pytest.mark.parametrize("name", sorted(BAND_FNS))
 @pytest.mark.parametrize("nx,ny", BAND_SHAPES)
 def test_banded_det_grid_matches_whole_grid(name, nx, ny):
-    fld = ChartSymbolField(x0=-2.6, x1=2.2, y0=-1.9, y1=2.6, nx=nx, ny=ny, matrix_fn=BAND_FNS[name])
-    F_ref, max_abs_ref, frob2_ref = det_grid_whole(fld)
+    fld = ChartSymbolField(x0=-2.6, x1=2.2, y0=-1.9, y1=2.6, nx=nx, ny=ny, rep_fn=BAND_FNS[name])
+    F_ref, max_abs_ref, norm2_ref = det_grid_whole(fld)
     F = fld.det_grid()
     assert F.shape == (nx + 1, ny + 1)
     assert F.tobytes() == F_ref.tobytes()
     assert fld.max_abs_det == max_abs_ref
-    assert fld.max_frobenius == math.sqrt(frob2_ref)
+    assert fld.max_norm2 == norm2_ref
 
 
 def test_det_grid_memory_stays_near_its_result():

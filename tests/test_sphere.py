@@ -15,15 +15,15 @@ from wavesym.sphere import (
     transversality_h,
     z_set,
 )
-from wavesym.sym2 import SQRT2
 
 from .oracles import (
     ALPHA,
     INV_ALPHA,
+    SQRT2,
     alpha_root,
     chart2_symbol,
     chart_transition_angle,
-    matrix_fn_full,
+    det_norm2_written_out,
     predicted_kernel_angle,
     rep_consistency_gap,
     rep_grid_full,
@@ -157,9 +157,8 @@ def assert_kernel_matches_oracle(sym, x, y, chart):
     u, w = sym.rep_grid(x + 1j * y)
     u_ref, w_ref = rep_grid_full(sym, x + 1j * y)
     assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
-    entries = sym.chart_field().matrix_fn(x, y)
-    for got, ref in zip(entries, matrix_fn_full(sym)(x, y)):
-        assert np.array_equal(got, ref)
+    det = sym.chart_field().det_at(x, y)
+    assert np.array_equal(det, det_norm2_written_out(u_ref, w_ref)[0])
 
 
 @pytest.mark.parametrize("chart", (1, 2))

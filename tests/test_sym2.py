@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wavesym.sphere import PolyVF, SphereSymbol
 from wavesym.spheremesh import rotate_pq
-from wavesym.sym2 import eigenvalues_grid
+from wavesym.sym2 import det_norm2, eigenvalues_grid, kernel_angle
 
 from .oracles import eig_quadratic, full_matrix, rep_to_matrix, rotate_rep, rotation
 
@@ -190,3 +190,88 @@ def test_margin_is_twice_determinant(ur, ui, wr, wi):
     # tolerance scales with the products being cancelled, not the result
     scale = 1.0 + abs(u) ** 2 + abs(w) ** 2
     assert abs((abs(u) ** 2 - abs(w) ** 2) - 2.0 * det) <= 1e-12 * scale
+
+
+# --- closed forms in (u, w) ---------------------------------------------------
+
+U = 2.0**-53
+magnitude = st.floats(min_value=2.0**-300, max_value=1e3)
+# zero or a normal magnitude whose squares and products stay normal
+rep_parts = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+
+
+def closed_forms(u: complex, w: complex) -> tuple[float, float, float]:
+    """(det, norm2, kernel angle) of one pair, as floats."""
+    ua, wa = np.array([u]), np.array([w])
+    det, norm2 = det_norm2(ua, wa)
+    return float(det[0]), float(norm2[0]), float(kernel_angle(ua, wa)[0])
+
+
+def line_gap(a: float, b: float) -> float:
+    """Distance of two line angles modulo pi."""
+    d = (a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+@settings(max_examples=300)
+@given(rep_parts, rep_parts, rep_parts, rep_parts)
+@example(1e3, -1e3, 1e3, 1e3)
+@example(3.0, 4.0, 0.0, 5.0)
+def test_det_norm2_match_lapack_on_the_coefficient_matrix(ur, ui, wr, wi):
+    u, w = complex(ur, ui), complex(wr, wi)
+    det, norm2, _ = closed_forms(u, w)
+    M = rep_to_matrix(u, w)
+    ref = float(np.linalg.det(M))
+    # N = |u|^2 + |w|^2 = |M|_F^2 exactly; det M = (|u|^2 - |w|^2) / 2
+    N = Fraction(ur) ** 2 + Fraction(ui) ** 2 + Fraction(wr) ** 2 + Fraction(wi) ** 2
+    # Roundoff bound, U = 2^-53, no underflow for these parts.  norm2 and
+    # |u|^2, |w|^2 take two roundings each, a + b one more: within 3U N.
+    assert abs(Fraction(norm2) - N) <= 3 * U * N * (1 + U)
+    # det: |u|^2 - |w|^2 is within 2U N before and U N after the last
+    # rounding, and halving is exact, so det is within 1.5U N of det M.
+    # Each entry of the rounded M is within 4U of its exact value (a
+    # sum, the rounded sqrt(2), a division by it), so det of the rounded M
+    # is within 8U (|m11 m22| + |m12 m21|) <= 4U N of det M.  LAPACK's
+    # 2x2 LU with a pivot p = max(|m11|, |m21|) rounds four times: within
+    # 2U (|det| + |m12 m21|) <= 2U N.  numpy returns sign * exp(log p +
+    # log |u22|), whose log, sum and exp, each within an ulp, add a
+    # relative 3U (|log p| + |log |u22||) + 2U, with |log |u22|| <=
+    # |log p| + |log |ref|| + U.  In all, 7.5U N plus the logarithmic term.
+    logs = 2.0 * abs(math.log(max(abs(M[0, 0]), abs(M[1, 0])))) + abs(math.log(abs(ref))) if ref else 0.0
+    bound = U * (8.0 * float(N) + 4.0 * abs(ref) * (1.0 + logs))
+    assert abs(det - ref) <= bound
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=1e-3, max_value=1e3), angles, angles)
+@example(1.0, 0.0, 0.0)
+@example(2.5, 0.5 * math.pi, math.pi)
+def test_kernel_angle_is_the_least_right_singular_vector(r, arg_u, arg_w):
+    # |u| = |w| up to the rounding of cos and sin: M has a kernel, and the
+    # least right singular vector of LAPACK's SVD spans it
+    u = complex(r * math.cos(arg_u), r * math.sin(arg_u))
+    w = complex(r * math.cos(arg_w), r * math.sin(arg_w))
+    _, _, ang = closed_forms(u, w)
+    assert 0.0 <= ang < math.pi
+    v = np.linalg.svd(rep_to_matrix(u, w))[2][1]
+    # the singular values are about sqrt(2) r and 0, a gap as wide as M:
+    # both angles are backward stable, so they agree to a few U
+    assert line_gap(ang, math.atan2(v[1], v[0])) <= 64 * U
+
+
+@settings(max_examples=300)
+@given(rep_parts, rep_parts, rep_parts, rep_parts, angles)
+def test_rotation_law_turns_the_kernel_line_and_keeps_det(ur, ui, wr, wi, theta):
+    # (u, w) -> (e^{i theta} u, e^{3 i theta} w) turns -conj(u) w by
+    # 2 theta, so the kernel line by theta, and keeps |u| and |w|
+    u, w = complex(ur, ui), complex(wr, wi)
+    assume(u != 0 and w != 0)
+    det, norm2, ang = closed_forms(u, w)
+    det_r, _, ang_r = closed_forms(*rotate_rep(u, w, theta))
+    # rotate_rep moves |u| and |w| by at most 4U of themselves, so the
+    # exact det by 4U N, and each closed form adds 1.5U N: 7U N in all
+    assert abs(det_r - det) <= 8 * U * norm2
+    # the arguments of u and w move by 4U each and the products of
+    # -conj(u) w carry 3U of |u w|; atan2 adds an ulp of at most 2 pi, and
+    # reducing theta (|theta| <= 10) modulo the rounded pi about 4U more
+    assert line_gap(ang_r, ang + theta) <= 64 * U
