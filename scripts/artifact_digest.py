@@ -37,7 +37,8 @@ JOBS = [
     ("eigenline6_thin", ["eigenline", "--subdiv", "6", "--epsilon", "1.5,2.2,4.0",
                          "--tube-radius", "0.05"], [("--out", "e.json"), ("--out-obj", "e.obj")]),
     ("fresnel5", ["fresnel", "--subdiv", "5"], [("--out", "f.json"), ("--out-obj", "f.obj")]),
-    # near-uniaxial at either end: axis seeds take very different numbers of sweeps
+    # near-uniaxial at either end: axis pairs 2.4e-3 and 6.8e-3 rad apart, where
+    # det J is small and Newton seeds take very different numbers of steps
     ("fresnel4_low", ["fresnel", "--subdiv", "4", "--epsilon", "2,2.000001,3"],
      [("--out", "f.json"), ("--out-obj", "f.obj")]),
     ("fresnel4_high", ["fresnel", "--subdiv", "4", "--epsilon", "2.31,3.7,2.31001"],

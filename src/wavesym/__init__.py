@@ -2,7 +2,7 @@
 
 Subpackages by theme: sym2 (the (t, p, q) and (u, w) conventions, the
 closed-form eigenvalues, det, norm and kernel line), multiplicity
-(planar contour extraction, kernel-line winding, signed zero counts),
+(planar contour extraction, kernel-line winding, local degrees),
 sphere (polynomial symbol fields on the round sphere and the sigma_mn
 family), fresnel (biaxial crystal optics), eigenline (the glued
 two-sheet eigenline surface), serialize and cli (deterministic
@@ -33,7 +33,6 @@ from .multiplicity import (
     knot_type,
     local_degree,
     regular_value_check,
-    signed_zero_count,
     trace_component,
 )
 from .sphere import (
@@ -101,7 +100,6 @@ __all__ = [
     "local_degree",
     "regular_value_check",
     "sigma_mn",
-    "signed_zero_count",
     "singular_directions",
     "trace_component",
     "transversality_h",

@@ -26,6 +26,12 @@ from .multiplicity import extract_singular_set, regular_value_check, trace_compo
 from .serialize import canonical_json, float_row_lines, join_lines, obj_face_groups, obj_objects
 from .sphere import ROOT_REL_TOL, _validate_mn, analyze_mn, trace_sigma_mn, z_set
 
+# glibc mallopt parameters (malloc.h) and the values main() fixes them at
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MALLOC_MMAP_THRESHOLD = 1 << 20
+MALLOC_TRIM_THRESHOLD = 2 << 20
+
 # config-file keys and their parsers; flag values override these
 _FIELD_PARSERS = {
     "m": int,
@@ -266,6 +272,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 2 MiB.
+
+    By default glibc raises both to the size of each mapped block freed,
+    up to 32 and 64 MiB.  From then on multi-megabyte buffers (mesh
+    arrays, OBJ text) come from the brk heap, and one small long-lived
+    block above them stops the heap from shrinking, so a process that
+    runs many commands peaks tens of MB higher or lower depending on the
+    commands before.  With the thresholds fixed every buffer of 1 MiB or
+    more has its own mapping, returned to the system when it is freed.
+    They are not set lower: at 128 KiB the det grid's band temporaries
+    (up to 512 KiB at grid 2048) would be mapped and faulted in again on
+    every band.  Other C libraries are left alone.
+    """
+    try:
+        import ctypes
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version   # raises unless the C library is glibc
+        mallopt = libc.mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first `main` call of the process.
 
@@ -275,6 +307,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _fix_malloc_thresholds()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

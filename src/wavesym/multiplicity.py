@@ -25,10 +25,9 @@ from .errors import (
     InputError,
     LiftFailure,
     RankZero,
-    ZeroOnVertex,
 )
 from .serialize import float_row_lines, join_lines
-from .spheremesh import SurfaceMesh, tangent_frames, transport_pq, unit_rows
+from .spheremesh import tangent_frames, transport_pq
 from .sym2 import det_norm2, kernel_angle
 
 CONTOUR_REL_TOL = 1e-10
@@ -47,12 +46,6 @@ _GRID_BYTES_PER_NODE = 8 + 4
 _BAND_BYTES_PER_NODE = 160
 # largest det_grid_peak_bytes a ChartSymbolField accepts: square grids up to 9352
 DET_GRID_BYTE_CAP = 2**30
-# signed_zero_count: first boundary samples per face edge, the share of the
-# largest vertex |(p, q)| below which a sample counts as a zero, and the
-# shortest boundary segment (chord of the unit sphere) it bisects
-BOUNDARY_SAMPLES_PER_EDGE = 8
-ZERO_FLOOR_REL = 1e-9
-MIN_BOUNDARY_SEGMENT = 1e-10
 # points on the local_degree circle
 LOCAL_DEGREE_SAMPLES = 180
 
@@ -178,7 +171,8 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     Vertices are pushed down to |f| <= rel_tol * max|f| along their grid
     edge.  Curves come back ordered by descending arclength, closed ones
     oriented counter clockwise and starting at their lexicographically
-    smallest vertex.
+    smallest vertex.  A grid node where f vanishes inside a neighbourhood
+    of one sign is an isolated zero, not a curve, and is left out.
     """
     if rel_tol <= 0.0:
         raise InputError("rel_tol must be positive")
@@ -307,6 +301,10 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     for chain, closed in chains:
         idxs = np.array(chain)
         pts = np.column_stack([vx_[idxs], vy_[idxs]])
+        if not np.any(pts != pts[0]):
+            # every crossing edge converged to one grid node: an isolated
+            # zero of f, a point and not a curve
+            continue
         rr = res[idxs]
         if closed:
             if _shoelace(np.vstack([pts, pts[:1]])) < 0.0:
@@ -365,13 +363,6 @@ def kernel_angles_along(fld: ChartSymbolField, pts: np.ndarray) -> np.ndarray:
     return kernel_angle(u, w)
 
 
-def _angle_steps(angles: np.ndarray, period: float, cyclic: bool) -> np.ndarray:
-    """Steps between consecutive angles (mod period) along the last axis,
-    wrapped into [-period/2, period/2); cyclic appends the closing step."""
-    d = np.diff(angles, axis=-1, append=angles[..., :1]) if cyclic else np.diff(angles, axis=-1)
-    return np.mod(d + period / 2.0, period) - period / 2.0
-
-
 def lift_angles(angles: np.ndarray, period: float = math.pi,
                 cyclic: bool = False) -> tuple[np.ndarray, float]:
     """Continuous lift of angles given mod period; returns (lift, total).
@@ -384,7 +375,10 @@ def lift_angles(angles: np.ndarray, period: float = math.pi,
     raw = np.asarray(angles, dtype=float)
     if raw.size == 0:
         return raw.copy(), 0.0
-    d = _angle_steps(raw, period, cyclic)
+    # steps between consecutive angles wrapped into [-period/2, period/2),
+    # the closing step last when cyclic
+    d = np.diff(raw, append=raw[:1]) if cyclic else np.diff(raw)
+    d = np.mod(d + period / 2.0, period) - period / 2.0
     if d.size and float(np.abs(d).max()) >= _JUMP_LIMIT:
         raise LiftFailure("angle step of a quarter turn or more; sampling too coarse")
     steps, closing = (d[:-1], float(d[-1])) if cyclic else (d, 0.0)
@@ -414,8 +408,9 @@ def trace_component(fld: ChartSymbolField, curve: SingularCurve) -> Multiplicity
     residual = abs(total - m)
     if residual >= WINDING_RESIDUAL:
         raise LiftFailure(f"winding residual {residual:.3g} exceeds {WINDING_RESIDUAL}")
-    return MultiplicityComponent(base=curve, kernel_angles=lifted, winding=m, knot=(2, m),
-                                 connected=(m % 2 != 0), winding_residual=residual)
+    kt = knot_type(m)
+    return MultiplicityComponent(base=curve, kernel_angles=lifted, winding=m, knot=kt.pair,
+                                 connected=kt.connected, winding_residual=residual)
 
 
 class KnotType(NamedTuple):
@@ -458,7 +453,7 @@ def polylines_csv(components: list[MultiplicityComponent]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# signed zero counts of traceless sections over surface meshes
+# degrees of traceless sections around loops on the sphere
 
 
 def vector_loop_turns(p: np.ndarray, q: np.ndarray) -> int:
@@ -469,84 +464,6 @@ def vector_loop_turns(p: np.ndarray, q: np.ndarray) -> int:
     if abs(total - n) > 0.25:
         raise LiftFailure(f"loop degree residual {abs(total - n):.3g}")
     return n
-
-
-def _face_boundary_samples(mesh: SurfaceMesh) -> np.ndarray:
-    """(F, 3 * BOUNDARY_SAMPLES_PER_EDGE, 3) unit points around each face boundary."""
-    v = mesh.vertices
-    f = mesh.faces
-    ts = np.arange(BOUNDARY_SAMPLES_PER_EDGE, dtype=float) / BOUNDARY_SAMPLES_PER_EDGE
-    chunks = []
-    for e in range(3):
-        a = v[f[:, e]][:, None, :]
-        b = v[f[:, (e + 1) % 3]][:, None, :]
-        pts = (1.0 - ts)[None, :, None] * a + ts[None, :, None] * b
-        chunks.append(pts)
-    loop = np.concatenate(chunks, axis=1)
-    return loop / np.linalg.norm(loop, axis=2, keepdims=True)
-
-
-def signed_zero_count(mesh: SurfaceMesh, section_fn) -> int:
-    """Sum of face-local degrees of the traceless part (p, q) of a section.
-
-    section_fn maps an (N, 3) array of unit sphere points to arrays
-    (t, p, q) expressed in the standard tangent frame at each point.
-    Faces are trivialized from their centroid frame, so the total over a
-    closed mesh is the Euler number of the traceless operator bundle.
-
-    Each face boundary is sampled BOUNDARY_SAMPLES_PER_EDGE times per
-    edge; a boundary segment whose angle step reaches a quarter turn is
-    bisected along its great circle until every step is shorter.  Raises
-    ZeroOnVertex when |(p, q)| falls to ZERO_FLOOR_REL of its largest
-    vertex value at a vertex or boundary sample, or when a segment still
-    turning a quarter turn is shorter than MIN_BOUNDARY_SEGMENT; perturb
-    the mesh and retry.
-    """
-    _, pv, qv = section_fn(mesh.vertices)
-    norms = np.hypot(pv, qv)
-    scale = float(norms.max())
-    if scale == 0.0:
-        raise ZeroOnVertex("section vanishes identically on the vertices")
-    floor = ZERO_FLOOR_REL * scale
-    if float(norms.min()) <= floor:
-        raise ZeroOnVertex("section vanishes on a mesh vertex")
-    centers = unit_rows(mesh.vertices[mesh.faces].mean(axis=1))
-
-    def angles(pts: np.ndarray, frame_centers: np.ndarray) -> np.ndarray:
-        _, p, q = section_fn(pts)
-        if float(np.hypot(p, q).min()) <= floor:
-            raise ZeroOnVertex("section nearly vanishes on a face boundary")
-        p, q = transport_pq(pts, frame_centers, p, q)
-        return np.arctan2(q, p)
-
-    loop = _face_boundary_samples(mesh)
-    F, S, _ = loop.shape
-    a = angles(loop.reshape(-1, 3), centers).reshape(F, S)
-    # the boundary segments still to count: face, end points (K, 2, 3), end angles (K, 2)
-    face = np.repeat(np.arange(F), S)
-    ends = np.stack([loop, np.roll(loop, -1, axis=1)], axis=2).reshape(-1, 2, 3)
-    ends_a = np.stack([a, np.roll(a, -1, axis=1)], axis=2).reshape(-1, 2)
-    turns = np.zeros(F)
-    while True:
-        d = _angle_steps(ends_a, 2.0 * math.pi, cyclic=False)[:, 0]
-        bad = np.abs(d) >= _JUMP_LIMIT
-        turns += np.bincount(face[~bad], weights=d[~bad], minlength=F)
-        face, ends, ends_a = face[bad], ends[bad], ends_a[bad]
-        if not face.size:
-            break
-        if float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()) < MIN_BOUNDARY_SEGMENT:
-            raise ZeroOnVertex("section hugs zero along a face boundary")
-        mid = unit_rows(ends.sum(axis=1))
-        mid_a = angles(mid, centers[face])
-        face = np.concatenate([face, face])
-        ends = np.concatenate([np.stack([ends[:, 0], mid], axis=1), np.stack([mid, ends[:, 1]], axis=1)])
-        ends_a = np.concatenate([np.column_stack([ends_a[:, 0], mid_a]),
-                                 np.column_stack([mid_a, ends_a[:, 1]])])
-    turns /= 2.0 * math.pi
-    rounded = np.round(turns)
-    if turns.size and float(np.abs(turns - rounded).max()) > 0.25:
-        raise LiftFailure("face boundary loop degree did not settle")
-    return int(rounded.sum())
 
 
 def local_degree(section_fn, center: np.ndarray, radius: float) -> int:

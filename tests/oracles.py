@@ -11,7 +11,9 @@ the whole-grid determinant is the one that the banded det_grid replaced,
 the full-quadratic sphere representative is the kernel that the
 fixed-order one replaced, the per-value CSV and OBJ writers are the ones
 that the row and block formatters replaced, and the np.cross tangent
-frames are the ones that the written-out cross product replaced.
+frames are the ones that the written-out cross product replaced.  The
+face-by-face Poincare-Hopf count is the one that the axis search's
+closed-form index sum replaced.
 
 The closed-form optic axes, the alpha root by bisection, the predicted
 kernel angle on the unit circle, the (u, w) unpacking that divides by
@@ -29,10 +31,10 @@ import math
 import numpy as np
 
 from wavesym.eigenline import _tie_break_jitter
-from wavesym.errors import GluingMismatch, InputError, NotBiaxial, NotClosed, ZeroOnVertex
+from wavesym.errors import GluingMismatch, InputError, LiftFailure, NotBiaxial, NotClosed, ZeroOnVertex
 from wavesym.serialize import _g17, fmt_float
 from wavesym.sphere import PolyVF, SphereSymbol
-from wavesym.spheremesh import rotate_pq, tangent_frames
+from wavesym.spheremesh import rotate_pq, tangent_frames, transport_pq, unit_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -464,6 +466,98 @@ def min_pair_angle(found: list[np.ndarray]) -> float:
     """Smallest angle between two directions, pi for fewer than two."""
     return min((math.acos(float(np.clip(np.dot(x, y), -1.0, 1.0)))
                 for i, x in enumerate(found) for y in found[i + 1:]), default=math.pi)
+
+
+# ---------------------------------------------------------------------------
+# the Poincare-Hopf count of a traceless section over a closed mesh
+
+# first boundary samples per face edge, the share of the largest vertex
+# |(p, q)| below which a sample counts as a zero, the shortest boundary
+# segment (chord of the unit sphere) that is bisected, and the quarter turn
+# an angle step must stay below
+BOUNDARY_SAMPLES_PER_EDGE = 8
+ZERO_FLOOR_REL = 1e-9
+MIN_BOUNDARY_SEGMENT = 1e-10
+QUARTER_TURN = (math.pi / 2.0) * (1.0 - 1e-9)
+
+
+def _face_boundary_samples(mesh) -> np.ndarray:
+    """(F, 3 * BOUNDARY_SAMPLES_PER_EDGE, 3) unit points around each face boundary."""
+    v = mesh.vertices
+    f = mesh.faces
+    ts = np.arange(BOUNDARY_SAMPLES_PER_EDGE, dtype=float) / BOUNDARY_SAMPLES_PER_EDGE
+    chunks = []
+    for e in range(3):
+        a = v[f[:, e]][:, None, :]
+        b = v[f[:, (e + 1) % 3]][:, None, :]
+        pts = (1.0 - ts)[None, :, None] * a + ts[None, :, None] * b
+        chunks.append(pts)
+    loop = np.concatenate(chunks, axis=1)
+    return loop / np.linalg.norm(loop, axis=2, keepdims=True)
+
+
+def signed_zero_count(mesh, section_fn) -> int:
+    """Sum of face-local degrees of the traceless part (p, q) of a section.
+
+    section_fn maps an (N, 3) array of unit sphere points to arrays
+    (t, p, q) expressed in the standard tangent frame at each point.
+    Faces are trivialized from their centroid frame, so the total over a
+    closed mesh is the Euler number of the traceless operator bundle:
+    the sum of the indices of the zeros, whatever they are.
+
+    Each face boundary is sampled BOUNDARY_SAMPLES_PER_EDGE times per
+    edge; a boundary segment whose angle step reaches a quarter turn is
+    bisected along its great circle until every step is shorter.  Raises
+    ZeroOnVertex when |(p, q)| falls to ZERO_FLOOR_REL of its largest
+    vertex value at a vertex or boundary sample, or when a segment still
+    turning a quarter turn is shorter than MIN_BOUNDARY_SEGMENT; perturb
+    the mesh and retry.
+    """
+    _, pv, qv = section_fn(mesh.vertices)
+    norms = np.hypot(pv, qv)
+    scale = float(norms.max())
+    if scale == 0.0:
+        raise ZeroOnVertex("section vanishes identically on the vertices")
+    floor = ZERO_FLOOR_REL * scale
+    if float(norms.min()) <= floor:
+        raise ZeroOnVertex("section vanishes on a mesh vertex")
+    centers = unit_rows(mesh.vertices[mesh.faces].mean(axis=1))
+
+    def angles(pts: np.ndarray, frame_centers: np.ndarray) -> np.ndarray:
+        _, p, q = section_fn(pts)
+        if float(np.hypot(p, q).min()) <= floor:
+            raise ZeroOnVertex("section nearly vanishes on a face boundary")
+        p, q = transport_pq(pts, frame_centers, p, q)
+        return np.arctan2(q, p)
+
+    loop = _face_boundary_samples(mesh)
+    F, S, _ = loop.shape
+    a = angles(loop.reshape(-1, 3), centers).reshape(F, S)
+    # the boundary segments still to count: face, end points (K, 2, 3), end angles (K, 2)
+    face = np.repeat(np.arange(F), S)
+    ends = np.stack([loop, np.roll(loop, -1, axis=1)], axis=2).reshape(-1, 2, 3)
+    ends_a = np.stack([a, np.roll(a, -1, axis=1)], axis=2).reshape(-1, 2)
+    turns = np.zeros(F)
+    while True:
+        d = np.mod(ends_a[:, 1] - ends_a[:, 0] + math.pi, 2.0 * math.pi) - math.pi
+        bad = np.abs(d) >= QUARTER_TURN
+        turns += np.bincount(face[~bad], weights=d[~bad], minlength=F)
+        face, ends, ends_a = face[bad], ends[bad], ends_a[bad]
+        if not face.size:
+            break
+        if float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()) < MIN_BOUNDARY_SEGMENT:
+            raise ZeroOnVertex("section hugs zero along a face boundary")
+        mid = unit_rows(ends.sum(axis=1))
+        mid_a = angles(mid, centers[face])
+        face = np.concatenate([face, face])
+        ends = np.concatenate([np.stack([ends[:, 0], mid], axis=1), np.stack([mid, ends[:, 1]], axis=1)])
+        ends_a = np.concatenate([np.column_stack([ends_a[:, 0], mid_a]),
+                                 np.column_stack([mid_a, ends_a[:, 1]])])
+    turns /= 2.0 * math.pi
+    rounded = np.round(turns)
+    if turns.size and float(np.abs(turns - rounded).max()) > 0.25:
+        raise LiftFailure("face boundary loop degree did not settle")
+    return int(rounded.sum())
 
 
 # ---------------------------------------------------------------------------

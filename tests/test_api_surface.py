@@ -15,12 +15,7 @@ import wavesym
 PACKAGE = Path(wavesym.__file__).resolve().parent
 
 # public names kept without a caller, each with its reason
-EXEMPT = {
-    # the Poincare-Hopf sum of local indices over a closed mesh, the paper's
-    # count of the optic axes; it is kept for the axis search to certify
-    # its four axes with
-    "signed_zero_count",
-}
+EXEMPT: set[str] = set()
 
 
 def parsed_modules() -> dict[str, ast.Module]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,18 +124,36 @@ def test_fresnel_builds_one_sheet_mesh(tmp_path, monkeypatch):
 def test_axis_search_ignores_subdiv(capsys):
     # both crystal commands search one fixed mesh for the optic axes, so
     # fresnel reports the same axes at every --subdiv and eigenline glues
-    # its cylinders around them
-    reported = set()
-    for k in (2, 3, 4, 5):
-        code, out, _ = run(capsys, "fresnel", "--subdiv", str(k))
-        assert code == 0
-        reported.add(canonical_json(json.loads(out)["singular_directions"]))
-    assert len(reported) == 1
+    # its cylinders around them; both refuse --subdiv 0 and 1
+    reported, glued = set(), set()
+    for k in range(7):
+        f_code, f_out, _ = run(capsys, "fresnel", "--subdiv", str(k))
+        e_code, e_out, _ = run(capsys, "eigenline", "--subdiv", str(k))
+        if k < 2:
+            assert f_code == e_code == 2
+            continue
+        assert f_code == e_code == 0
+        reported.add(canonical_json(json.loads(f_out)["singular_directions"]))
+        glued.add(canonical_json([c["point"] for c in json.loads(e_out)["necessary_condition"]]))
+    assert len(reported) == len(glued) == 1
     axes = np.array([a["x"] for a in json.loads(reported.pop())])
-    code, out, _ = run(capsys, "eigenline", "--subdiv", "3")
-    assert code == 0
-    points = np.array([c["point"] for c in json.loads(out)["necessary_condition"]])
+    points = np.array(json.loads(glued.pop()))
     assert np.allclose(points, axes, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
+def test_isolated_zero_is_no_curve(capsys, m, n):
+    # det M vanishes exactly at the origin node, inside neighbours of one
+    # sign; the point is reported as includes_zero, never as a curve
+    code, out, _ = run(capsys, "sphere", "--m", str(m), "--n", str(n), "--grid", "512")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["includes_zero"] is True
+    assert rep["circles"] and all(c["r"] > 0.0 for c in rep["circles"])
+    code, out, _ = run(capsys, "winding", "--m", str(m), "--n", str(n), "--grid", "512")
+    assert code == 0
+    curves = json.loads(out)["curves"]
+    assert curves and all(c["length"] > 0.0 for c in curves)
 
 
 def test_eigenline_with_obj(tmp_path, capsys):
@@ -353,3 +375,54 @@ def test_computation_error_maps_to_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "eigenline", "--subdiv", "3")
     assert code == 3
     assert "seam did not close" in err
+
+
+# --- allocator thresholds --------------------------------------------------------------
+
+# In a fresh interpreter: count glibc's mapped blocks (mallinfo2 hblks)
+# around a 2 MiB buffer allocated after freeing an 8 MiB one.  At glibc's
+# dynamic default that free raises the mmap threshold to 8 MiB, and the
+# 2 MiB buffer comes from the heap; once main() has run it is mapped.
+_MAPPED_PROBE = """
+import ctypes, sys
+import numpy as np
+from wavesym import cli
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_size_t) for n in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                               "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+try:
+    libc.gnu_get_libc_version
+    libc.mallinfo2.restype = Mallinfo2
+except AttributeError:
+    sys.exit(3)
+if sys.argv[1] == "main":
+    cli.main(["knots", "--winding", "3", "--out", sys.argv[2]])
+big = np.ones(1 << 20)
+del big
+before = libc.mallinfo2().hblks
+buf = np.ones(1 << 18)
+print(libc.mallinfo2().hblks - before)
+"""
+
+
+def _mapped_blocks_added(tmp_path, first: str) -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _MAPPED_PROBE, first, str(tmp_path / "k.json")],
+                          capture_output=True, text=True, env=env)
+    if proc.returncode == 3:
+        pytest.skip("needs glibc 2.33 or later")
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_main_keeps_megabyte_buffers_in_their_own_mappings(tmp_path):
+    assert cli.MALLOC_MMAP_THRESHOLD <= 2 << 20 <= cli.MALLOC_TRIM_THRESHOLD
+    assert _mapped_blocks_added(tmp_path, "main") == 1
+    # the probe itself tells the two settings apart
+    assert _mapped_blocks_added(tmp_path, "none") == 0

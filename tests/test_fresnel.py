@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavesym.errors import InputError, NotBiaxial
+from wavesym.errors import ComputationError, InputError, NotBiaxial
 from wavesym.fresnel import (
     Crystal,
     compressed_grid,
+    det_j_floor,
     fresnel_mesh,
     fresnel_report,
     sheet_speeds,
     singular_directions,
+    traceless_slope,
 )
-from wavesym.spheremesh import icosphere, min_separation
+from wavesym.multiplicity import local_degree
+from wavesym.spheremesh import icosphere, min_separation, tangent_frames, transport_pq
 from wavesym.sym2 import eigenvalues_grid
 
 from .oracles import (
@@ -209,8 +214,8 @@ def test_closed_form_axes_agree():
 @pytest.mark.parametrize("eps", [(2.0, 2.000001, 3.0), (2.0, 2.999999, 3.0),
                                  (3.0, 2.000001, 2.0)])
 def test_near_uniaxial_axes_have_index_one(eps):
-    # axis pairs only 1.6e-3 to 2.5e-3 rad apart: each index circle must
-    # still enclose a single axis
+    # axis pairs only 1.6e-3 to 2.5e-3 rad apart, closer than an index
+    # circle of fixed radius could tell apart: each axis has index +1
     crystal = Crystal(eps=eps)
     cf = optic_axes_closed_form(crystal)
     axes = singular_directions(crystal)
@@ -247,6 +252,133 @@ def test_axes_permutation_invariant_up_to_relabeling():
         assert abs(a.x[1]) <= 1e-8
         assert abs(abs(a.x[0]) - AXIS_COS_BETA) <= 1e-9
         assert abs(abs(a.x[2]) - AXIS_SIN_BETA) <= 1e-9
+
+
+def test_tiny_det_j_is_refused():
+    # a spread of 2.5e-9 in eps^{-1}: the four axes are well apart, but det J
+    # = s^2 / 4 = 1.6e-18 sits below the floor 8 s AXIS_RESIDUAL_TOL = 2e-18
+    crystal = Crystal(eps=(2.0, 2.0 + 5e-9, 2.0 + 1e-8))
+    assert crystal.is_biaxial()
+    with pytest.raises(ComputationError):
+        singular_directions(crystal)
+
+
+# --- the Jacobian of (p, q) and the Newton axes ------------------------------------
+
+
+def _spread(crystal):
+    a = np.diagonal(crystal.inv_eps)
+    return float(a.max() - a.min())
+
+
+def _closed_form_det_j(crystal):
+    a_hi, a_mid, a_lo = sorted((1.0 / e for e in crystal.eps), reverse=True)
+    return (a_hi - a_mid) * (a_mid - a_lo)
+
+
+def _crystal_at_gap_ratio(lo, width, ratio, low_end, order):
+    """Lowest eps lo, highest lo + width, middle at the gap ratio from the chosen end."""
+    hi = lo + width
+    mid = lo + ratio * width if low_end else hi - ratio * width
+    return Crystal(eps=tuple(np.array([lo, mid, hi])[list(order)]))
+
+
+def _random_crystals(rng, count):
+    return [_crystal_at_gap_ratio(rng.uniform(1.5, 4.0), rng.uniform(0.5, 2.0),
+                                  10.0 ** rng.uniform(-6.0, math.log10(0.5)), k % 2 == 0, rng.permutation(3))
+            for k in range(count)]
+
+
+def test_jacobian_matches_central_differences():
+    # J = -[[b1, -b2], [b2, b1]] against central differences of (p, q) from
+    # compressed_grid, carried into the frame at x by transport_pq.  Error:
+    # the truncation, h^2 / 6 times the third derivative of z along the
+    # geodesic, below s h^2, and the roundoff of two evaluations, below
+    # 1e-15 each, over 2 h
+    rng = np.random.default_rng(41)
+    h = 1e-5
+    for crystal in _random_crystals(rng, 12):
+        x = rng.normal(size=(16, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        t1, t2, _, beta = traceless_slope(crystal, x)
+        want = {0: (-beta.real, -beta.imag), 1: (beta.imag, -beta.real)}
+        for k, tk in enumerate((t1, t2)):
+            ends = []
+            for sign in (1.0, -1.0):
+                pts = math.cos(h) * x + sign * math.sin(h) * tk
+                _, p, q = compressed_grid(crystal, pts)
+                ends.append(transport_pq(pts, x, p, q))
+            (p_plus, q_plus), (p_minus, q_minus) = ends
+            dp, dq = (p_plus - p_minus) / (2.0 * h), (q_plus - q_minus) / (2.0 * h)
+            err = np.hypot(dp - want[k][0], dq - want[k][1])
+            assert float(err.max()) <= _spread(crystal) * h * h + 1e-15 / h
+
+
+def test_linear_model_remainder_is_below_the_floor_bound():
+    # det_j_floor rests on |z(x') - (z(x) - beta (d1 + i d2))| <= s r^2 at
+    # angle r from x, z(x') taken in the frame carried along the geodesic
+    rng = np.random.default_rng(43)
+    for crystal in _random_crystals(rng, 12):
+        x = rng.normal(size=(16, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        t1, t2, z, beta = traceless_slope(crystal, x)
+        for r in (1e-3, 1e-2, 0.1, 0.5, 1.0):
+            phi = rng.uniform(0.0, 2.0 * math.pi, len(x))
+            u = np.cos(phi)[:, None] * t1 + np.sin(phi)[:, None] * t2
+            moved = math.cos(r) * x + math.sin(r) * u
+            # the geodesic rotation in the plane (x, u) carries t1 to carried_t1
+            carried_t1 = t1 + np.einsum("ij,ij->i", t1, u)[:, None] * ((math.cos(r) - 1.0) * u - math.sin(r) * x)
+            _, p, q = compressed_grid(crystal, moved)
+            m1, m2 = tangent_frames(moved)
+            turn = np.arctan2(np.einsum("ij,ij->i", carried_t1, m2), np.einsum("ij,ij->i", carried_t1, m1))
+            carried_z = (p + 1j * q) * np.exp(-2j * turn)
+            model = z - beta * r * np.exp(1j * phi)
+            assert float(np.abs(carried_z - model).max()) <= _spread(crystal) * r * r
+
+
+def test_cone_slope_is_the_sheet_split_rate():
+    # lambda_2 - lambda_1 = 2 |(p, q)| on a circle of r = 1e-6 about each axis,
+    # in 64 directions, against cone_slope r: off by at most the remainder
+    # 2 s r plus residual and roundoff (1e-15) over r
+    rng = np.random.default_rng(47)
+    r = 1e-6
+    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    for crystal in [BIAXIAL, Crystal(eps=(2.0, 2.000001, 3.0))] + _random_crystals(rng, 10):
+        for a in singular_directions(crystal):
+            t1, t2 = tangent_frames(a.x)
+            pts = math.cos(r) * a.x + math.sin(r) * (np.cos(phi)[:, None] * t1 + np.sin(phi)[:, None] * t2)
+            _, p, q = compressed_grid(crystal, pts)
+            split = 2.0 * np.hypot(p, q)
+            bound = 2.0 * _spread(crystal) * r + 2.0 * (a.residual + 1e-15) / r
+            assert float(np.abs(split / r - a.cone_slope).max()) <= bound
+            assert a.cone_slope == 2.0 * math.sqrt(a.det_j)
+
+
+gap_crystals = st.builds(_crystal_at_gap_ratio, st.floats(1.5, 4.0), st.floats(0.5, 2.0),
+                         st.floats(-6.0, math.log10(0.5)).map(lambda e: 10.0 ** e), st.booleans(),
+                         st.permutations([0, 1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gap_crystals)
+def test_newton_axes_match_the_closed_form(crystal):
+    # four axes within 1e-12 of the closed form, det J at the closed form
+    # (a_hi - a_mid)(a_mid - a_lo) to 1e-12 relative and above its floor,
+    # index +1, and the loop oracle reads +1 about each axis at a quarter
+    # of the axis separation
+    cf = optic_axes_closed_form(crystal)
+    axes = singular_directions(crystal)
+    assert len(axes) == 4
+    want = _closed_form_det_j(crystal)
+    xs = np.array([a.x for a in axes])
+    radius = min_separation(xs) / 4.0
+    section = lambda pts: compressed_grid(crystal, pts)
+    for a in axes:
+        assert float(np.linalg.norm(cf - a.x, axis=1).min()) <= 1e-12
+        assert abs(a.det_j - want) <= 1e-12 * want
+        assert a.det_j > det_j_floor(crystal)
+        assert a.local_index == 1
+        assert local_degree(section, a.x, radius=radius) == 1
 
 
 # --- meshes ---------------------------------------------------------------------
@@ -298,6 +430,6 @@ def test_report_shape():
     assert rep["epsilon"] == [2.0, 2.5, 3.0]
     assert len(rep["singular_directions"]) == 4
     entry = rep["singular_directions"][0]
-    assert set(entry) == {"x", "residual", "index"}
+    assert set(entry) == {"x", "residual", "index", "det_j", "cone_slope"}
     assert len(entry["x"]) == 3
     assert rep["min_sheet_gap"] > 0.0

@@ -13,14 +13,13 @@ from wavesym.errors import (
     RankZero,
     ZeroOnVertex,
 )
-from wavesym.fresnel import Crystal
+from wavesym.fresnel import Crystal, singular_directions
 from wavesym.multiplicity import (
     DET_BAND_ROWS,
     DET_GRID_BYTE_CAP,
     ChartSymbolField,
     MultiplicityComponent,
     SingularCurve,
-    _face_boundary_samples,
     det_grid_peak_bytes,
     extract_singular_set,
     kernel_angles_along,
@@ -30,7 +29,6 @@ from wavesym.multiplicity import (
     local_degree,
     polylines_csv,
     regular_value_check,
-    signed_zero_count,
     trace_component,
     vector_loop_turns,
 )
@@ -38,11 +36,13 @@ from wavesym.spheremesh import icosphere, transport_pq
 from wavesym.sphere import sigma_mn
 
 from .oracles import (
+    _face_boundary_samples,
     det_grid_whole,
     fibonacci_sphere,
     optic_axes_closed_form,
     polylines_csv_per_value,
     rep_to_matrix,
+    signed_zero_count,
 )
 
 
@@ -543,7 +543,8 @@ permittivity = st.floats(min_value=1.0, max_value=5.0)
          (4.0590887784630345, 2.5322408567022316, 4.2594223131585975), 2)
 def test_signed_zero_count_is_euler_number(q, eps, subdiv):
     # Poincare-Hopf: the four optic axes of a biaxial crystal, each of index
-    # +1, add up to the Euler number 4 of the traceless operator bundle
+    # +1, add up to the Euler number 4 of the traceless operator bundle; the
+    # face-by-face count agrees with the sum of the axis search's indices
     assume(np.linalg.norm(q) >= 1e-3)
     lo, mid, hi = sorted(eps)
     assume(hi - lo >= 0.1 and 1e-2 <= (mid - lo) / (hi - lo) <= 1.0 - 1e-2)
@@ -554,6 +555,7 @@ def test_signed_zero_count_is_euler_number(q, eps, subdiv):
     axes = optic_axes_closed_form(Crystal(eps=eps))
     assume(min(edge_distance(turned, x) for x in axes) >= 1e-6)
     assert signed_zero_count(turned, crystal_section(eps)) == 4
+    assert sum(a.local_index for a in singular_directions(Crystal(eps=eps))) == 4
 
 
 @pytest.mark.parametrize("subdiv", [2, 3, 4])

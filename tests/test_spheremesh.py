@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from wavesym.eigenline import EigenlineManifold, build_eigenline_manifold, critical_scan
 from wavesym.errors import GluingMismatch, NotClosed, TransportFailure, WavesymError
-from wavesym.fresnel import Crystal, _gap_squared, compressed_grid, singular_directions
+from wavesym.fresnel import Crystal, compressed_grid, singular_directions
 from wavesym.multiplicity import lift_angles
 from wavesym.spheremesh import (
     SurfaceMesh,
@@ -334,6 +334,14 @@ def _random_crystal(rng, ratio, low_end):
     hi = lo + rng.uniform(0.5, 2.0)
     mid = lo + ratio * (hi - lo) if low_end else hi - ratio * (hi - lo)
     return Crystal(eps=tuple(rng.permutation([lo, mid, hi])))
+
+
+def _gap_squared(crystal):
+    """|(p, q)|^2 of the crystal's section, a smooth function to descend on."""
+    def fn(pts):
+        _, p, q = compressed_grid(crystal, pts)
+        return p * p + q * q
+    return fn
 
 
 def _assert_rows_match_single_starts(f, starts, rows, minimize):
