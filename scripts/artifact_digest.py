@@ -1,10 +1,12 @@
 """Print a sha256 digest of every CLI artifact of a fixed job list.
 
-The jobs are the six of acceptance criterion 10, the large eigenline
-and fresnel runs, two near-uniaxial fresnel runs, and `sphere` plus
-`winding --out-csv` for all 21 sigma_mn pairs (m 0..2, n 0..6) at grid
-512 and for five pairs at grid 2048.  Each runs in process through `wavesym.cli.main`, writes its
-artifacts to a temporary directory, and yields one line
+The jobs are the six of acceptance criterion 10, eigenline at the
+default subdiv 4 and at subdiv 5 for a crystal with close axes, the
+large eigenline and fresnel runs, two near-uniaxial fresnel runs, and
+`sphere` plus `winding --out-csv` for all 21 sigma_mn pairs (m 0..2,
+n 0..6) at grid 512 and for five pairs at grid 2048.  Each runs in
+process through `wavesym.cli.main`, writes its artifacts to a temporary
+directory, and yields one line
 `job artifact sha256` per artifact (stdout counts as an artifact).
 Run it on two commits and diff the output to show that a change keeps
 every artifact byte-identical.
@@ -31,6 +33,11 @@ JOBS = [
      [("--out", "w.json"), ("--out-csv", "w.csv")]),
     ("fresnel", ["fresnel", "--subdiv", "3"], [("--out", "f.json"), ("--out-obj", "f.obj")]),
     ("eigenline", ["eigenline", "--subdiv", "3"], [("--out", "e.json"), ("--out-obj", "e.obj")]),
+    ("eigenline4", ["eigenline", "--subdiv", "4"], [("--out", "e.json"), ("--out-obj", "e.obj")]),
+    # axes 0.30 rad apart: its tube disks merge at subdiv 4, not at subdiv 5
+    ("eigenline5_close", ["eigenline", "--subdiv", "5", "--epsilon",
+                          "5.718431480418933,1.5844479112835204,5.395485578415656"],
+     [("--out", "e.json"), ("--out-obj", "e.obj")]),
     ("knots", ["knots", "--winding", "3", "--samples", "64"],
      [("--out", "k.json"), ("--out-csv", "k.csv")]),
     ("eigenline6", ["eigenline", "--subdiv", "6"], [("--out", "e.json"), ("--out-obj", "e.obj")]),

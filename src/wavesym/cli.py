@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,11 +74,13 @@ class RunConfig:
 
     def validate(self) -> None:
         _validate_mn(self.m, self.n)
-        if len(self.epsilon) != 3 or any(e <= 0.0 for e in self.epsilon):
-            raise InputError("epsilon must be three positive comma-separated numbers")
+        # nan fails no comparison and inf is positive: both need isfinite
+        if len(self.epsilon) != 3 or not all(math.isfinite(e) and e > 0.0 for e in self.epsilon):
+            raise InputError("epsilon must be three finite positive comma-separated numbers")
         for name in ("tol_contour", "tol_root", "tube_radius", "collar"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"{name.replace('_', '-')} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InputError(f"{name.replace('_', '-')} must be finite and strictly positive")
         if self.grid < 16:
             raise InputError("grid must be at least 16")
         if self.subdiv < 2:
@@ -116,8 +119,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for name in _FIELD_PARSERS:
         flag = getattr(args, name, None)
         if flag is not None:
-            value = _FIELD_PARSERS[name](flag) if isinstance(flag, str) and name == "epsilon" else flag
-            setattr(cfg, name, value)
+            if isinstance(flag, str) and name == "epsilon":
+                try:
+                    flag = _FIELD_PARSERS[name](flag)
+                except ValueError as exc:
+                    raise InputError(f"bad value for epsilon: {exc}") from exc
+            setattr(cfg, name, flag)
         elif name in config_values:
             setattr(cfg, name, config_values[name])
     cfg.validate()

@@ -36,6 +36,7 @@ from .spheremesh import (
     refine_on_sphere,
     tangent_frames,
     transport_pq,
+    unit_rows,
 )
 # perfbench/tracing.py wraps these three at their eigenline names
 from .spheremesh import connected_components, euler_characteristic, is_consistently_oriented  # noqa: F401
@@ -121,7 +122,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
                  collar: float, subdivisions: int) -> EigenlineManifold:
     if not (0.0 < collar < 1.0):
         raise InputError("collar must sit strictly between 0 and 1")
-    if tube_radius <= 0.0 or tube_radius > 0.5:
+    if not (0.0 < tube_radius <= 0.5):
         raise InputError("tube_radius must lie in (0, 0.5]")
     pts = np.asarray(multiplicity_points, dtype=float).reshape(-1, 3)
     k = pts.shape[0]
@@ -160,7 +161,13 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         raise InputError("tube disks swallow the whole sphere")
 
     loops_base = boundary_loops(kept, counts, half)
-    if len(loops_base) != k:
+    if len(loops_base) < k:
+        # a disk is at least one vertex star, grown by the pinch repair, so
+        # on a coarse mesh disks merge although the points are 3 radii apart
+        raise InputError(
+            f"tube disks merge at subdivision {subdivisions} with tube radius {tube_radius:g}: "
+            f"{len(loops_base)} boundary loops for {k} points; use a finer subdivision")
+    if len(loops_base) > k:
         raise GluingMismatch(
             f"disk removal produced {len(loops_base)} boundary loops for {k} points")
     loop_of_point: list[list[int]] = []
@@ -289,19 +296,11 @@ def ds_r_norm(section_fn, p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
     t1, t2 = tangent_frames(p)
-
-    def half_trace(x: np.ndarray) -> float:
-        t, _, _ = section_fn(x[None, :])
-        return 0.5 * float(t[0])
-
-    grads = []
-    for tv in (t1, t2):
-        xp = p + DS_R_STEP * tv
-        xm = p - DS_R_STEP * tv
-        xp = xp / np.linalg.norm(xp)
-        xm = xm / np.linalg.norm(xm)
-        grads.append((half_trace(xp) - half_trace(xm)) / (2.0 * DS_R_STEP))
-    return math.hypot(grads[0], grads[1])
+    # central differences along t1 and t2 from one section call
+    t, _, _ = section_fn(unit_rows(p + DS_R_STEP * np.array([t1, -t1, t2, -t2])))
+    half = 0.5 * t
+    grads = (half[0::2] - half[1::2]) / (2.0 * DS_R_STEP)
+    return math.hypot(float(grads[0]), float(grads[1]))
 
 
 def critical_scan(man: EigenlineManifold) -> dict:

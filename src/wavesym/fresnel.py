@@ -52,8 +52,8 @@ class Crystal:
     eps: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.eps) != 3 or any(e <= 0.0 for e in self.eps):
-            raise InputError("permittivities must be three positive numbers")
+        if len(self.eps) != 3 or not all(math.isfinite(e) and e > 0.0 for e in self.eps):
+            raise InputError("permittivities must be three finite positive numbers")
 
     @functools.cached_property
     def inv_eps(self) -> np.ndarray:

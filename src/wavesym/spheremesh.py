@@ -219,27 +219,19 @@ def icosphere(subdivisions: int = 0) -> SurfaceMesh:
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
     verts, faces = _icosahedron()
-    verts = [np.array(v) for v in verts]
     for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
-        new_faces = []
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(m)
-            return cache[key]
-
-        for a, b, c in faces:
-            ab = midpoint(int(a), int(b))
-            bc = midpoint(int(b), int(c))
-            ca = midpoint(int(c), int(a))
-            new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        faces = np.array(new_faces)
-    return SurfaceMesh(vertices=np.array(verts), faces=faces)
+        keys, _ = _edge_keys(faces)
+        _, first, half = np.unique(keys, return_index=True, return_inverse=True)
+        # edges numbered by their first half-edge in the face-major walk
+        rank = np.argsort(np.argsort(first))
+        first = np.sort(first)
+        tail, head = _half_edges(faces)
+        mids = unit_rows(verts[tail[first]] + verts[head[first]])
+        ab, bc, ca = (len(verts) + rank[half]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
+        verts = np.vstack([verts, mids])
+    return SurfaceMesh(vertices=verts, faces=faces)
 
 
 def tangent_frames(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

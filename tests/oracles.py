@@ -13,7 +13,8 @@ fixed-order one replaced, the per-value CSV and OBJ writers are the ones
 that the row and block formatters replaced, and the np.cross tangent
 frames are the ones that the written-out cross product replaced.  The
 face-by-face Poincare-Hopf count is the one that the axis search's
-closed-form index sum replaced.
+closed-form index sum replaced, and the midpoint-dict icosphere is the
+loop that the edge-table subdivision replaced.
 
 The closed-form optic axes, the alpha root by bisection, the predicted
 kernel angle on the unit circle, the (u, w) unpacking that divides by
@@ -34,7 +35,7 @@ from wavesym.eigenline import _tie_break_jitter
 from wavesym.errors import GluingMismatch, InputError, LiftFailure, NotBiaxial, NotClosed, ZeroOnVertex
 from wavesym.serialize import _g17, fmt_float
 from wavesym.sphere import PolyVF, SphereSymbol
-from wavesym.spheremesh import rotate_pq, tangent_frames, transport_pq, unit_rows
+from wavesym.spheremesh import SurfaceMesh, _icosahedron, rotate_pq, tangent_frames, transport_pq, unit_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -733,3 +734,32 @@ def tangent_frames_cross(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if single:
         return t1[0], t2[0]
     return t1, t2
+
+
+# ---------------------------------------------------------------------------
+# the midpoint-dict icosphere that the edge-table subdivision replaced
+
+
+def icosphere_loop(subdivisions: int = 0) -> SurfaceMesh:
+    verts, faces = _icosahedron()
+    verts = [np.array(v) for v in verts]
+    for _ in range(subdivisions):
+        cache: dict[tuple[int, int], int] = {}
+        new_faces = []
+
+        def midpoint(i: int, j: int) -> int:
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                m = verts[i] + verts[j]
+                m /= np.linalg.norm(m)
+                cache[key] = len(verts)
+                verts.append(m)
+            return cache[key]
+
+        for a, b, c in faces:
+            ab = midpoint(int(a), int(b))
+            bc = midpoint(int(b), int(c))
+            ca = midpoint(int(c), int(a))
+            new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = np.array(new_faces)
+    return SurfaceMesh(vertices=np.array(verts), faces=faces)

@@ -281,6 +281,46 @@ def test_bad_epsilon_sign(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fresnel", "--epsilon", "2,x,3"],
+    ["fresnel", "--epsilon", "2,inf,3"],
+    ["eigenline", "--epsilon", "2,2.5,nan"],
+    ["sphere", "--grid", "64", "--tol-contour", "inf"],
+    ["winding", "--grid", "64", "--tol-contour", "nan"],
+    ["zset", "--tol-root", "inf"],
+    ["eigenline", "--tube-radius", "nan"],
+    ["eigenline", "--collar", "inf"],
+])
+def test_non_finite_or_unparsable_float_exit_2_without_artifacts(tmp_path, capsys, argv):
+    out, obj = tmp_path / "r.json", tmp_path / "r.obj"
+    outputs = ["--out", str(out)] + (["--out-obj", str(obj)] if argv[0] in ("fresnel", "eigenline") else [])
+    code, stdout, err = run(capsys, *argv, *outputs)
+    assert code == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+    # the refusal names the option, not a later symptom of its value
+    assert argv[-2].lstrip("-") in err
+    assert not out.exists() and not obj.exists()
+
+
+def test_non_finite_config_value_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tube_radius = nan\n")
+    code, stdout, err = run(capsys, "eigenline", "--config", str(cfg))
+    assert code == 2
+    assert stdout == "" and "tube-radius" in err
+
+
+def test_merged_tube_disks_exit_2_without_artifacts(tmp_path, capsys):
+    # axes 0.30 rad apart, more than 3 tube radii, whose disks merge at subdiv 4
+    out, obj = tmp_path / "r.json", tmp_path / "r.obj"
+    eps = "5.718431480418933,1.5844479112835204,5.395485578415656"
+    code, stdout, err = run(capsys, "eigenline", "--epsilon", eps, "--out", str(out), "--out-obj", str(obj))
+    assert code == 2
+    assert stdout == "" and "tube disks merge at subdivision 4 with tube radius 0.1" in err
+    assert not out.exists() and not obj.exists()
+    assert run(capsys, "eigenline", "--epsilon", eps, "--subdiv", "5", "--out", str(out))[0] == 0
+
+
 def test_uniaxial_crystal_is_a_validation_error(capsys):
     code, _, err = run(capsys, "fresnel", "--epsilon", "2,2,3", "--subdiv", "3")
     assert code == 2

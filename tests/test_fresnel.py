@@ -45,6 +45,9 @@ def test_crystal_validation():
         Crystal(eps=(0.0, 1.0, 2.0))
     with pytest.raises(InputError):
         Crystal(eps=(1.0, -2.0, 2.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            Crystal(eps=(2.0, 2.5, bad))
 
 
 def test_biaxial_detection():

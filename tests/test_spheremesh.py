@@ -130,6 +130,14 @@ def test_combinatorics_match_loops(name):
         assert boundary_loops(mesh.faces, *_edge_table(mesh.faces)[1:]) == oracles.boundary_loops(mesh.faces)
 
 
+@pytest.mark.parametrize("subdivisions", range(7))
+def test_icosphere_bit_equal_to_midpoint_loop(subdivisions):
+    got, want = icosphere(subdivisions), oracles.icosphere_loop(subdivisions)
+    for g, w in ((got.vertices, want.vertices), (got.faces, want.faces)):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_icosphere_level_structure(k):
     coarse, fine = icosphere(k), icosphere(k + 1)
