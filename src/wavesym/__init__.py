@@ -31,7 +31,6 @@ from .multiplicity import (
     extract_singular_set,
     knot_polyline,
     knot_type,
-    local_degree,
     regular_value_check,
     trace_component,
 )
@@ -57,7 +56,7 @@ from .eigenline import (
     critical_scan,
     eigenline_report,
 )
-from .spheremesh import SurfaceMesh, euler_characteristic, genus, icosphere
+from .spheremesh import SurfaceMesh, icosphere
 
 __version__ = "0.1.0"
 
@@ -89,15 +88,12 @@ __all__ = [
     "build_eigenline_manifold",
     "critical_scan",
     "eigenline_report",
-    "euler_characteristic",
     "extract_singular_set",
     "fresnel_mesh",
     "fresnel_report",
-    "genus",
     "icosphere",
     "knot_polyline",
     "knot_type",
-    "local_degree",
     "regular_value_check",
     "sigma_mn",
     "singular_directions",

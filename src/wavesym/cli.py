@@ -187,7 +187,7 @@ def _cmd_eigenline(cfg: RunConfig) -> None:
     points = np.array([a.x for a in axes])
     man = build_eigenline_manifold(section, points, tube_radius=cfg.tube_radius,
                                    collar=cfg.collar, subdivisions=cfg.subdiv)
-    report = eigenline_report(man, section)
+    report = eigenline_report(man, crystal)
     _write_or_print(canonical_json(report), cfg.out)
     if cfg.out_obj is not None:
         groups = [(name, np.arange(lo, hi)) for name, lo, hi in man.face_groups]

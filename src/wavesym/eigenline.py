@@ -10,9 +10,11 @@ doubled eigenline angle, so the glued surface is closed with
 
     chi = 2 (2 - k),    genus = k - 1
 
-for k multiplicity points.  Eigenvalue data rides along as per vertex
-scalar fields; critical points are counted combinatorially by star sign
-changes, which reproduces chi exactly.
+for k multiplicity points.  The eigenvalue branch rides along as a per
+vertex field; its critical points are counted combinatorially by star
+sign changes, which reproduces chi exactly.  For a biaxial crystal the
+report reads the sheet extrema and the half-trace gradient at each
+conical point in closed form from the inverse permittivity.
 """
 
 from __future__ import annotations
@@ -33,20 +35,21 @@ from .spheremesh import (
     icosphere,
     mesh_topology,
     min_separation,
-    refine_on_sphere,
     tangent_frames,
     transport_pq,
-    unit_rows,
 )
-# perfbench/tracing.py wraps these three at their eigenline names
-from .spheremesh import connected_components, euler_characteristic, is_consistently_oriented  # noqa: F401
+# perfbench/tracing.py wraps these four at their eigenline names
+from .spheremesh import (  # noqa: F401
+    connected_components,
+    euler_characteristic,
+    is_consistently_oriented,
+    refine_on_sphere,
+)
 from .sym2 import eigenvalues_grid
 
 SHEET1_RADIUS = 0.95
 SHEET2_RADIUS = 1.05
 LIFT_TOTAL_TOL = 0.15
-# tangent step of the central differences in ds_r_norm
-DS_R_STEP = 1e-5
 
 
 @dataclass
@@ -61,18 +64,13 @@ class CylinderRecord:
 class EigenlineManifold:
     """Closed surface carrying the two eigenvalue branches of a section.
 
-    Per vertex the three scalar fields satisfy lambda_s = s_r + lambda_s0:
-    s_r is the smooth half trace of the section, lambda_s0 the signed
-    traceless eigenvalue (negative on sheet 1, positive on sheet 2, zero
-    exactly on the cylinder cores), and lambda_s the eigenvalue branch.
+    lambda_s holds the eigenvalue branch per vertex: the lower eigenvalue
+    on sheet 1, the upper on sheet 2, and on each cylinder core the
+    double eigenvalue t/2 of the section at its conical point.
     """
 
     mesh: SurfaceMesh
-    base_dirs: np.ndarray
-    region: np.ndarray          # 0 sheet1, 1 sheet2, 2 + i core of cylinder i
     lambda_s: np.ndarray
-    lambda_s0: np.ndarray
-    s_r: np.ndarray
     cylinders: list[CylinderRecord]
     face_groups: list[tuple[str, int, int]]
     tube_radius: float
@@ -191,14 +189,9 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
 
     tK, pK, qK = section_fn(V[old_ids])
     lam1, lam2 = eigenvalues_grid(tK, pK, qK)
-    sK = np.hypot(pK, qK)
 
     verts: list[np.ndarray] = [SHEET1_RADIUS * V[old_ids], SHEET2_RADIUS * V[old_ids]]
-    dirs: list[np.ndarray] = [V[old_ids], V[old_ids]]
     lam: list[np.ndarray] = [lam1, lam2]
-    lam0: list[np.ndarray] = [-sK, sK]
-    srs: list[np.ndarray] = [0.5 * tK, 0.5 * tK]
-    region: list[np.ndarray] = [np.zeros(n_kept, dtype=int), np.ones(n_kept, dtype=int)]
 
     kept_new = new_of_old[kept]
     sheet1_faces = kept_new[:, ::-1]
@@ -240,11 +233,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         next_vert += L
 
         verts.append(core_pts)
-        dirs.append(np.repeat(p[None, :], L, axis=0))
         lam.append(np.full(L, 0.5 * float(tP[0])))
-        lam0.append(np.zeros(L))
-        srs.append(np.full(L, 0.5 * float(tP[0])))
-        region.append(np.full(L, 2 + i, dtype=int))
 
         a = new_of_old[loop]
         b = new_of_old[loop] + n_kept
@@ -268,11 +257,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
 
     return EigenlineManifold(
         mesh=SurfaceMesh(vertices=np.vstack(verts), faces=np.vstack(face_list)),
-        base_dirs=np.vstack(dirs),
-        region=np.concatenate(region),
         lambda_s=np.concatenate(lam),
-        lambda_s0=np.concatenate(lam0),
-        s_r=np.concatenate(srs),
         cylinders=cylinders,
         face_groups=face_groups,
         tube_radius=tube_radius,
@@ -291,16 +276,15 @@ def _tie_break_jitter(n: int, scale: float) -> np.ndarray:
     return (2.0 * u - 1.0) * 1e-12 * scale
 
 
-def ds_r_norm(section_fn, p: np.ndarray) -> float:
-    """Finite difference norm of the sphere gradient of the half trace s_r."""
-    p = np.asarray(p, dtype=float)
-    p = p / np.linalg.norm(p)
-    t1, t2 = tangent_frames(p)
-    # central differences along t1 and t2 from one section call
-    t, _, _ = section_fn(unit_rows(p + DS_R_STEP * np.array([t1, -t1, t2, -t2])))
-    half = 0.5 * t
-    grads = (half[0::2] - half[1::2]) / (2.0 * DS_R_STEP)
-    return math.hypot(float(grads[0]), float(grads[1]))
+def ds_r_norm(inv_eps: np.ndarray, x: np.ndarray) -> float:
+    """|d s_r| at the unit direction x, in closed form.
+
+    The half trace s_r = (tr A - x^T A x)/2 of the diagonal inverse
+    permittivity A has sphere gradient -(Ax - (x^T A x) x).
+    """
+    ax = np.diagonal(inv_eps) * x
+    g = ax - (ax[0] * x[0] + ax[1] * x[1] + ax[2] * x[2]) * x
+    return math.hypot(*g)
 
 
 def critical_scan(man: EigenlineManifold) -> dict:
@@ -308,9 +292,9 @@ def critical_scan(man: EigenlineManifold) -> dict:
 
     Each vertex contributes 1 - sc/2 to the Euler characteristic, where
     sc counts sign changes of the field around its neighbor cycle; ties
-    are broken by a tiny deterministic jitter.  Critical points are
-    listed for sheet vertices only (cylinder cores are level circles of
-    the field, not honest criticals).
+    are broken by a tiny deterministic jitter.  Returns the counts of
+    minima, maxima and saddle multiplicity, the Euler characteristic
+    they give and the mesh's own, and whether the two agree.
     """
     values = man.lambda_s
     scale = max(float(np.abs(values).max()), 1.0)
@@ -330,15 +314,6 @@ def critical_scan(man: EigenlineManifold) -> dict:
     is_min = (sc == 0) & (n_up > 0)
     is_max = (sc == 0) & (n_up == 0)
     is_saddle = sc >= 4
-    kinds = np.select([is_min, is_max, is_saddle], [0, 1, 2], default=-1)
-    points = [
-        {
-            "where": [float(c) for c in man.base_dirs[i]],
-            "lambda": float(man.lambda_s[i]),
-            "kind": ("min", "max", "saddle")[kinds[i]],
-        }
-        for i in np.nonzero((kinds >= 0) & (man.region < 2))[0]
-    ]
     # each star is a cycle, so every sc is even
     chi_combinatorial = n - int(sc.sum()) // 2
     return {
@@ -348,50 +323,25 @@ def critical_scan(man: EigenlineManifold) -> dict:
         "chi_from_criticals": chi_combinatorial,
         "chi": man.chi,
         "consistent": chi_combinatorial == man.chi,
-        "points": points,
     }
 
 
-def _sheet_extrema(man: EigenlineManifold, section_fn) -> dict:
-    """Each sheet's minimum and maximum, refined on the section from its extreme vertices."""
+def eigenline_report(man: EigenlineManifold, crystal) -> dict:
+    """Topology, critical census and crystal data of the manifold as a serializable dict.
 
-    def lam_sheet(sign: float):
-        def f(x: np.ndarray) -> np.ndarray:
-            t, p, q = section_fn(x)
-            # math.hypot rounds apart from np.hypot on some pairs
-            rad = np.array([math.hypot(a, b) for a, b in zip(p.tolist(), q.tolist())])
-            return 0.5 * t + sign * rad
-        return f
-
-    extrema = {}
-    for name, sign, sheet_code in (("sheet1", -1.0, 0), ("sheet2", 1.0, 1)):
-        mask = man.region == sheet_code
-        vals = man.lambda_s[mask]
-        dirs = man.base_dirs[mask]
-        # the sheet's minimum and maximum descend together, one row each
-        starts = dirs[[int(np.argmin(vals)), int(np.argmax(vals))]]
-        xs, vs = refine_on_sphere(lam_sheet(sign), starts, minimize=np.array([True, False]))
-        extrema[name] = {
-            "min": float(vs[0]), "min_direction": [float(c) for c in xs[0]],
-            "max": float(vs[1]), "max_direction": [float(c) for c in xs[1]],
-        }
-    return extrema
-
-
-def eigenline_report(man: EigenlineManifold, section_fn) -> dict:
-    """Topology, critical census and section data of the manifold as a serializable dict.
-
-    Besides the census, the global sheet extrema are re-refined on
-    section_fn, and each conical point reports its raw |d s_r| value;
-    the derivative condition along a multiplicity curve is vacuous for
-    isolated points, so no classification is attempted.
+    Besides the census, each sheet's extrema come in closed form from the
+    principal values a_lo <= a_mid <= a_hi of the crystal's inverse
+    permittivity: by Cauchy interlacing sheet 1 spans [a_lo, a_mid] and
+    sheet 2 spans [a_mid, a_hi].  Each conical point reports its raw
+    |d s_r| value; the derivative condition along a multiplicity curve
+    is vacuous for isolated points, so no classification is attempted.
     """
     crit = critical_scan(man)
-    extrema = _sheet_extrema(man, section_fn)
+    a_lo, a_mid, a_hi = sorted(float(v) for v in np.diagonal(crystal.inv_eps))
     conds = [
         {
             "point": [float(c) for c in cyl.point],
-            "ds_r_norm": ds_r_norm(section_fn, cyl.point),
+            "ds_r_norm": ds_r_norm(crystal.inv_eps, cyl.point),
             "status": "vacuous (isolated multiplicity point); classification deferred",
             "lift_total": cyl.lift_total,
         }
@@ -405,14 +355,14 @@ def eigenline_report(man: EigenlineManifold, section_fn) -> dict:
         "tube_radius": man.tube_radius,
         "collar": man.collar,
         "subdivisions": man.subdivisions,
-        "criticals": crit["points"],
         "census": {
             k: crit[k]
             for k in ("minima", "maxima", "saddle_multiplicity",
                       "chi_from_criticals", "consistent")
         },
         "necessary_condition": conds,
-        "sheet_extrema": extrema,
+        "sheet_extrema": {"sheet1": {"min": a_lo, "max": a_mid},
+                          "sheet2": {"min": a_mid, "max": a_hi}},
     }
     try:
         report["genus"] = man.genus

@@ -154,11 +154,6 @@ def is_consistently_oriented(mesh: SurfaceMesh) -> bool:
     return mesh_topology(mesh).oriented
 
 
-def genus(mesh: SurfaceMesh) -> int:
-    """(2 - chi)/2 for a closed connected orientable mesh."""
-    return mesh_topology(mesh).genus
-
-
 def boundary_loops(faces: np.ndarray, counts: np.ndarray, half: np.ndarray) -> list[list[int]]:
     """Vertex cycles of the boundary (edges used by exactly one face).
 
@@ -303,8 +298,11 @@ def min_separation(dirs: np.ndarray) -> float:
     i, j = np.triu_indices(len(dirs), 1)
     if not i.size:
         return math.pi
-    # acos decreases, so the smallest angle is the acos of the largest cosine
-    return math.acos(float(np.clip((dirs @ dirs.T)[i, j].max(), -1.0, 1.0)))
+    # acos decreases, so the smallest angle is the acos of the largest cosine;
+    # the fixed-order sum rounds alike on every BLAS kernel, a gemm does not
+    a, b = dirs[i], dirs[j]
+    cos = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    return math.acos(float(np.clip(cos.max(), -1.0, 1.0)))
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:

@@ -13,8 +13,10 @@ fixed-order one replaced, the per-value CSV and OBJ writers are the ones
 that the row and block formatters replaced, and the np.cross tangent
 frames are the ones that the written-out cross product replaced.  The
 face-by-face Poincare-Hopf count is the one that the axis search's
-closed-form index sum replaced, and the midpoint-dict icosphere is the
-loop that the edge-table subdivision replaced.
+closed-form index sum replaced, the midpoint-dict icosphere is the
+loop that the edge-table subdivision replaced, and the central
+difference of the half trace is the one that the closed-form |d s_r|
+replaced.
 
 The closed-form optic axes, the alpha root by bisection, the predicted
 kernel angle on the unit circle, the (u, w) unpacking that divides by
@@ -210,6 +212,24 @@ def half_trace_sphere_gradient(inv_eps: np.ndarray, x: np.ndarray) -> np.ndarray
     return -(ex - float(ex @ x) * x)
 
 
+def ds_r_norm_central(section_fn, p: np.ndarray, h: float = 1e-5) -> float:
+    """|d s_r| at p by central differences of the half trace t/2 of a section.
+
+    The four points unit_rows(p +- h t1), unit_rows(p +- h t2) go through
+    one section call.  They sit at angle atan(h) from p along great
+    circles, so for a quadratic s_r (a sinusoid of twice the angle on
+    each great circle) each difference equals the exact directional
+    derivative divided by 1 + h^2.
+    """
+    p = np.asarray(p, dtype=float)
+    p = p / np.linalg.norm(p)
+    t1, t2 = tangent_frames(p)
+    t, _, _ = section_fn(unit_rows(p + h * np.array([t1, -t1, t2, -t2])))
+    half = 0.5 * t
+    grads = (half[0::2] - half[1::2]) / (2.0 * h)
+    return math.hypot(float(grads[0]), float(grads[1]))
+
+
 def optic_axes_closed_form(crystal) -> np.ndarray:
     """The four conical directions of a biaxial crystal.
 
@@ -378,7 +398,6 @@ def critical_census(man) -> dict:
     n_min = n_max = 0
     saddle_mult = 0
     chi_sum = 0.0
-    points = []
     for v, cyc in enumerate(stars):
         if not cyc:
             raise GluingMismatch("isolated vertex in glued surface")
@@ -386,29 +405,18 @@ def critical_census(man) -> dict:
         signs = diffs > 0.0
         sc = int(np.count_nonzero(signs != np.roll(signs, -1)))
         chi_sum += 1.0 - sc / 2.0
-        kind = None
         if sc == 0:
             if bool(signs.all()):
                 n_min += 1
-                kind = "min"
             else:
                 n_max += 1
-                kind = "max"
         elif sc >= 4:
             saddle_mult += sc // 2 - 1
-            kind = "saddle"
-        if kind is not None and man.region[v] < 2:
-            points.append({
-                "where": [float(c) for c in man.base_dirs[v]],
-                "lambda": float(man.lambda_s[v]),
-                "kind": kind,
-            })
     return {
         "minima": n_min,
         "maxima": n_max,
         "saddle_multiplicity": saddle_mult,
         "chi_from_criticals": int(round(chi_sum)),
-        "points": points,
     }
 
 
@@ -465,7 +473,7 @@ def _lift_cyclic_line_angles(raw: np.ndarray) -> tuple[np.ndarray, float]:
 
 def min_pair_angle(found: list[np.ndarray]) -> float:
     """Smallest angle between two directions, pi for fewer than two."""
-    return min((math.acos(float(np.clip(np.dot(x, y), -1.0, 1.0)))
+    return min((math.acos(float(np.clip(x[0] * y[0] + x[1] * y[1] + x[2] * y[2], -1.0, 1.0)))
                 for i, x in enumerate(found) for y in found[i + 1:]), default=math.pi)
 
 
