@@ -31,7 +31,7 @@ from .sphere import ROOT_REL_TOL, _validate_mn, analyze_mn, trace_sigma_mn, z_se
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 MALLOC_MMAP_THRESHOLD = 1 << 20
-MALLOC_TRIM_THRESHOLD = 2 << 20
+MALLOC_TRIM_THRESHOLD = 4 << 20
 
 # config-file keys and their parsers; flag values override these
 _FIELD_PARSERS = {
@@ -131,11 +131,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _write_artifact(path: str, text: str) -> None:
+    """Write serialized text as ASCII bytes: no locale encoding, no "\\r\\n"."""
+    Path(path).write_bytes(text.encode("ascii"))
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_artifact(path, text)
 
 
 def _cmd_zset(cfg: RunConfig) -> None:
@@ -167,7 +172,7 @@ def _cmd_winding(cfg: RunConfig) -> None:
     _write_or_print(canonical_json({"curves": entries}), cfg.out)
     if cfg.out_csv is not None:
         components = [row.component for row in rows if row.component is not None]
-        Path(cfg.out_csv).write_text(polylines_csv(components))
+        _write_artifact(cfg.out_csv, polylines_csv(components))
 
 
 def _cmd_fresnel(cfg: RunConfig) -> None:
@@ -176,8 +181,7 @@ def _cmd_fresnel(cfg: RunConfig) -> None:
     inner, outer, gap = fresnel_mesh(crystal, subdivisions=cfg.subdiv)
     _write_or_print(canonical_json(fresnel_report(crystal, axes, gap)), cfg.out)
     if cfg.out_obj is not None:
-        Path(cfg.out_obj).write_text(
-            obj_objects([("fresnel_inner", inner), ("fresnel_outer", outer)]))
+        _write_artifact(cfg.out_obj, obj_objects([("fresnel_inner", inner), ("fresnel_outer", outer)]))
 
 
 def _cmd_eigenline(cfg: RunConfig) -> None:
@@ -191,7 +195,7 @@ def _cmd_eigenline(cfg: RunConfig) -> None:
     _write_or_print(canonical_json(report), cfg.out)
     if cfg.out_obj is not None:
         groups = [(name, np.arange(lo, hi)) for name, lo, hi in man.face_groups]
-        Path(cfg.out_obj).write_text(obj_face_groups(man.mesh, groups))
+        _write_artifact(cfg.out_obj, obj_face_groups(man.mesh, groups))
 
 
 def _cmd_knots(cfg: RunConfig) -> None:
@@ -206,7 +210,7 @@ def _cmd_knots(cfg: RunConfig) -> None:
         lines = ["component_id,base_angle,fiber_angle"]
         for cid, comp in enumerate(knot_polyline(cfg.winding, samples=cfg.samples)):
             float_row_lines(str(cid), ",", comp, lines)
-        Path(cfg.out_csv).write_text(join_lines(lines))
+        _write_artifact(cfg.out_csv, join_lines(lines))
 
 
 _DISPATCH = {
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _fix_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 2 MiB.
+    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 4 MiB.
 
     By default glibc raises both to the size of each mapped block freed,
     up to 32 and 64 MiB.  From then on multi-megabyte buffers (mesh
@@ -289,9 +293,13 @@ def _fix_malloc_thresholds() -> None:
     runs many commands peaks tens of MB higher or lower depending on the
     commands before.  With the thresholds fixed every buffer of 1 MiB or
     more has its own mapping, returned to the system when it is freed.
-    They are not set lower: at 128 KiB the det grid's band temporaries
-    (up to 512 KiB at grid 2048) would be mapped and faulted in again on
-    every band.  Other C libraries are left alone.
+    The mmap threshold is not set lower: at 128 KiB the det grid's band
+    temporaries (up to 512 KiB each at grid 2048) would be mapped and
+    faulted in again on every band.  The trim threshold sits above one
+    band's temporaries together (about 3.4 MB at grid 2048): when a band
+    is freed at the top of the heap, the next band reuses its pages
+    instead of the heap being trimmed and grown again on every band.
+    Other C libraries are left alone.
     """
     try:
         import ctypes

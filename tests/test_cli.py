@@ -203,6 +203,40 @@ def test_knots_even_winding_two_components(tmp_path, capsys):
     assert csv_path.read_text() == knot_csv_per_value(2, 16)
 
 
+# the functions whose text cli writes to an artifact file
+SERIALIZERS = ("canonical_json", "obj_objects", "obj_face_groups", "polylines_csv", "join_lines")
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["zset", "--m", "0", "--n", "1"], ["--out"]),
+    (["sphere", "--m", "1", "--n", "4", "--grid", "64"], ["--out"]),
+    (["winding", "--m", "0", "--n", "3", "--grid", "128"], ["--out", "--out-csv"]),
+    (["fresnel", "--subdiv", "2"], ["--out", "--out-obj"]),
+    (["eigenline", "--subdiv", "3"], ["--out", "--out-obj"]),
+    (["knots", "--winding", "3", "--samples", "16"], ["--out", "--out-csv"]),
+])
+def test_artifacts_are_serializer_text_as_ascii(tmp_path, monkeypatch, argv, outputs):
+    """Every artifact file holds exactly the ASCII encoding of the text
+    its serializer returned: no locale encoding, no "\\r\\n" newlines."""
+    texts = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            texts.append(fn(*args, **kwargs))
+            return texts[-1]
+        return wrapped
+
+    for name in SERIALIZERS:
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    paths = [tmp_path / f"artifact{i}" for i in range(len(outputs))]
+    flags = [item for flag, path in zip(outputs, paths) for item in (flag, str(path))]
+    assert cli.main(argv + flags) == 0
+    for path in paths:
+        data = path.read_bytes()
+        assert b"\r" not in data
+        assert data in [text.encode("ascii") for text in texts]
+
+
 def test_reruns_byte_identical(capsys):
     outs = set()
     for _ in range(3):
@@ -419,11 +453,9 @@ def test_computation_error_maps_to_exit_3(capsys, monkeypatch):
 
 # --- allocator thresholds --------------------------------------------------------------
 
-# In a fresh interpreter: count glibc's mapped blocks (mallinfo2 hblks)
-# around a 2 MiB buffer allocated after freeing an 8 MiB one.  At glibc's
-# dynamic default that free raises the mmap threshold to 8 MiB, and the
-# 2 MiB buffer comes from the heap; once main() has run it is mapped.
-_MAPPED_PROBE = """
+# The start of a probe run in a fresh interpreter: glibc's mallinfo2, and
+# cli.main run once when the first argument is "main".
+_PROBE_START = """
 import ctypes, sys
 import numpy as np
 from wavesym import cli
@@ -440,6 +472,13 @@ except AttributeError:
     sys.exit(3)
 if sys.argv[1] == "main":
     cli.main(["knots", "--winding", "3", "--out", sys.argv[2]])
+"""
+
+# Count glibc's mapped blocks (mallinfo2 hblks) around a 2 MiB buffer
+# allocated after freeing an 8 MiB one.  At glibc's dynamic default that
+# free raises the mmap threshold to 8 MiB, and the 2 MiB buffer comes from
+# the heap; once main() has run it is mapped.
+_MAPPED_PROBE = _PROBE_START + """
 big = np.ones(1 << 20)
 del big
 before = libc.mallinfo2().hblks
@@ -447,13 +486,23 @@ buf = np.ones(1 << 18)
 print(libc.mallinfo2().hblks - before)
 """
 
+# The heap's releasable top (mallinfo2 keepcost) after freeing six
+# 16 x 2049 complex arrays, about the temporaries of one grid-2048 det-grid
+# band.  Under a 2 MiB trim threshold these frees trim the heap, and the
+# next band faults the same pages in again.
+_BAND_PROBE = _PROBE_START + """
+band = [np.ones((16, 2049), complex) for _ in range(6)]
+del band
+print(libc.mallinfo2().keepcost)
+"""
 
-def _mapped_blocks_added(tmp_path, first: str) -> int:
+
+def _probe(tmp_path, probe: str, first: str) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parent.parent)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _MAPPED_PROBE, first, str(tmp_path / "k.json")],
+    proc = subprocess.run([sys.executable, "-c", probe, first, str(tmp_path / "k.json")],
                           capture_output=True, text=True, env=env)
     if proc.returncode == 3:
         pytest.skip("needs glibc 2.33 or later")
@@ -461,8 +510,12 @@ def _mapped_blocks_added(tmp_path, first: str) -> int:
     return int(proc.stdout)
 
 
+def test_main_keeps_a_freed_det_grid_band_in_the_heap(tmp_path):
+    assert _probe(tmp_path, _BAND_PROBE, "main") >= 6 * 16 * 2049 * 16
+
+
 def test_main_keeps_megabyte_buffers_in_their_own_mappings(tmp_path):
     assert cli.MALLOC_MMAP_THRESHOLD <= 2 << 20 <= cli.MALLOC_TRIM_THRESHOLD
-    assert _mapped_blocks_added(tmp_path, "main") == 1
+    assert _probe(tmp_path, _MAPPED_PROBE, "main") == 1
     # the probe itself tells the two settings apart
-    assert _mapped_blocks_added(tmp_path, "none") == 0
+    assert _probe(tmp_path, _MAPPED_PROBE, "none") == 0

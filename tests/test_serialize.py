@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,9 +136,10 @@ def test_obj_vertex_text_matches_fmt_float():
 
 
 def _obj_rows(n, seed, mixed):
-    """n vertex rows.  Plain rows hold no integral value, so they are
-    formatted in whole blocks; mixed rows carry 1e16 magnitudes, integral
-    values and -0.0 in about a third of the rows, the first and the last."""
+    """n vertex rows.  Plain rows hold no integral value; mixed rows carry
+    1e16 magnitudes, integral values and -0.0 in about a third of the
+    rows, the first and the last.  Both put magnitudes near 1e-5, which
+    take _g17, between values of the byte kernel's range."""
     rng = np.random.default_rng(seed)
     top = 16.0 if mixed else 9.0
     v = rng.normal(size=(n, 3)) * 10.0 ** rng.choice([-5.0, 0.0, top], size=(n, 3))
@@ -182,3 +187,113 @@ def test_obj_text_without_lines_is_one_newline():
     empty = SurfaceMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=int))
     assert obj_objects([]) == obj_face_groups(empty, []) == "\n"
     assert obj_face_groups(empty, [("g", [])]) == "g g\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the byte kernel's range, [1e-4, 1e16) in magnitude, drawn on its own as well
+KERNEL_RANGE = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+VALUES = st.one_of(FINITE, KERNEL_RANGE, KERNEL_RANGE.map(lambda x: -x))
+
+
+@given(st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=40))
+def test_float_rows_match_per_value_oracle(rows):
+    v = np.array(rows, dtype=float)
+    got, want = [], []
+    float_row_lines("v", " ", v, got)
+    oracles.obj_vertex_lines(v, want)
+    assert "\n".join(got) == "\n".join(want)
+
+
+def _sweep_values():
+    """Values where the digits or the exponent are easy to get wrong."""
+    values = []
+    for k in range(-6, 18):
+        below = above = float(f"1e{k}")
+        values.append(below)
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            values += [below, above]
+    # just below a power of ten, where a digit carry or a wrong exponent would show
+    values += [0.99999999999999994, 9.9999999999999982, 99999.999999999985, 9999999999999998.0]
+    # ties at the 17th digit, rounded half to even
+    values += [1e15 + 0.25, 1e15 + 0.75, 2.0**50 + 0.25, 123456789012345.625]
+    # short dyadic values: exact decimal expansions, many trailing zeros
+    values += [m / 2.0**e for m in (1, 3, 5, 123, 2**20 + 1, 2**52 + 1) for e in range(0, 70, 3)]
+    values += [1.0, 10.0, 100.0, 0.5, 0.1, -0.0, 0.0, 5e-324, np.finfo(float).max, np.finfo(float).tiny]
+    values += [-x for x in values]
+    values += [0.0] * (-len(values) % 3)
+    return np.array(values, dtype=float).reshape(-1, 3)
+
+
+def test_float_rows_sweep_match_per_value_oracle():
+    v = _sweep_values()
+    got, want = [], []
+    float_row_lines("v", " ", v, got)
+    oracles.obj_vertex_lines(v, want)
+    assert "\n".join(got) == "\n".join(want)
+
+
+@pytest.mark.parametrize("offset", [0, 7])
+def test_face_lines_at_digit_boundaries(offset):
+    printed = np.array([9, 10, 99, 100, 999, 1000, 9999, 10000, 99999,
+                        99999999, 100000000, 10**12 - 1, 10**12, 10**16, 10**16 + 1])
+    faces = (printed - 1 - offset).reshape(-1, 3)
+    got, want = [], []
+    _face_lines(faces, offset, got)
+    oracles.obj_face_lines(faces, offset, want)
+    assert "\n".join(got) == "\n".join(want)
+    assert want[0] == "f 9 10 99"
+
+
+def test_face_lines_refuse_index_below_one():
+    with pytest.raises(InputError):
+        _face_lines(np.array([[0, 1, 2]]), -1, [])
+
+
+_PORTABLE_PROBE = """
+import sys
+import numpy as np
+from wavesym.serialize import float_row_lines
+rng = np.random.default_rng(17)
+# random bit patterns reach every binary exponent, subnormals included
+bits = rng.integers(0, 0x7FF0000000000000, size=6000, dtype=np.int64)
+every_class = bits.view(np.float64) * rng.choice([-1.0, 1.0], size=bits.size)
+# the kernel's range: a mantissa times an exact power of ten
+p = np.array([float(f"1e{k}") for k in range(-4, 16)])
+kernel = rng.uniform(1.0, 10.0, size=(300, p.size)) * p
+# up to 1000 ulps either side of each power of ten, where floor(log10) may miss
+steps = np.arange(1, 1001)[:, None]
+near = np.concatenate([p * (1.0 - steps * 2.0**-53), p * (1.0 + steps * 2.0**-52)])
+values = np.concatenate([every_class, kernel.ravel(), near.ravel(), [0.0, -0.0]])
+out = []
+float_row_lines("v", " ", values.reshape(-1, 3), out)
+sys.stdout.write("\\n".join(out))
+"""
+
+
+def test_float_rows_portable_across_cpu_dispatch():
+    """One seeded array spanning every exponent class, formatted in three
+    child processes: default settings, numpy's AVX-512 dispatch disabled,
+    and OpenBLAS forced to its Haswell kernel.  The text must be equal.
+
+    The kernel takes only a first guess of the decimal exponent from
+    np.log10 and corrects it.  On a 2-vCPU AVX-512 Xeon, np.log10 of the
+    40000 values near powers of ten differs in the last bit for 1604 of
+    them between the AVX-512 and the AVX2 dispatch, and its floor for 7.
+    Where a setting has no effect on the host (no AVX-512, or a numpy
+    build that ignores OPENBLAS_CORETYPE), its comparison is trivially
+    equal.
+    """
+    root = Path(__file__).resolve().parent.parent
+    src = Path(float_row_lines.__code__.co_filename).resolve().parent.parent
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(root)]))
+    texts = []
+    for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                    {"OPENBLAS_CORETYPE": "Haswell"}):
+        proc = subprocess.run([sys.executable, "-c", _PORTABLE_PROBE], capture_output=True,
+                              cwd=root, env={**base, **setting})
+        assert proc.returncode == 0, proc.stderr
+        texts.append(proc.stdout)
+    assert texts[0].count(b"\n") == (6000 + 6000 + 40000 + 2) // 3 - 1
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0]
