@@ -30,7 +30,7 @@ from .multiplicity import lift_angles
 from .spheremesh import (
     MeshTopology,
     SurfaceMesh,
-    _edge_table,
+    _boundary_half_edges,
     boundary_loops,
     icosphere,
     mesh_topology,
@@ -147,8 +147,8 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         keep_face = ~removed[faces].any(axis=1)
         kept = faces[keep_face]
         # vertices whose link is pinched would give non simple boundaries
-        edges, counts, half = _edge_table(kept)
-        bad = np.bincount(edges[counts == 1].reshape(-1), minlength=base.n_vertices) > 2
+        tail, head = _boundary_half_edges(kept)
+        bad = np.bincount(np.concatenate([tail, head]), minlength=base.n_vertices) > 2
         if not bad.any():
             break
         removed |= bad
@@ -158,7 +158,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
     if k and not used.any():
         raise InputError("tube disks swallow the whole sphere")
 
-    loops_base = boundary_loops(kept, counts, half)
+    loops_base = boundary_loops(tail, head)
     if len(loops_base) < k:
         # a disk is at least one vertex star, grown by the pinch repair, so
         # on a coarse mesh disks merge although the points are 3 radii apart
@@ -169,16 +169,10 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         raise GluingMismatch(
             f"disk removal produced {len(loops_base)} boundary loops for {k} points")
     loop_of_point: list[list[int]] = []
-    assigned = set()
+    free = list(range(len(loops_base)))
     for i in range(k):
-        best, best_d = None, math.inf
-        for li, loop in enumerate(loops_base):
-            if li in assigned:
-                continue
-            d = float(_angular_dist(V[loop], pts[i]).mean())
-            if d < best_d:
-                best, best_d = li, d
-        assigned.add(best)
+        best = min(free, key=lambda li: float(_angular_dist(V[loops_base[li]], pts[i]).mean()))
+        free.remove(best)
         loop_of_point.append(loops_base[best])
 
     # index maps for the two sheet copies of the kept vertices
@@ -306,11 +300,15 @@ def critical_scan(man: EigenlineManifold) -> dict:
     if not man.topology.oriented:
         raise GluingMismatch("glued surface is not closed and consistently oriented")
     # on a closed oriented mesh face (v, a, b) makes a, b consecutive in v's star
+    corner = g[faces]
+    up_a, up_b = np.empty(faces.shape, dtype=bool), np.empty(faces.shape, dtype=bool)
+    for c in range(3):
+        np.greater(corner[:, (c + 1) % 3], corner[:, c], out=up_a[:, c])
+        np.greater(corner[:, (c + 2) % 3], corner[:, c], out=up_b[:, c])
+    del corner   # not held through the gathers below
     v = faces.reshape(-1)
-    up_a = (g[faces[:, [1, 2, 0]].reshape(-1)] - g[v]) > 0.0
-    up_b = (g[faces[:, [2, 0, 1]].reshape(-1)] - g[v]) > 0.0
-    sc = np.bincount(v[up_a != up_b], minlength=n)
-    n_up = np.bincount(v[up_a], minlength=n)
+    sc = np.bincount(v[(up_a != up_b).reshape(-1)], minlength=n)
+    n_up = np.bincount(v[up_a.reshape(-1)], minlength=n)
     is_min = (sc == 0) & (n_up > 0)
     is_max = (sc == 0) & (n_up == 0)
     is_saddle = sc >= 4

@@ -29,7 +29,7 @@ class SurfaceMesh:
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.faces = np.asarray(self.faces, dtype=int)
+        self.faces = np.asarray(self.faces, dtype=int).reshape(-1, 3)
 
     @property
     def n_vertices(self) -> int:
@@ -40,37 +40,45 @@ class SurfaceMesh:
         return int(self.faces.shape[0])
 
 
-def _half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of the 3F half-edges a->b, b->c, c->a, face by face."""
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    return faces.reshape(-1), faces[:, [1, 2, 0]].reshape(-1)
+def _edge_keys(faces: np.ndarray) -> tuple[np.ndarray, int]:
+    """2 (lo n + hi) + [tail > head] of each half-edge a->b, b->c, c->a, face by face, and n.
+
+    n is one above the largest vertex id, and int64 holds every key below 2**31 vertices.
+    Built in place, lo n + hi as lo (n - 1) + tail + head: no other (3F,) array is made.
+    """
+    n = int(faces.max(initial=0)) + 1
+    keys = np.empty(faces.shape, dtype=np.int64)
+    for c in range(3):
+        tail, head, key = faces[:, c], faces[:, (c + 1) % 3], keys[:, c]
+        np.minimum(tail, head, out=key)
+        key *= n - 1
+        key += tail
+        key += head
+        key *= 2
+        key += tail > head
+    return keys.reshape(-1), n
 
 
-def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique undirected edges of a triangle list.
+def _edge_runs(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The half-edge keys sorted in place: a run per edge, rising half-edges first.
 
-    Returns (edges, counts, half): the sorted vertex pairs (E, 2), the
-    number of faces on each edge, and the edge id of every half-edge in
-    the order of `_half_edges`.
+    Returns per half-edge lo n + hi and the low bit, a mask of run starts and of the end, and n.
     """
     keys, n = _edge_keys(faces)
-    keys, half, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return np.column_stack([keys // n, keys % n]), counts, half
+    keys.sort()
+    falling = np.bitwise_and(keys, 1, out=np.empty(keys.size, dtype=bool), casting="unsafe")
+    keys >>= 1
+    starts = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    return keys, falling, starts, n
 
 
-def _edge_keys(faces: np.ndarray) -> tuple[np.ndarray, int]:
-    """lo * n + hi for the undirected edge of every half-edge, and n.
-
-    Built in place so that only the keys are alive while np.unique sorts
-    them: its own copies make the peak memory of a mesh pass.
-    """
-    tail, head = _half_edges(faces)
-    hi = np.maximum(tail, head)
-    n = int(hi.max(initial=0)) + 1
-    keys = np.minimum(tail, head)
-    keys *= n
-    keys += hi
-    return keys, n
+def _boundary_half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the half-edges on edges of one face only."""
+    edge, falling, starts, n = _edge_runs(faces)
+    single = starts[:-1] & starts[1:]
+    lo, hi = np.divmod(edge[single], n)
+    return np.where(falling[single], hi, lo), np.where(falling[single], lo, hi)
 
 
 class MeshTopology(NamedTuple):
@@ -105,38 +113,40 @@ class MeshTopology(NamedTuple):
         return (2 - chi) // 2
 
 
-def _component_count(n_vertices: int, edges: np.ndarray, faces: np.ndarray) -> int:
-    """Number of vertex components under the edge graph, over vertices on a face."""
-    a, b = edges[:, 0], edges[:, 1]
-    # min-label propagation: every label is a vertex of the same component,
-    # never above its own id; hooking the labels (not the end vertices) and
-    # pointer jumping keep the number of rounds logarithmic
+def _component_count(n_vertices: int, a: np.ndarray, b: np.ndarray, faces: np.ndarray) -> int:
+    """Number of vertex components under the edges a-b, over vertices on a face.
+
+    Hook and shortcut (Shiloach and Vishkin, J. Algorithms 3, 1982) on a contracting edge
+    list: each round hooks the larger root of every edge onto the smaller, jumps each label
+    to its root and keeps the edges between two roots, as root pairs.  It ends, as every
+    round hooks at least one root and labels only decrease.
+    """
     label = np.arange(n_vertices)
-    while True:
-        la, lb = label[a], label[b]
-        low = np.minimum(la, lb)
-        new = label.copy()
-        np.minimum.at(new, la, low)
-        np.minimum.at(new, lb, low)
-        while not np.array_equal(new[new], new):
-            new = new[new]
-        if np.array_equal(new, label):
-            # each component keeps one root, its least vertex, labelled by itself
-            on_face = np.bincount(faces.reshape(-1), minlength=n_vertices) > 0
-            return int(np.count_nonzero(on_face & (label == np.arange(n_vertices))))
-        label = new
+    while a.size:
+        np.minimum.at(label, a, b)   # both ways: of two roots only the larger moves
+        np.minimum.at(label, b, a)
+        while not np.array_equal(up := label[label], label):
+            label = up
+        a, b = label[a], label[b]
+        join = a != b
+        a, b = a[join], b[join]
+    # each component keeps one root, its least vertex, labelled by itself
+    on_face = np.bincount(faces.reshape(-1), minlength=n_vertices) > 0
+    return int(np.count_nonzero(on_face & (label == np.arange(n_vertices))))
 
 
 def mesh_topology(mesh: SurfaceMesh) -> MeshTopology:
-    """Closedness, orientation, chi and component count from one edge table."""
-    edges, counts, half = _edge_table(mesh.faces)
-    tail, head = _half_edges(mesh.faces)
-    open_edges = int(np.count_nonzero(counts != 2))
-    rising = np.bincount(half[tail < head], minlength=counts.size)
+    """Closedness, orientation, chi and component count from one sort of the half-edges."""
+    edge, falling, starts, n = _edge_runs(mesh.faces)
+    lo, hi = np.divmod(edge[starts[:-1]], n)
+    # runs of two half-edges: a start, one more, then the next start
+    open_edges = lo.size - int(np.count_nonzero(starts[:-2] & ~starts[1:-1] & starts[2:]))
+    # closed, each run is the half-edges 2i (rising) and 2i + 1 (falling)
+    oriented = open_edges == 0 and not falling[::2].any() and bool(falling[1::2].all())
+    del edge, falling, starts   # not held through the component count
     return MeshTopology(
-        n_vertices=mesh.n_vertices, n_edges=len(edges), n_faces=mesh.n_faces,
-        open_edges=open_edges, oriented=open_edges == 0 and bool(np.all(rising == 1)),
-        components=_component_count(mesh.n_vertices, edges, mesh.faces))
+        n_vertices=mesh.n_vertices, n_edges=lo.size, n_faces=mesh.n_faces, open_edges=open_edges,
+        oriented=oriented, components=_component_count(mesh.n_vertices, lo, hi, mesh.faces))
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
@@ -154,29 +164,21 @@ def is_consistently_oriented(mesh: SurfaceMesh) -> bool:
     return mesh_topology(mesh).oriented
 
 
-def boundary_loops(faces: np.ndarray, counts: np.ndarray, half: np.ndarray) -> list[list[int]]:
-    """Vertex cycles of the boundary (edges used by exactly one face).
-
-    counts and half are the faces' edge table, as `_edge_table` returns them.
-    """
-    tail, head = _half_edges(faces)
-    on_boundary = counts[half] == 1
+def boundary_loops(tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
+    """Vertex cycles of the boundary half-edges tail->head of `_boundary_half_edges`."""
     # boundary is traversed opposite to the face direction
-    directed = dict(zip(head[on_boundary].tolist(), tail[on_boundary].tolist()))
+    directed = dict(zip(head.tolist(), tail.tolist()))
     loops: list[list[int]] = []
-    seen: set[int] = set()
     for start in sorted(directed):
-        if start in seen:
+        if start not in directed:
             continue
         loop = [start]
-        seen.add(start)
-        cur = directed[start]
+        cur = directed.pop(start)
         while cur != start:
-            if cur in seen:
+            if cur not in directed:
                 raise WavesymError(f"boundary is pinched at vertex {cur}")
             loop.append(cur)
-            seen.add(cur)
-            cur = directed[cur]
+            cur = directed.pop(cur)
         loops.append(loop)
     return loops
 
@@ -215,13 +217,13 @@ def icosphere(subdivisions: int = 0) -> SurfaceMesh:
         raise ValueError("subdivisions must be >= 0")
     verts, faces = _icosahedron()
     for _ in range(subdivisions):
-        keys, _ = _edge_keys(faces)
-        _, first, half = np.unique(keys, return_index=True, return_inverse=True)
+        keys, n = _edge_keys(faces)
+        _, first, half = np.unique(keys >> 1, return_index=True, return_inverse=True)
         # edges numbered by their first half-edge in the face-major walk
         rank = np.argsort(np.argsort(first))
         first = np.sort(first)
-        tail, head = _half_edges(faces)
-        mids = unit_rows(verts[tail[first]] + verts[head[first]])
+        lo, hi = np.divmod(keys[first] >> 1, n)
+        mids = unit_rows(verts[lo] + verts[hi])
         ab, bc, ca = (len(verts) + rank[half]).reshape(-1, 3).T
         a, b, c = faces.T
         faces = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)

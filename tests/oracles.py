@@ -296,6 +296,21 @@ def _edge_counts(faces: np.ndarray) -> dict[tuple[int, int], int]:
     return counts
 
 
+def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique undirected edges of a triangle list, by np.unique.
+
+    Returns (edges, counts, half): the sorted vertex pairs (E, 2), the
+    number of faces on each edge, and the edge id of every half-edge
+    a->b, b->c, c->a, face by face.
+    """
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    tail, head = faces.reshape(-1), faces[:, [1, 2, 0]].reshape(-1)
+    n = int(faces.max(initial=0)) + 1
+    keys = np.minimum(tail, head) * n + np.maximum(tail, head)
+    keys, half, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return np.column_stack([keys // n, keys % n]), counts, half
+
+
 def euler_characteristic(mesh) -> int:
     """V - E + F of a closed mesh.  Raises NotClosed on boundary edges."""
     counts = _edge_counts(mesh.faces)

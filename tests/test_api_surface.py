@@ -6,7 +6,9 @@ or an imported name, a method as an attribute.  So a function is not
 kept alive by an attribute or method of the same name elsewhere.  Its
 own definition does not count, and neither does a re-export in
 __init__.  So a helper that only tests call fails here: it gets a
-caller in the package, or it moves to tests/oracles.py.
+caller in the package, or it moves to tests/oracles.py.  The same holds
+for private top-level functions: a `_helper` that only tests call is a
+reference implementation, and it belongs in tests/oracles.py.
 """
 
 import ast
@@ -37,6 +39,13 @@ def public_definitions(tree: ast.Module):
                         yield f"{node.name}.{sub.name}", sub.name, True
 
 
+def private_functions(tree: ast.Module):
+    """Name of each private top-level function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name
+
+
 def used_names(tree: ast.Module):
     """(name, through an attribute) of each mention of a name."""
     for node in ast.walk(tree):
@@ -56,3 +65,10 @@ def test_every_public_name_has_a_caller():
     assert [q for q, name in unused if name not in EXEMPT] == []
     # an exemption that gained a caller, or lost its definition, goes too
     assert {name for _, name in unused} == EXEMPT
+
+
+def test_every_private_function_has_a_caller():
+    modules = parsed_modules()
+    used = {use for tree in modules.values() for use in used_names(tree)}
+    assert [f"{mod}.{name}" for mod, tree in modules.items()
+            for name in private_functions(tree) if (name, False) not in used] == []

@@ -20,7 +20,8 @@ from wavesym.fresnel import Crystal, compressed_grid, singular_directions
 from wavesym.multiplicity import lift_angles
 from wavesym.spheremesh import (
     SurfaceMesh,
-    _edge_table,
+    _boundary_half_edges,
+    _edge_runs,
     boundary_loops,
     connected_components,
     euler_characteristic,
@@ -86,6 +87,7 @@ MESHES = {
     "isolated_vertex": lambda: SurfaceMesh(vertices=np.vstack([icosphere(1).vertices, [[0.0, 0.0, 2.0]]]),
                                            faces=icosphere(1).faces),
     **{f"glued_k{k}": (lambda k=k: _glued(k).mesh) for k in (0, 2, 4)},
+    "no_faces": lambda: SurfaceMesh(vertices=np.zeros((4, 3)), faces=[]),
 }
 
 
@@ -126,9 +128,27 @@ def test_combinatorics_match_loops(name):
     if _pinched(mesh.faces):
         # the loop walk never returns to its start on a pinched boundary
         with pytest.raises(WavesymError, match="pinched"):
-            boundary_loops(mesh.faces, *_edge_table(mesh.faces)[1:])
+            boundary_loops(*_boundary_half_edges(mesh.faces))
     else:
-        assert boundary_loops(mesh.faces, *_edge_table(mesh.faces)[1:]) == oracles.boundary_loops(mesh.faces)
+        assert boundary_loops(*_boundary_half_edges(mesh.faces)) == oracles.boundary_loops(mesh.faces)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_edge_runs_match_unique_table(name):
+    # one run per edge of np.unique's table, as long as its face count;
+    # rising half-edges first, and the boundary half-edges are those of
+    # the edges on one face
+    faces = MESHES[name]().faces
+    edges, counts, half = oracles._edge_table(faces)
+    keys, falling, starts, n = _edge_runs(faces)
+    first = np.flatnonzero(starts)
+    assert np.array_equal(keys[first[:-1]], edges[:, 0] * n + edges[:, 1])
+    assert np.array_equal(np.diff(first), counts)
+    assert not np.any(falling[:-1] & ~falling[1:] & ~starts[1:-1])
+    tail, head = faces.reshape(-1), faces[:, [1, 2, 0]].reshape(-1)
+    single = counts[half] == 1
+    want = sorted(zip(tail[single].tolist(), head[single].tolist()))
+    assert sorted(zip(*(x.tolist() for x in _boundary_half_edges(faces)))) == want
 
 
 @pytest.mark.parametrize("subdivisions", range(7))
@@ -181,6 +201,37 @@ def test_topology_fin_edge_is_open_and_unoriented():
     assert is_consistently_oriented(SurfaceMesh(vertices=mesh.vertices, faces=tetra))
 
 
+def _strip(n):
+    """A triangle strip over n vertices whose ids fall along it."""
+    ids = np.arange(n)[::-1]
+    return np.column_stack([ids[:-2], ids[1:-1], ids[2:]])
+
+
+def _tetrahedra(count):
+    """count disjoint oriented tetrahedra; tetrahedron t has the ids t, t + count, ..."""
+    tetra = np.array([(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
+    return (tetra[None] * count + np.arange(count)[:, None, None]).reshape(-1, 3)
+
+
+COMPONENT_FACES = {
+    "strip_falling": lambda: _strip(200),
+    "strip_falling_reversed": lambda: _strip(200)[::-1],
+    "fan_hub_largest": lambda: np.column_stack([np.full(99, 100), np.arange(99), np.arange(1, 100)]),
+    "tetrahedra_interleaved": lambda: _tetrahedra(40),
+    # 40 tetrahedra on the even ids 0..318; the odd ids are on no face
+    "faceless_between": lambda: 2 * _tetrahedra(40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_FACES))
+def test_component_count_on_adversarial_labels(name):
+    faces = COMPONENT_FACES[name]()
+    mesh = SurfaceMesh(vertices=np.zeros((int(faces.max()) + 3, 3)), faces=faces)
+    want = oracles.connected_components(mesh)
+    assert want == {"tetrahedra_interleaved": 40, "faceless_between": 40}.get(name, 1)
+    assert mesh_topology(mesh).components == want
+
+
 @functools.cache
 def _built(name):
     return MESHES[name]()
@@ -214,7 +265,7 @@ def test_pinched_boundary_is_refused():
     faces = np.delete(f, [i, j], axis=0)
     assert _pinched(faces)
     with pytest.raises(WavesymError, match="pinched"):
-        boundary_loops(faces, *_edge_table(faces)[1:])
+        boundary_loops(*_boundary_half_edges(faces))
 
 
 CENSUS_KEYS = ("minima", "maxima", "saddle_multiplicity", "chi_from_criticals")
@@ -236,6 +287,17 @@ def test_glued_census_matches_star_walk(k):
     crit = critical_scan(man)
     assert {k: crit[k] for k in CENSUS_KEYS} == oracles.critical_census(man)
     assert crit["consistent"] is True
+
+
+@pytest.mark.parametrize("name", [f"icosphere{s}" for s in range(5)] + ["two_spheres"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_census_matches_star_walk_on_tied_values(name, seed):
+    # values in {0, 1, 2} tie across most edges: only the jitter orders them
+    man = _field_manifold(MESHES[name](), None)
+    man.lambda_s = np.random.default_rng(seed).integers(0, 3, man.mesh.n_vertices).astype(float)
+    crit = critical_scan(man)
+    assert {k: crit[k] for k in CENSUS_KEYS} == oracles.critical_census(man)
+    assert crit["chi_from_criticals"] == crit["chi"]
 
 
 def test_census_refuses_flipped_face():
