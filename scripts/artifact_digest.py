@@ -58,10 +58,11 @@ JOBS += [
     for cmd, outputs in (("sphere", [("--out", "s.json")]),
                          ("winding", [("--out", "w.json"), ("--out-csv", "w.csv")]))
 ]
-# a grid-2048 det grid band holds 16 x 2049 complex values (524 KiB), above
-# the 256 KiB at which numpy elides temporaries into in-place ufuncs, which
-# no grid-512 band reaches; these pairs are those whose bands once rounded
-# differently from det_at at the same nodes
+# a grid-2048 det grid band evaluates 16 x 2049 nodes, 256 KiB per float64
+# array, at the 256 KiB from which numpy elides temporaries into in-place
+# ufuncs and which no grid-512 band reaches; these pairs are those whose
+# bands once rounded differently from det_at at the same nodes, when det M
+# came from complex products
 JOBS += [
     (f"{cmd}_{m}{n}_2048", [cmd, "--m", str(m), "--n", str(n), "--grid", "2048"], outputs)
     for m, n in ((0, 3), (0, 6), (1, 6), (2, 5), (2, 6))

@@ -294,9 +294,9 @@ def _fix_malloc_thresholds() -> None:
     commands before.  With the thresholds fixed every buffer of 1 MiB or
     more has its own mapping, returned to the system when it is freed.
     The mmap threshold is not set lower: at 128 KiB the det grid's band
-    temporaries (up to 512 KiB each at grid 2048) would be mapped and
-    faulted in again on every band.  The trim threshold sits above one
-    band's temporaries together (about 3.4 MB at grid 2048): when a band
+    temporaries (256 KiB each at grid 2048) would be mapped and faulted
+    in again on every band.  The trim threshold sits above one band's
+    temporaries together (at most 2.4 MB at grid 2048): when a band
     is freed at the top of the heap, the next band reuses its pages
     instead of the heap being trimmed and grown again on every band.
     Other C libraries are left alone.

@@ -28,21 +28,21 @@ from .errors import (
 )
 from .serialize import float_row_lines, join_lines
 from .spheremesh import tangent_frames, transport_pq
-from .sym2 import det_norm2, kernel_angle
+from .sym2 import kernel_angle
 
 CONTOUR_REL_TOL = 1e-10
 GRADIENT_FLOOR_REL = 1e-6
 WINDING_RESIDUAL = 0.1
 _JUMP_LIMIT = (math.pi / 2.0) * (1.0 - 1e-9)
-# rows of xs per rep_fn call in det_grid.  Swept over 4 to 64 at grid 2048
-# on a 2.1 GHz Xeon with 2 MiB of L2 per core: 8 to 24 rows were equally fast
-# (within 4%), 4 and 32 rows 10-20% slower, 64 about 30% slower
+# rows of xs per abs2_fn call in det_grid.  At grid 2048 on a 2.1 GHz Xeon
+# with 2 MiB of L2 per core, 8, 16 and 32 rows were equally fast (within
+# noise) and 64 rows about 1.9x slower
 DET_BAND_ROWS = 16
-# peak bytes per node of the det grid and its contouring: F (float64) plus
-# the sign, two edge-crossing and cell-crossing masks (bool) ...
+# det_grid_peak_bytes is a conservative bound, the figure of the whole-grid
+# det grid (12 B per node for a float64 grid and four boolean masks ...
 _GRID_BYTES_PER_NODE = 8 + 4
-# ... plus, per node of one band, the temporaries of rep_fn and det_norm2
-# (at most 105 B for the sphere symbols under tracemalloc)
+# ... plus 160 B per node of one band), kept so that the same grids pass the
+# cap; the band sweep holds one band of temporaries and the crossed cells
 _BAND_BYTES_PER_NODE = 160
 # largest det_grid_peak_bytes a ChartSymbolField accepts: square grids up to 9352
 DET_GRID_BYTE_CAP = 2**30
@@ -51,7 +51,7 @@ LOCAL_DEGREE_SAMPLES = 180
 
 
 def det_grid_peak_bytes(nx: int, ny: int) -> int:
-    """Peak working set of det_grid plus contouring on an nx x ny grid."""
+    """Bound on the working set of det_grid plus contouring on an nx x ny grid."""
     cols = int(ny) + 1
     rows = int(nx) + 1
     return rows * cols * _GRID_BYTES_PER_NODE + min(DET_BAND_ROWS, rows) * cols * _BAND_BYTES_PER_NODE
@@ -68,15 +68,14 @@ def _chart_points(X, Y) -> np.ndarray:
 class ChartSymbolField:
     """Symbol field on the rectangle [x0, x1] x [y0, y1].
 
-    rep_fn maps an array of complex chart coordinates z = x + i y to the
-    arrays (u, w) of the symbol's complex pair; it must be pure, so
-    repeated evaluation at the same point is bit identical.  That includes
-    arrays of different sizes: det_grid evaluates whole bands of nodes and
-    det_at a few points, and contouring compares the two.  So rep_fn fixes
-    its operation order instead of leaving it to numpy, which elides a
-    temporary operand of 256 KiB or more into an in-place ufunc and may
-    swap the operands of a commutative one to do so; a complex product can
-    then round differently in the last bit (see the sphere module).
+    rep_fn maps complex chart coordinates z = x + i y to the arrays (u, w)
+    of the symbol's complex pair, for the kernel lines; abs2_fn maps real
+    coordinate arrays X, Y that broadcast to (|u|^2, |w|^2), for det M and
+    |M|^2.  Both must be pure: repeated evaluation at the same point is bit
+    identical, also across array sizes and shapes, since det_grid
+    evaluates bands of nodes and det_at a few points and contouring
+    compares the two.  The operation-order rule of the sphere module
+    serves that for rep_fn; real arithmetic needs no such rule.
     """
 
     x0: float
@@ -86,6 +85,7 @@ class ChartSymbolField:
     nx: int
     ny: int
     rep_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    abs2_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -106,29 +106,46 @@ class ChartSymbolField:
         return self._cache["nodes"]
 
     def det_at(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return det_norm2(*self.rep_fn(_chart_points(X, Y)))[0]
+        a, b = self.abs2_fn(X, Y)
+        return 0.5 * (a - b)
 
-    def det_grid(self) -> np.ndarray:
-        """Determinant on the nodes, indexed [i, j] = (xs[i], ys[j]).
+    def det_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cells whose corners do not all share the sign f >= 0, as ascending
+        codes i * ny + j of [xs[i], xs[i+1]] x [ys[j], ys[j+1]], and their
+        values at the corners (i, j), (i+1, j), (i, j+1), (i+1, j+1).
 
-        rep_fn runs on DET_BAND_ROWS rows of xs at a time, so only the
-        result and one band of temporaries are ever held.
+        One sweep runs abs2_fn on DET_BAND_ROWS rows of xs at a time, each
+        band carrying the last row of the one before, so no whole-grid
+        array is held; max|f| and max|M|^2 come from per-band maxima.
         """
         if "det_grid" not in self._cache:
             xs, ys = self.nodes()
-            F = np.empty((xs.size, ys.size))
-            norm2 = []
-            # the nodes of one band: the imaginary parts are the same for
-            # every band, the real parts are refilled in place
-            Z = _chart_points(np.zeros((min(DET_BAND_ROWS, xs.size), 1)), ys)
+            cols = ys.size
+            buf = np.empty((DET_BAND_ROWS + 1, cols))
+            corner = np.array([0, cols, 1, cols + 1])
+            codes, corners, max_abs, max_norm2 = [], [], [], []
             for i0 in range(0, xs.size, DET_BAND_ROWS):
                 rows = min(DET_BAND_ROWS, xs.size - i0)
-                Z.real[:rows] = xs[i0:i0 + rows, None]
-                F[i0:i0 + rows], n2 = det_norm2(*self.rep_fn(Z[:rows]))
-                norm2.append(n2.max())
-            self._cache["det_grid"] = F
-            self._cache["max_abs_det"] = float(max(F.max(), -F.min()))
-            self._cache["max_norm2"] = float(np.max(norm2))
+                a, b = self.abs2_fn(xs[i0:i0 + rows, None], ys)
+                band = buf[1:rows + 1]
+                np.multiply(0.5, a - b, out=band)
+                max_abs.append(max(band.max(), -band.min()))
+                max_norm2.append((a + b).max())
+                # rows i0 - 1 .. i0 + rows - 1, the first band without a carried row
+                F = buf[:rows + 1] if i0 else band
+                S = F >= 0.0
+                step = S[:-1] != S[1:]
+                # parity: a cell whose corners differ has two sides that differ,
+                # so three of its sides tell
+                cross = step[:, :-1] | step[:, 1:] | (S[:-1, :-1] != S[:-1, 1:])
+                k = np.flatnonzero(cross)
+                r, j = np.divmod(k, cols - 1)
+                codes.append(k + max(i0 - 1, 0) * (cols - 1))
+                corners.append(F.ravel()[(r * cols + j)[:, None] + corner])
+                buf[0] = buf[rows]
+            self._cache["det_grid"] = np.concatenate(codes), np.concatenate(corners)
+            self._cache["max_abs_det"] = float(max(max_abs))
+            self._cache["max_norm2"] = float(max(max_norm2))
         return self._cache["det_grid"]
 
     @property
@@ -176,58 +193,55 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     """
     if rel_tol <= 0.0:
         raise InputError("rel_tol must be positive")
-    F = fld.det_grid()
+    codes, corners = fld.det_grid()
     max_abs = fld.max_abs_det
     if max_abs <= 1e-14 * max(1.0, fld.max_norm2):
         raise DegenerateField("det M vanishes on the whole grid")
     tol = rel_tol * max_abs
-
-    xs, ys = fld.nodes()
-    S = F >= 0.0
-    hx = S[:-1, :] != S[1:, :]   # edge (i,j)-(i+1,j), shape (nx, ny+1)
-    vx = S[:, :-1] != S[:, 1:]   # edge (i,j)-(i,j+1), shape (nx+1, ny)
-
-    cell_cross = hx[:, :-1] | hx[:, 1:] | vx[:-1, :] | vx[1:, :]
-    # flatnonzero: np.nonzero on a 2-d mask is an order of magnitude slower
-    ci, cj = np.divmod(np.flatnonzero(cell_cross), cell_cross.shape[1])
-    if ci.size == 0:
+    if codes.size == 0:
         return []
 
+    xs, ys = fld.nodes()
+    rows, cols = xs.size, ys.size
+    ci, cj = np.divmod(codes, cols - 1)
     # an edge is coded (kind * (nx + 1) + i) * (ny + 1) + j, kind 0 for the
     # edge (i, j)-(i+1, j) and 1 for (i, j)-(i, j+1), so codes sort like
-    # (kind, i, j); the crossing edges of a cell in the order S, E, N, W
-    rows, cols = F.shape
+    # (kind, i, j); the sides of a cell in the order S, E, N, W, with the
+    # values at their (i, j) ends and at their far ends
     side = np.column_stack([ci * cols + cj, (rows + ci + 1) * cols + cj,
                             ci * cols + cj + 1, (rows + ci) * cols + cj])
-    crossed = np.column_stack([hx[ci, cj], vx[ci + 1, cj], hx[ci, cj + 1], vx[ci, cj]])
+    near, far = corners[:, [0, 1, 2, 0]], corners[:, [1, 3, 3, 2]]
+    crossed = (near >= 0.0) != (far >= 0.0)
+    # refine every crossing edge to a vertex by bisection along the edge;
+    # slot holds the edge index of each crossed side of a cell
+    edge_keys, first, inverse = np.unique(side[crossed], return_index=True, return_inverse=True)
+    slot = np.zeros_like(side)
+    slot[crossed] = inverse
     # a crossed cell has two crossing edges, or four at a saddle (parity
     # rules out odd counts)
     saddle = crossed.all(axis=1)
     plain = ~saddle
-    pairs = [side[plain][crossed[plain]].reshape(-1, 2)]
+    ends = [slot[plain][crossed[plain]].reshape(-1, 2)]
     if saddle.any():
         # a center sample picks the branch pairing
         si, sj = ci[saddle], cj[saddle]
         fc = fld.det_at(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
         # a center of the SW corner's sign joins that corner's region, and
         # the branches cut off SE and NW; otherwise they cut off SW and NE
-        sw = (fc >= 0.0) == S[si, sj]
-        south, east, north, west = side[saddle].T
-        pairs.append(np.column_stack([south, np.where(sw, east, west)]))
-        pairs.append(np.column_stack([north, np.where(sw, west, east)]))
-    pairs = np.concatenate(pairs)
+        sw = (fc >= 0.0) == (corners[saddle, 0] >= 0.0)
+        south, east, north, west = slot[saddle].T
+        ends.append(np.column_stack([south, np.where(sw, east, west)]))
+        ends.append(np.column_stack([north, np.where(sw, west, east)]))
+    ends = np.concatenate(ends)
 
-    # refine every crossing edge to a vertex by bisection along the edge
-    edge_keys, ends = np.unique(pairs, return_inverse=True)
-    ends = ends.reshape(pairs.shape)
     n_edges = edge_keys.size
     vert, node = np.divmod(edge_keys, rows * cols)
     vert = vert.astype(bool)
     ei, ej = np.divmod(node, cols)
     bi = ei + ~vert   # far end (i+1, j) of an "h" edge, (i, j+1) of a "v" edge
     bj = ej + vert
-    ax, ay, fa = xs[ei], ys[ej], F[ei, ej]
-    bx, by, fb = xs[bi], ys[bj], F[bi, bj]
+    ax, ay, fa = xs[ei], ys[ej], near[crossed][first]
+    bx, by, fb = xs[bi], ys[bj], far[crossed][first]
     # orient brackets so fa >= 0 > fb
     swap = fa < 0.0
     ax[swap], bx[swap] = bx[swap], ax[swap].copy()
@@ -357,10 +371,10 @@ def kernel_angles_along(fld: ChartSymbolField, pts: np.ndarray) -> np.ndarray:
     Only meaningful on the singular set, where det M is already small.
     Raises RankZero where M itself vanishes.
     """
-    u, w = fld.rep_fn(_chart_points(pts[:, 0], pts[:, 1]))
-    if np.any(det_norm2(u, w)[1] <= 1e-24 * fld.max_norm2):
+    a, b = fld.abs2_fn(pts[:, 0], pts[:, 1])
+    if np.any(a + b <= 1e-24 * fld.max_norm2):
         raise RankZero("coefficient matrix vanishes on the curve")
-    return kernel_angle(u, w)
+    return kernel_angle(*fld.rep_fn(_chart_points(pts[:, 0], pts[:, 1])))
 
 
 def lift_angles(angles: np.ndarray, period: float = math.pi,

@@ -16,18 +16,21 @@ circles |z| = r are the positive roots of (1 + r^2)^2 r^m = 4 r^n, which
 depend only on n - m; the kernel line winds n - m half turns along each
 transversal circle.
 
-The symbol kernel (PolyVF.evaluate, and SphereSymbol.rep_grid as the
-chart field's rep_fn) uses one fixed operation order at every array
-size.  numpy elides a temporary operand of 256 KiB or more into an
-in-place ufunc, and for a commutative ufunc it swaps the operands to
-do so when the temporary is on the right.  Its SIMD complex multiply
-fuses one product into the sum of the imaginary part, so a*b and b*a
-can differ in the last bit.  A product of two complex arrays is
-therefore never written with a temporary on its right: it runs as
-s * f, in place only on arrays the kernel allocated itself.  (A real
-factor is exact either way round, and det M and |M|^2 are real
-arithmetic on (u, w).)  A large det grid band then agrees bit for bit
-with det_at at its nodes.
+det M = (|u|^2 - |w|^2) / 2 needs only the moduli, which
+SphereSymbol.abs2_grid computes in real arithmetic; real + and * round
+alike in either operand order and on every SIMD path, so a det grid band
+agrees bit for bit with det_at at its nodes.
+
+The complex kernel of the kernel lines (PolyVF.evaluate, and
+SphereSymbol.rep_grid as the chart field's rep_fn) uses one fixed
+operation order at every array size.  numpy elides a temporary operand
+of 256 KiB or more into an in-place ufunc, and for a commutative ufunc
+it swaps the operands to do so when the temporary is on the right.  Its
+SIMD complex multiply fuses one product into the sum of the imaginary
+part, so a*b and b*a can differ in the last bit.  A product of two
+complex arrays is therefore never written with a temporary on its
+right: it runs as s * f, in place only on arrays the kernel allocated
+itself.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .multiplicity import (
     MultiplicityComponent,
     RegularValueCertificate,
     SingularCurve,
+    _chart_points,
     extract_singular_set,
     regular_value_check,
     trace_component,
@@ -95,7 +99,7 @@ class PolyVF(object):
         return cls(*c)
 
 
-_ONE = PolyVF.monomial(0)
+_ONE, _Z, _Z2 = (PolyVF.monomial(k) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,34 @@ class SphereSymbol:
         s *= lam3
         return u, s
 
+    def abs2_grid(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(|u|^2, |w|^2) at the chart points X + i Y (arrays that broadcast),
+        in real arithmetic: |u|^2 = L2 |v|^2 and |w|^2 = ((L2 L2) L2) |f1|^2
+        |f2|^2 |f3|^2 left to right, with L2 = (2 / (r2 + 1))^2, |z|^2 = r2,
+        |z^2|^2 = r2 r2 and constant 1 factors skipped."""
+        r2 = X * X + Y * Y
+        L2 = 2.0 / (r2 + 1.0)
+        L2 *= L2
+        mod2 = {}
+        for f in {self.v, *self.factors} - {_ONE}:
+            if f in (_Z, _Z2):
+                mod2[f] = r2 if f == _Z else r2 * r2
+            else:
+                p = f.evaluate(_chart_points(X, Y))
+                mod2[f] = p.real * p.real + p.imag * p.imag
+        a = L2 * mod2[self.v] if self.v in mod2 else L2
+        b = L2 * L2
+        b *= L2
+        for f in self.factors:
+            if f in mod2:
+                b *= mod2[f]
+        return a, b
+
     def chart_field(self, halfwidth: float = 2.0, grid: int = 512) -> ChartSymbolField:
-        """This symbol's (u, w) field on a chart square."""
+        """This symbol's field on a chart square."""
         return ChartSymbolField(
             x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth,
-            nx=grid, ny=grid, rep_fn=self.rep_grid,
+            nx=grid, ny=grid, rep_fn=self.rep_grid, abs2_fn=self.abs2_grid,
         )
 
 

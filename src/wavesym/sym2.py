@@ -34,15 +34,6 @@ def eigenvalues_grid(t: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.nd
     return half - n, half + n
 
 
-def det_norm2(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(det M, |M|_F^2) of arrays of (u, w), in real arithmetic only, so
-    the bits do not depend on the order in which numpy takes operands."""
-    ur, ui, wr, wi = u.real, u.imag, w.real, w.imag
-    a = ur * ur + ui * ui
-    b = wr * wr + wi * wi
-    return 0.5 * (a - b), a + b
-
-
 def kernel_angle(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Angle in [0, pi) of the covector line where |M xi| is least:
     half the argument of -conj(u) w, modulo pi."""

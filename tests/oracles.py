@@ -7,11 +7,13 @@ loops over faces instead of the vectorized edge table.  The frame
 transports, the cyclic line lift and the pairwise separation loop at the
 end are the earlier per-caller copies that the shared primitives replaced;
 the single-start descent is the loop that the batched one replaced,
-the whole-grid determinant is the one that the banded det_grid replaced,
-the full-quadratic sphere representative is the kernel that the
-fixed-order one replaced, the per-value CSV and OBJ writers are the ones
-that the row and block formatters replaced, and the np.cross tangent
-frames are the ones that the written-out cross product replaced.  The
+the whole-grid determinant and its masks are the ones that the band
+sweep replaced, the determinant of the complex pair is the one that the
+moduli |u|^2, |w|^2 replaced, the full-quadratic sphere representative
+is the kernel that the fixed-order one replaced, the per-value CSV and
+OBJ writers are the ones that the row and block formatters replaced, and
+the np.cross tangent frames are the ones that the written-out cross
+product replaced.  The
 face-by-face Poincare-Hopf count is the one that the axis search's
 closed-form index sum replaced, the midpoint-dict icosphere is the
 loop that the edge-table subdivision replaced, and the central
@@ -29,6 +31,7 @@ pipelines against; the library itself works in chart 1 only.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -672,24 +675,75 @@ def rep_consistency_gap(sym: SphereSymbol, z: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the whole-grid determinant that the banded det_grid replaced
+# the determinant from the complex pair, and the whole-grid det grid with
+# the masks that contouring once kept, which the band sweep of
+# (|u|^2, |w|^2) replaced; and (|u|^2, |w|^2) of a sphere symbol written out
 
 
-def det_norm2_written_out(u, w) -> tuple[np.ndarray, np.ndarray]:
-    """((|u|^2 - |w|^2) / 2, |u|^2 + |w|^2) in the live closed form's order."""
+def det_norm2(u, w) -> tuple[np.ndarray, np.ndarray]:
+    """((|u|^2 - |w|^2) / 2, |u|^2 + |w|^2) of arrays of (u, w), in real arithmetic."""
     a = u.real * u.real + u.imag * u.imag
     b = w.real * w.real + w.imag * w.imag
     return 0.5 * (a - b), a + b
 
 
+def _points(X, Y) -> np.ndarray:
+    Z = np.empty(np.broadcast_shapes(np.shape(X), np.shape(Y)), dtype=complex)
+    Z.real, Z.imag = X, Y
+    return Z
+
+
+@functools.cache
+def abs2_from_rep(rep_fn):
+    """abs2_fn of a field given by its rep_fn: |u|^2 and |w|^2 of rep_fn at
+    the points X + i Y.  Cached, so two fields on one rep_fn compare equal."""
+    def abs2_fn(X, Y):
+        u, w = rep_fn(_points(X, Y))
+        return u.real * u.real + u.imag * u.imag, w.real * w.real + w.imag * w.imag
+    return abs2_fn
+
+
+def abs2_written_out(sym: SphereSymbol, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """(|u|^2, |w|^2) of sym from moduli: L2 = (2 / (r2 + 1))^2,
+    |u|^2 = L2 |v|^2 and |w|^2 = ((L2 L2) L2) |f1|^2 |f2|^2 |f3|^2, where
+    |z|^2 and |z^2|^2 are r2 and r2 r2, a constant 1 factor is skipped and
+    any other polynomial is a full complex quadratic."""
+    r2 = X * X + Y * Y
+    lam = 2.0 / (r2 + 1.0)
+    L2 = lam * lam
+    mod2 = {PolyVF.monomial(0): None, PolyVF.monomial(1): r2, PolyVF.monomial(2): r2 * r2}
+    for f in (sym.v, *sym.factors):
+        if f not in mod2:
+            p = _horner_full(f, _points(X, Y))
+            mod2[f] = p.real * p.real + p.imag * p.imag
+    a = L2 if mod2[sym.v] is None else L2 * mod2[sym.v]
+    b = L2 * L2 * L2
+    for f in sym.factors:
+        if mod2[f] is not None:
+            b = b * mod2[f]
+    return a, b
+
+
 def det_grid_whole(fld) -> tuple[np.ndarray, float, float]:
-    """(F, max |F|, max |u|^2 + |w|^2) with rep_fn run once on every node."""
+    """(F, max |F|, max |u|^2 + |w|^2) with abs2_fn run once on every node."""
     xs, ys = fld.nodes()
-    Z = np.empty((xs.size, ys.size), dtype=complex)
-    Z.real = xs[:, None]
-    Z.imag = ys[None, :]
-    F, norm2 = det_norm2_written_out(*fld.rep_fn(Z))
-    return F, float(np.abs(F).max()), float(norm2.max())
+    a, b = fld.abs2_fn(xs[:, None], ys[None, :])
+    F = 0.5 * (a - b)
+    return F, float(np.abs(F).max()), float((a + b).max())
+
+
+def crossing_cells_whole(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, corners) of the cells of a whole grid F whose corners do not
+    all share the sign F >= 0, from the sign mask and the two edge masks
+    and the cell mask: codes i * ny + j, corners at (i, j), (i+1, j),
+    (i, j+1), (i+1, j+1)."""
+    S = F >= 0.0
+    hx = S[:-1, :] != S[1:, :]
+    vx = S[:, :-1] != S[:, 1:]
+    cell_cross = hx[:, :-1] | hx[:, 1:] | vx[:-1, :] | vx[1:, :]
+    codes = np.flatnonzero(cell_cross)
+    ci, cj = np.divmod(codes, cell_cross.shape[1])
+    return codes, np.column_stack([F[ci, cj], F[ci + 1, cj], F[ci, cj + 1], F[ci + 1, cj + 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ from wavesym.sphere import sigma_mn
 
 from .oracles import (
     _face_boundary_samples,
+    abs2_from_rep,
+    crossing_cells_whole,
     det_grid_whole,
     fibonacci_sphere,
     optic_axes_closed_form,
@@ -48,7 +50,7 @@ from .oracles import (
 
 def square_field(rep_fn, halfwidth=2.0, grid=256):
     return ChartSymbolField(x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth,
-                            nx=grid, ny=grid, rep_fn=rep_fn)
+                            nx=grid, ny=grid, rep_fn=rep_fn, abs2_fn=abs2_from_rep(rep_fn))
 
 
 def pair(u, w):
@@ -612,14 +614,14 @@ def test_field_requires_min_grid():
 def test_field_rejects_empty_rectangle():
     with pytest.raises(InputError):
         ChartSymbolField(x0=1.0, x1=-1.0, y0=0.0, y1=1.0, nx=32, ny=32,
-                         rep_fn=scaled_identity)
+                         rep_fn=scaled_identity, abs2_fn=abs2_from_rep(scaled_identity))
 
 
 def test_field_cache_is_not_state():
     # the cache is neither set by callers nor compared
     with pytest.raises(TypeError):
         ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=16,
-                         rep_fn=scaled_identity, _cache={})
+                         rep_fn=scaled_identity, abs2_fn=abs2_from_rep(scaled_identity), _cache={})
     fld = square_field(scaled_identity, grid=16)
     fld.det_grid()
     assert fld == square_field(scaled_identity, grid=16)
@@ -632,12 +634,13 @@ def test_field_refuses_grid_above_byte_cap():
     with pytest.raises(InputError, match="cap"):
         square_field(scaled_identity, grid=side + 1)
     with pytest.raises(InputError, match="cap"):
-        ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=10**9, rep_fn=scaled_identity)
+        ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=10**9, rep_fn=scaled_identity,
+                         abs2_fn=abs2_from_rep(scaled_identity))
     with pytest.raises(InputError, match="cap"):
         sigma_mn(1, 4).chart_field(grid=100_000)
 
 
-# --- banded det grid -----------------------------------------------------------
+# --- band sweep of the det grid ----------------------------------------------
 
 
 def wavy(Z):
@@ -645,9 +648,16 @@ def wavy(Z):
     return np.sin(3.0 * X) * Y + 1j * (X * X - Y), np.cos(X * Y) + 1j * (X + Y**3)
 
 
-BAND_FNS = {f"sigma{m}{n}": sigma_mn(m, n).chart_field().rep_fn
+def diagonal_lines(Z):
+    # det = ((x - y)^2 - 0.09) / 2: the lines x - y = +-0.3 cross every band
+    # seam of every BAND_SHAPES grid on the chart below
+    return pair(Z.real - Z.imag, np.full(Z.shape, 0.3))
+
+
+BAND_FNS = {f"sigma{m}{n}": (sigma_mn(m, n).rep_grid, sigma_mn(m, n).abs2_grid)
             for m, n in ((0, 3), (1, 4), (2, 5), (2, 6))}
-BAND_FNS["wavy"] = wavy
+BAND_FNS["wavy"] = (wavy, abs2_from_rep(wavy))
+BAND_FNS["lines"] = (diagonal_lines, abs2_from_rep(diagonal_lines))
 # grids whose nx + 1 node rows fill whole bands exactly or overrun by one or two rows
 BAND_GRIDS = sorted({g for g in (16, DET_BAND_ROWS - 1, DET_BAND_ROWS, DET_BAND_ROWS + 1,
                                  2 * DET_BAND_ROWS - 1, 2 * DET_BAND_ROWS, 2 * DET_BAND_ROWS + 1)
@@ -658,11 +668,18 @@ BAND_SHAPES = [(g, g) for g in BAND_GRIDS] + [(2 * DET_BAND_ROWS + 1, 23), (17, 
 @pytest.mark.parametrize("name", sorted(BAND_FNS))
 @pytest.mark.parametrize("nx,ny", BAND_SHAPES)
 def test_banded_det_grid_matches_whole_grid(name, nx, ny):
-    fld = ChartSymbolField(x0=-2.6, x1=2.2, y0=-1.9, y1=2.6, nx=nx, ny=ny, rep_fn=BAND_FNS[name])
+    rep_fn, abs2_fn = BAND_FNS[name]
+    fld = ChartSymbolField(x0=-2.6, x1=2.2, y0=-1.9, y1=2.6, nx=nx, ny=ny, rep_fn=rep_fn,
+                           abs2_fn=abs2_fn)
     F_ref, max_abs_ref, norm2_ref = det_grid_whole(fld)
-    F = fld.det_grid()
-    assert F.shape == (nx + 1, ny + 1)
-    assert F.tobytes() == F_ref.tobytes()
+    codes_ref, corners_ref = crossing_cells_whole(F_ref)
+    codes, corners = fld.det_grid()
+    assert codes_ref.size > 0
+    if name == "lines":
+        seam_rows = range(DET_BAND_ROWS - 1, nx, DET_BAND_ROWS)
+        assert set(seam_rows) <= set((codes_ref // ny).tolist())
+    assert codes.tobytes() == codes_ref.tobytes()
+    assert corners.tobytes() == corners_ref.tobytes()
     assert fld.max_abs_det == max_abs_ref
     assert fld.max_norm2 == norm2_ref
 
@@ -673,13 +690,18 @@ def test_det_grid_memory_stays_near_its_result():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        F = fld.det_grid()
+        codes, corners = fld.det_grid()
         det_peak = tracemalloc.get_traced_memory()[1] - base
         extract_singular_set(fld)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert det_peak <= 2 * F.nbytes
+    # ten float64 arrays over the DET_BAND_ROWS + 1 node rows of a band with
+    # its carried row (63 B per band node measured), plus the crossing-cell
+    # table twice: its per-band pieces and their concatenation.  Nothing
+    # scales with the 1025 node rows of the grid
+    table = codes.nbytes + corners.nbytes
+    assert det_peak <= 10 * 8 * (DET_BAND_ROWS + 1) * 1025 + 2 * table
     # the figure the byte cap is checked against covers contouring too
     assert peak <= det_grid_peak_bytes(1024, 1024)
 

@@ -1,17 +1,24 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavesym.errors import OutOfRange
-from wavesym.multiplicity import DET_BAND_ROWS, kernel_angles_along
+from wavesym.multiplicity import kernel_angles_along
 from wavesym.sphere import (
     PolyVF,
     SphereSymbol,
     analyze_mn,
     radial_profile,
     sigma_mn,
+    trace_sigma_mn,
     transversality_h,
     z_set,
 )
@@ -20,10 +27,11 @@ from .oracles import (
     ALPHA,
     INV_ALPHA,
     SQRT2,
+    abs2_written_out,
     alpha_root,
     chart2_symbol,
     chart_transition_angle,
-    det_norm2_written_out,
+    det_norm2,
     predicted_kernel_angle,
     rep_consistency_gap,
     rep_grid_full,
@@ -157,8 +165,8 @@ def assert_kernel_matches_oracle(sym, x, y, chart):
     u, w = sym.rep_grid(x + 1j * y)
     u_ref, w_ref = rep_grid_full(sym, x + 1j * y)
     assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
-    det = sym.chart_field().det_at(x, y)
-    assert np.array_equal(det, det_norm2_written_out(u_ref, w_ref)[0])
+    a, b = abs2_written_out(sym, x, y)
+    assert np.array_equal(sym.chart_field().det_at(x, y), 0.5 * (a - b))
 
 
 @pytest.mark.parametrize("chart", (1, 2))
@@ -171,9 +179,13 @@ def test_sigma_kernel_matches_full_quadratic_oracle(m, n, chart):
 @pytest.mark.parametrize("generic", (True, False))
 @pytest.mark.parametrize("seed", range(5))
 def test_random_symbol_kernel_matches_full_quadratic_oracle(seed, generic, chart):
-    # generic coefficients take the full Horner steps; otherwise each
-    # coefficient is drawn from 0, 1, -1 and a generic value, so every
-    # skipped term and skipped product runs too
+    assert_kernel_matches_oracle(random_symbol(seed, generic), *kernel_points(200 + seed), chart)
+
+
+def random_symbol(seed, generic):
+    """Generic coefficients take the full Horner steps; otherwise each
+    coefficient is drawn from 0, 1, -1 and a generic value, so every
+    skipped term and skipped product runs too."""
     rng = np.random.default_rng(100 + seed)
 
     def coeff():
@@ -181,24 +193,120 @@ def test_random_symbol_kernel_matches_full_quadratic_oracle(seed, generic, chart
         return c if generic else (0j, 1 + 0j, -1 + 0j, c)[rng.integers(4)]
 
     v, *factors = (PolyVF(coeff(), coeff(), coeff()) for _ in range(4))
-    sym = SphereSymbol(v=v, factors=tuple(factors))
-    assert_kernel_matches_oracle(sym, *kernel_points(200 + seed), chart)
+    return SphereSymbol(v=v, factors=tuple(factors))
+
+
+@pytest.mark.parametrize("chart", (1, 2))
+@pytest.mark.parametrize("case", [("sigma", m, n) for m, n in SIGMA_PAIRS]
+                         + [("random", seed, generic) for seed in range(5) for generic in (True, False)])
+def test_moduli_det_within_rounding_of_complex_det(case, chart):
+    """det_at takes det M from |u|^2 and |w|^2 in real arithmetic; the
+    complex pair gives it as (|u|^2 - |w|^2) / 2 of the full-quadratic
+    (u, w).  The two agree to 16 eps (|u|^2 + |w|^2).
+
+    To first order in u = eps / 2: both paths share lam and the polynomial
+    values.  The moduli path's |w|^2 takes at most 23u (for s = z^6: the
+    r2 rounding six times over, three products, and 5u in ((L2 L2) L2)),
+    the complex path's at most 30u (five complex products of at most
+    sqrt(5) u each, counted twice in the square, and 8u in scaling and
+    squaring), |u|^2 at most 4u on either side, and a - b one rounding
+    more on each: about 27u (|u|^2 + |w|^2), 13.5 eps.  The largest seen
+    over these cases is 4.6 eps.
+    """
+    kind, p, q = case
+    sym = sigma_mn(p, q) if kind == "sigma" else random_symbol(p, q)
+    x, y = kernel_points(10 * p + q if kind == "sigma" else 200 + p)
+    if chart == 2:
+        sym = chart2_symbol(sym)
+    a, b = abs2_written_out(sym, x, y)
+    det_complex = det_norm2(*rep_grid_full(sym, x + 1j * y))[0]
+    gap = np.abs(sym.chart_field().det_at(x, y) - det_complex)
+    assert np.all(gap <= 16 * np.finfo(float).eps * (a + b))
 
 
 @pytest.mark.parametrize("m,n", SIGMA_PAIRS)
 def test_det_grid_rows_equal_det_at_bit_for_bit(m, n):
-    # a grid-2048 band holds 16 x 2049 complex values (524 KiB), enough for
-    # numpy to elide temporaries; row by row, det_at never gets there
+    # a grid-2048 band evaluates 16 x 2049 nodes at once, det_at one corner
+    # of each crossing cell per call
     halfwidth = max(2.0, 1.3 * max(z_set(m, n).radii))   # as trace_sigma_mn
     fld = sigma_mn(m, n).chart_field(halfwidth=halfwidth, grid=2048)
-    F = fld.det_grid()
+    codes, corners = fld.det_grid()
     xs, ys = fld.nodes()
-    last_band = (xs.size - 1) // DET_BAND_ROWS * DET_BAND_ROWS
-    rows = [*range(DET_BAND_ROWS), xs.size // 2, *range(last_band, xs.size)]
-    for i in rows:
-        d = fld.det_at(np.full(ys.size, xs[i]), ys)
+    ci, cj = np.divmod(codes, ys.size - 1)
+    # det >= 0 on the whole chart of a tangential pair (n - m = 2)
+    assert (codes.size == 0) == (n - m == 2)
+    for k, (di, dj) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        d = fld.det_at(xs[ci + di], ys[cj + dj])
         # + 0.0 turns -0.0 into 0.0, as fmt_float does
-        assert (d + 0.0).tobytes() == (F[i] + 0.0).tobytes(), f"row {i}"
+        assert (d + 0.0).tobytes() == (corners[:, k] + 0.0).tobytes(), f"corner {k}"
+
+
+_SWEEP_PROBE = """
+import hashlib
+import sys
+
+import numpy as np
+from wavesym.sphere import sigma_mn
+
+digest = hashlib.sha256()
+for arg in sys.argv[1:]:
+    m, n, halfwidth = arg.split(",")
+    fld = sigma_mn(int(m), int(n)).chart_field(halfwidth=float.fromhex(halfwidth), grid=2048)
+    codes, corners = fld.det_grid()
+    digest.update(codes.astype(np.int64).tobytes())
+    digest.update((corners + 0.0).tobytes())
+    digest.update(np.array([fld.max_abs_det, fld.max_norm2]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_det_grid_portable_across_cpu_dispatch():
+    """The grid-2048 sweeps of five pairs, at the halfwidths trace_sigma_mn
+    uses, in four child processes: default settings, numpy's AVX-512
+    dispatch disabled, numpy at its baseline (AVX2 disabled too), and
+    OpenBLAS forced to its Haswell kernel.  The crossing cells, their
+    corner values and both maxima must hash alike.
+
+    The sweep is real +, * and / only, which round alike on every SIMD
+    path.  On a 2-vCPU AVX-512 Xeon the det grid computed from the
+    complex pair changed at numpy's baseline.  The sweep uses no BLAS, so
+    the Haswell setting compares trivially equal, as does any setting
+    that has no effect on the host (no AVX-512, say).
+    """
+    src = Path(sigma_mn.__code__.co_filename).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [f"{m},{n},{max(2.0, 1.3 * max(z_set(m, n).radii)).hex()}"
+            for m, n in ((0, 3), (0, 6), (1, 4), (2, 5), (2, 6))]
+    no_avx512 = "X86_V4 AVX512_ICL AVX512_SPR"
+    digests = []
+    for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": no_avx512},
+                    {"NPY_DISABLE_CPU_FEATURES": no_avx512 + " X86_V3"}, {"OPENBLAS_CORETYPE": "Haswell"}):
+        proc = subprocess.run([sys.executable, "-c", _SWEEP_PROBE, *args], capture_output=True,
+                              text=True, env={**env, **setting})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0].strip()) == 64
+    assert digests == digests[:1] * 4
+
+
+TRANSVERSAL_PAIRS = [(m, n) for m, n in SIGMA_PAIRS if n - m != 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TRANSVERSAL_PAIRS), st.integers(min_value=128, max_value=1024))
+def test_sigma_winding_is_n_minus_m_at_every_grid(pair, grid):
+    """On every transversal pair and grid from 128 to 1024, every
+    extracted curve is closed, certified and traced, and its kernel line
+    winds n - m half turns.  max_examples=100 takes 0.8 to 1.0 s on a
+    2-vCPU Xeon.  A scan of all 18 pairs at every one of the 897 grids
+    (16,146 jobs, 150 s) found no exception.
+    """
+    m, n = pair
+    rows = trace_sigma_mn(m, n, grid=grid)[3]
+    assert rows
+    for row in rows:
+        assert row.curve.closed and row.cert.transversal and row.component is not None
+        assert row.component.winding == n - m
 
 
 # --- multiplicity radii ---------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from wavesym.sphere import PolyVF, SphereSymbol
 from wavesym.spheremesh import rotate_pq
-from wavesym.sym2 import det_norm2, eigenvalues_grid, kernel_angle
+from wavesym.sym2 import eigenvalues_grid, kernel_angle
 
-from .oracles import eig_quadratic, full_matrix, rep_to_matrix, rotate_rep, rotation
+from .oracles import det_norm2, eig_quadratic, full_matrix, rep_to_matrix, rotate_rep, rotation
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 angles = st.floats(min_value=-10.0, max_value=10.0)
