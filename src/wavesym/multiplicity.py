@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     RankZero,
 )
 from .serialize import float_row_lines, join_lines
-from .spheremesh import tangent_frames, transport_pq
+from .spheremesh import successor_walks, tangent_frames, transport_pq
 from .sym2 import kernel_angle
 
 CONTOUR_REL_TOL = 1e-10
@@ -177,9 +177,19 @@ def _polyline_length(pts: np.ndarray) -> float:
     return float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
 
 
-def _shoelace(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+def _chains(succ: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
+    """The walks of `successor_walks` as a walk over the undirected graph
+    meets them: paths from their lesser end, then cycles from their least
+    element toward its lesser neighbour, each in ascending order of its start.
+    """
+    order, offsets, cyclic = successor_walks(succ)
+    ends = np.minimum(order[offsets[:-1]], order[offsets[1:] - 1])
+    for k in np.argsort(ends + cyclic * succ.size).tolist():
+        walk, turn = order[offsets[k]:offsets[k + 1]], int(cyclic[k])
+        # a path turns round whole, a cycle about its first element
+        if walk[-1] < walk[turn]:
+            walk = np.roll(walk[::-1], turn)
+        yield walk, bool(turn)
 
 
 def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL) -> list[SingularCurve]:
@@ -191,8 +201,8 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     smallest vertex.  A grid node where f vanishes inside a neighbourhood
     of one sign is an isolated zero, not a curve, and is left out.
     """
-    if rel_tol <= 0.0:
-        raise InputError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:
+        raise InputError("rel_tol must be positive and finite")
     codes, corners = fld.det_grid()
     max_abs = fld.max_abs_det
     if max_abs <= 1e-14 * max(1.0, fld.max_norm2):
@@ -218,21 +228,21 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     slot = np.zeros_like(side)
     slot[crossed] = inverse
     # a crossed cell has two crossing edges, or four at a saddle (parity
-    # rules out odd counts)
+    # rules out odd counts).  A segment enters its cell through a crossed
+    # side whose counter clockwise first corner (S: SW, E: SE, N: NE, W: NW)
+    # has f >= 0, which puts f >= 0 on its left, and leaves through another
+    entry = crossed & (corners[:, [0, 1, 3, 2]] >= 0.0)
+    entry_slot = slot.copy()
     saddle = crossed.all(axis=1)
-    plain = ~saddle
-    ends = [slot[plain][crossed[plain]].reshape(-1, 2)]
     if saddle.any():
         # a center sample picks the branch pairing
         si, sj = ci[saddle], cj[saddle]
         fc = fld.det_at(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
         # a center of the SW corner's sign joins that corner's region, and
-        # the branches cut off SE and NW; otherwise they cut off SW and NE
-        sw = (fc >= 0.0) == (corners[saddle, 0] >= 0.0)
-        south, east, north, west = slot[saddle].T
-        ends.append(np.column_stack([south, np.where(sw, east, west)]))
-        ends.append(np.column_stack([north, np.where(sw, west, east)]))
-    ends = np.concatenate(ends)
+        # the branches cut off SE and NW, pairing entry and exit sides in
+        # S, E, N, W order; otherwise they cut off SW and NE, crosswise
+        cross_pair = np.flatnonzero(saddle)[(fc >= 0.0) != (corners[saddle, 0] >= 0.0)]
+        entry_slot[cross_pair] = slot[cross_pair][:, [2, 3, 0, 1]]
 
     n_edges = edge_keys.size
     vert, node = np.divmod(edge_keys, rows * cols)
@@ -277,63 +287,24 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
         ax[upd_pos], ay[upd_pos], fa[upd_pos] = mx[sel_pos], my[sel_pos], fm[sel_pos]
         bx[upd_neg], by[upd_neg], fb[upd_neg] = mx[sel_neg], my[sel_neg], fm[sel_neg]
 
-    # each edge lies in at most two cells, so it has one or two neighbours;
-    # both lists hold them in ascending edge order (-1 for none)
-    tail, head = ends.ravel(), ends[:, ::-1].ravel()
-    order = np.lexsort((head, tail))
-    tail, head = tail[order], head[order]
-    first = np.searchsorted(tail, np.arange(n_edges))
-    degree = np.bincount(tail, minlength=n_edges)
-    nb_lo = head[first].tolist()
-    nb_hi = np.where(degree == 2, head[np.minimum(first + 1, tail.size - 1)], -1).tolist()
-
-    visited = [False] * n_edges
-    chains: list[tuple[list[int], bool]] = []
-
-    def walk(start: int) -> list[int]:
-        chain = [start]
-        visited[start] = True
-        cur = start
-        while True:
-            for nxt in (nb_lo[cur], nb_hi[cur]):
-                if nxt >= 0 and not visited[nxt]:
-                    break
-            else:
-                return chain
-            chain.append(nxt)
-            visited[nxt] = True
-            cur = nxt
-
-    for e in np.nonzero(degree == 1)[0].tolist():
-        if not visited[e]:
-            chains.append((walk(e), False))
-    for e in range(n_edges):
-        if not visited[e]:
-            chains.append((walk(e), True))
-
+    succ = np.full(n_edges, -1)
+    succ[entry_slot[entry]] = slot[crossed & ~entry]
     curves = []
-    for chain, closed in chains:
-        idxs = np.array(chain)
-        pts = np.column_stack([vx_[idxs], vy_[idxs]])
-        if not np.any(pts != pts[0]):
+    for idxs, closed in _chains(succ):
+        x, y = vx_[idxs], vy_[idxs]
+        if not (np.any(x != x[0]) or np.any(y != y[0])):
             # every crossing edge converged to one grid node: an isolated
             # zero of f, a point and not a curve
             continue
-        rr = res[idxs]
         if closed:
-            if _shoelace(np.vstack([pts, pts[:1]])) < 0.0:
-                pts = pts[::-1].copy()
-                rr = rr[::-1].copy()
-            start = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
-            pts = np.roll(pts, -start, axis=0)
-            rr = np.roll(rr, -start)
-            pts = np.vstack([pts, pts[:1]])
-            rr = np.append(rr, rr[0])
-        else:
-            if tuple(pts[-1]) < tuple(pts[0]):
-                pts = pts[::-1].copy()
-                rr = rr[::-1].copy()
-        curves.append(SingularCurve(polyline=pts, closed=closed, length=_polyline_length(pts), residuals=rr))
+            if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0.0:   # clockwise
+                idxs, x, y = idxs[::-1], x[::-1], y[::-1]
+            # from the first least vertex round to it again
+            idxs = idxs.take(np.lexsort((y, x))[0] + np.arange(idxs.size + 1), mode="wrap")
+        elif (x[-1], y[-1]) < (x[0], y[0]):
+            idxs = idxs[::-1]
+        pts = np.column_stack([vx_[idxs], vy_[idxs]])
+        curves.append(SingularCurve(polyline=pts, closed=closed, length=_polyline_length(pts), residuals=res[idxs]))
 
     curves.sort(key=lambda c: (-c.length, c.polyline[0, 0], c.polyline[0, 1]))
     return curves

@@ -164,23 +164,48 @@ def is_consistently_oriented(mesh: SurfaceMesh) -> bool:
     return mesh_topology(mesh).oriented
 
 
+def successor_walks(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Paths and cycles of an injective successor array, -1 ending a path:
+    the elements walk by walk, the offsets of the walks (n last) and which
+    walks are cycles.  A path starts at the element nothing leads into, a
+    cycle at its least element; walks come in order of their starts.  Found
+    by pointer doubling (Wyllie, 1979), with no loop per element.  A
+    self-loop, which no caller makes, would read as a one-element path."""
+    n = succ.size
+    own = np.arange(n)
+    back = own.copy()
+    back[succ[succ >= 0]] = own[succ >= 0]
+    # jump back, staying at a path's start; low is the least element passed
+    up, low = back, own.copy()
+    for _ in range(n.bit_length()):
+        np.minimum(low, low[up], out=low)
+        up = up[up]
+    cyclic = back[up] != up
+    start = np.where(cyclic, low, up)
+    # cut each cycle in front of its least element and count the steps back to the start
+    up = np.where(start == own, own, back)
+    rank = (up != own).astype(np.int64)
+    for _ in range(n.bit_length()):
+        rank += rank[up]
+        up = up[up]
+    order = np.lexsort((rank, start))
+    starts = np.flatnonzero(rank[order] == 0)
+    return order, np.append(starts, n), cyclic[order[starts]]
+
+
 def boundary_loops(tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
-    """Vertex cycles of the boundary half-edges tail->head of `_boundary_half_edges`."""
+    """Vertex cycles of the boundary half-edges tail->head of `_boundary_half_edges`,
+    each from its least vertex, in ascending order of it."""
     # boundary is traversed opposite to the face direction
-    directed = dict(zip(head.tolist(), tail.tolist()))
-    loops: list[list[int]] = []
-    for start in sorted(directed):
-        if start not in directed:
-            continue
-        loop = [start]
-        cur = directed.pop(start)
-        while cur != start:
-            if cur not in directed:
-                raise WavesymError(f"boundary is pinched at vertex {cur}")
-            loop.append(cur)
-            cur = directed.pop(cur)
-        loops.append(loop)
-    return loops
+    by_head = np.argsort(head)
+    heads, tails, sorted_tails = head[by_head], tail[by_head], np.sort(tail)
+    # where the sorted heads and tails part or repeat, a vertex is not one head and one tail
+    bad = np.flatnonzero((heads != sorted_tails) | np.append(heads[1:] == heads[:-1], False))
+    if bad.size:
+        raise WavesymError(f"boundary is pinched at vertex {min(heads[bad[0]], sorted_tails[bad[0]])}")
+    order, offsets, _ = successor_walks(np.searchsorted(heads, tails))
+    loops = heads[order].tolist()
+    return [loops[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
 _PHI_RING_Z = 1.0 / math.sqrt(5.0)

@@ -8,7 +8,9 @@ transports, the cyclic line lift and the pairwise separation loop at the
 end are the earlier per-caller copies that the shared primitives replaced;
 the single-start descent is the loop that the batched one replaced,
 the whole-grid determinant and its masks are the ones that the band
-sweep replaced, the determinant of the complex pair is the one that the
+sweep replaced, the neighbour-list walk of the contour chains is the one
+that the successor walk replaced, the determinant of the complex pair is
+the one that the
 moduli |u|^2, |w|^2 replaced, the full-quadratic sphere representative
 is the kernel that the fixed-order one replaced, the per-value CSV and
 OBJ writers are the ones that the row and block formatters replaced, and
@@ -744,6 +746,49 @@ def crossing_cells_whole(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = np.flatnonzero(cell_cross)
     ci, cj = np.divmod(codes, cell_cross.shape[1])
     return codes, np.column_stack([F[ci, cj], F[ci + 1, cj], F[ci, cj + 1], F[ci + 1, cj + 1]])
+
+
+def neighbour_walks(tail: np.ndarray, head: np.ndarray, n: int) -> list[tuple[list[int], bool]]:
+    """Chains of the undirected graph on 0..n-1 with the edges tail[k]-head[k],
+    every degree 1 or 2, by walking sorted neighbour lists: paths first, each
+    from its lesser end, in ascending order of it; then cycles, each from its
+    least element toward the lesser of its two neighbours.  (chain, closed)."""
+    if n == 0:
+        return []
+    # each element has one or two neighbours; both lists hold them in
+    # ascending order (-1 for none)
+    tail, head = np.concatenate([tail, head]), np.concatenate([head, tail])
+    order = np.lexsort((head, tail))
+    tail, head = tail[order], head[order]
+    first = np.searchsorted(tail, np.arange(n))
+    degree = np.bincount(tail, minlength=n)
+    nb_lo = head[first].tolist()
+    nb_hi = np.where(degree == 2, head[np.minimum(first + 1, tail.size - 1)], -1).tolist()
+
+    visited = [False] * n
+    chains: list[tuple[list[int], bool]] = []
+
+    def walk(start: int) -> list[int]:
+        chain = [start]
+        visited[start] = True
+        cur = start
+        while True:
+            for nxt in (nb_lo[cur], nb_hi[cur]):
+                if nxt >= 0 and not visited[nxt]:
+                    break
+            else:
+                return chain
+            chain.append(nxt)
+            visited[nxt] = True
+            cur = nxt
+
+    for e in np.nonzero(degree == 1)[0].tolist():
+        if not visited[e]:
+            chains.append((walk(e), False))
+    for e in range(n):
+        if not visited[e]:
+            chains.append((walk(e), True))
+    return chains
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from wavesym.multiplicity import (
     ChartSymbolField,
     MultiplicityComponent,
     SingularCurve,
+    _chains,
     det_grid_peak_bytes,
     extract_singular_set,
     kernel_angles_along,
@@ -41,6 +42,7 @@ from .oracles import (
     crossing_cells_whole,
     det_grid_whole,
     fibonacci_sphere,
+    neighbour_walks,
     optic_axes_closed_form,
     polylines_csv_per_value,
     rep_to_matrix,
@@ -111,7 +113,7 @@ def test_extract_sigma06_single_circle():
     curves = extract_singular_set(fld)
     assert len(curves) == 1
     c = curves[0]
-    assert c.closed
+    assert type(c.closed) is bool and c.closed
     assert np.array_equal(c.polyline[0], c.polyline[-1])
     radii = np.hypot(c.polyline[:, 0], c.polyline[:, 1])
     assert float(np.abs(radii - 1.0).max()) <= 1e-3
@@ -167,6 +169,7 @@ def test_extract_saddle_pairs_branches_by_center_sign(fx, fy, joins_southeast):
     fld, a, b = crossing_lines(fx, fy)
     curves = extract_singular_set(fld)
     assert len(curves) == 2 and not any(c.closed for c in curves)
+    assert all(type(c.closed) is bool for c in curves)
     ends = sorted((tuple(np.round(c.polyline[0], 6)), tuple(np.round(c.polyline[-1], 6)))
                   for c in curves)
     a, b = round(a, 6), round(b, 6)
@@ -177,6 +180,47 @@ def test_extract_saddle_pairs_branches_by_center_sign(fx, fy, joins_southeast):
     assert ends == want
     for c in curves:
         assert float(c.residuals.max()) <= 1e-10 * fld.max_abs_det
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.inf, math.nan])
+def test_extract_refuses_a_tolerance_not_positive_and_finite(rel_tol):
+    fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=32)
+    with pytest.raises(InputError, match="rel_tol"):
+        extract_singular_set(fld, rel_tol=rel_tol)
+
+
+@st.composite
+def paths_and_cycles(draw):
+    """A union of paths of 2 to 40 elements and cycles of 3 to 41, at most
+    12 of them, on a random labelling of 0..n-1, n up to 492, each run in
+    the direction of its labels: its successor array and its edges."""
+    parts = draw(st.lists(st.tuples(st.booleans(), st.integers(2, 40)), max_size=12))
+    n = sum(size + closed for closed, size in parts)
+    labels = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    succ = np.full(n, -1)
+    tail, head = [labels[:0]], [labels[:0]]
+    at = 0
+    for closed, size in parts:
+        run = labels[at:at + size + closed]
+        at += run.size
+        nxt = np.roll(run, -1) if closed else run[1:]
+        succ[run[:nxt.size]] = nxt
+        tail.append(run[:nxt.size])
+        head.append(nxt)
+    return succ, np.concatenate(tail), np.concatenate(head)
+
+
+@settings(max_examples=300, deadline=None)
+@given(paths_and_cycles())
+def test_chains_match_the_neighbour_walk(graph):
+    """The successor walk with its start rule gives the walks of the
+    neighbour-list walk over the undirected graph, element for element and
+    in the same order, whichever way each walk's successors run.  300
+    examples, about 2 s."""
+    succ, tail, head = graph
+    chains = list(_chains(succ))
+    assert all(type(closed) is bool for _, closed in chains)
+    assert [(walk.tolist(), closed) for walk, closed in chains] == neighbour_walks(tail, head, succ.size)
 
 
 def test_residuals_below_tolerance():

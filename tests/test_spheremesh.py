@@ -30,6 +30,7 @@ from wavesym.spheremesh import (
     mesh_topology,
     min_separation,
     refine_on_sphere,
+    successor_walks,
     tangent_frames,
     transport_pq,
     unit_rows,
@@ -266,6 +267,35 @@ def test_pinched_boundary_is_refused():
     assert _pinched(faces)
     with pytest.raises(WavesymError, match="pinched"):
         boundary_loops(*_boundary_half_edges(faces))
+
+
+@pytest.mark.parametrize("tail,head,vertex", [
+    # an open chain 0 -> 1 -> 2 -> 3: the tail 0 is no head
+    ([0, 1, 2], [1, 2, 3], 0),
+    # two triangles through vertex 2: it is the head of two half-edges
+    ([0, 1, 2, 2, 3, 4], [1, 2, 0, 3, 4, 2], 2),
+    # a loop 5 -> 6 -> 7 -> 5 and a second edge out of 6 into 8
+    ([5, 6, 7, 6], [6, 7, 5, 8], 6),
+])
+def test_boundary_loops_refuse_a_vertex_of_another_degree(tail, head, vertex):
+    with pytest.raises(WavesymError, match=f"pinched at vertex {vertex}$"):
+        boundary_loops(np.array(tail), np.array(head))
+
+
+def test_boundary_loops_of_a_closed_mesh_are_empty():
+    assert boundary_loops(*_boundary_half_edges(icosphere(2).faces)) == []
+    assert boundary_loops(np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == []
+
+
+def test_successor_walks_start_and_order():
+    # a cycle 4 -> 2 -> 7 -> 4, the path 6 -> 0 -> 3, the path 5 -> 1
+    succ = np.array([3, -1, 7, -1, 2, 1, 0, 4])
+    order, offsets, cyclic = successor_walks(succ)
+    walks = [order[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+    assert walks == [[2, 7, 4], [5, 1], [6, 0, 3]]
+    assert cyclic.tolist() == [True, False, False]
+    order, offsets, cyclic = successor_walks(np.zeros(0, dtype=int))
+    assert order.size == 0 and offsets.tolist() == [0] and cyclic.size == 0
 
 
 CENSUS_KEYS = ("minima", "maxima", "saddle_multiplicity", "chi_from_criticals")
