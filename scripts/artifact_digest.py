@@ -11,15 +11,25 @@ directory, and yields one line
 Run it on two commits and diff the output to show that a change keeps
 every artifact byte-identical.
 
+`--setting KEY=VALUE` (repeatable) runs the job list in a child process
+with those environment variables set, so settings that act at import
+time, such as numpy's `NPY_DISABLE_CPU_FEATURES` or `OPENBLAS_CORETYPE`,
+reach only that process.  Diff its output against a run without them to
+see which artifacts depend on the CPU dispatch path.
+
 Usage:
-    PYTHONPATH=src python3 scripts/artifact_digest.py
+    PYTHONPATH=src python3 scripts/artifact_digest.py [--setting KEY=VALUE ...]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -58,11 +68,12 @@ JOBS += [
     for cmd, outputs in (("sphere", [("--out", "s.json")]),
                          ("winding", [("--out", "w.json"), ("--out-csv", "w.csv")]))
 ]
-# a grid-2048 det grid band evaluates 16 x 2049 nodes, 256 KiB per float64
-# array, at the 256 KiB from which numpy elides temporaries into in-place
-# ufuncs and which no grid-512 band reaches; these pairs are those whose
-# bands once rounded differently from det_at at the same nodes, when det M
-# came from complex products
+# the band sweep that once filled the det grid evaluated 16 x 2049 nodes at
+# grid 2048, 256 KiB per float64 array, at the 256 KiB from which numpy
+# elides temporaries into in-place ufuncs and which no grid-512 band
+# reached; these pairs are those whose bands once rounded differently from
+# det_at at the same nodes, when det M came from complex products.  The
+# sparse det grid evaluates up to 404 tiles of 9 x 9 nodes per call
 JOBS += [
     (f"{cmd}_{m}{n}_2048", [cmd, "--m", str(m), "--n", str(n), "--grid", "2048"], outputs)
     for m, n in ((0, 3), (0, 6), (1, 6), (2, 5), (2, 6))
@@ -87,7 +98,24 @@ def run_job(name: str, argv: list[str], outputs: list[tuple[str, str]], root: Pa
         print(f"{name} {artifact} {hashlib.sha256(data).hexdigest()}", flush=True)
 
 
-if __name__ == "__main__":
+def digest(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 of every CLI artifact of a fixed job list")
+    parser.add_argument("--setting", action="append", default=[], metavar="KEY=VALUE",
+                        help="run the jobs in a child process with this environment variable set")
+    args = parser.parse_args(argv)
+    if args.setting:
+        env = dict(os.environ)
+        for item in args.setting:
+            key, sep, value = item.partition("=")
+            if not (key and sep):
+                parser.error(f"--setting takes KEY=VALUE, got {item!r}")
+            env[key] = value
+        return subprocess.run([sys.executable, __file__], env=env).returncode
     with tempfile.TemporaryDirectory() as tmp:
         for job in JOBS:
             run_job(*job, Path(tmp))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(digest())

@@ -293,12 +293,13 @@ def _fix_malloc_thresholds() -> None:
     runs many commands peaks tens of MB higher or lower depending on the
     commands before.  With the thresholds fixed every buffer of 1 MiB or
     more has its own mapping, returned to the system when it is freed.
-    The mmap threshold is not set lower: at 128 KiB the det grid's band
-    temporaries (256 KiB each at grid 2048) would be mapped and faulted
-    in again on every band.  The trim threshold sits above one band's
-    temporaries together (at most 2.4 MB at grid 2048): when a band
-    is freed at the top of the heap, the next band reuses its pages
-    instead of the heap being trimmed and grown again on every band.
+    The mmap threshold is not set lower: at 128 KiB the det grid's
+    temporaries (up to 256 KiB each at grid 2048) would be mapped and
+    faulted in again on every abs2_fn call.  The trim threshold sits above
+    the temporaries of one call together (at most 1.4 MB for an
+    evaluation and 2.0 MB for a tile bound at grid 2048): when they are
+    freed at the top of the heap, the next call reuses their pages
+    instead of the heap being trimmed and grown again on every call.
     Other C libraries are left alone.
     """
     try:

@@ -34,15 +34,25 @@ CONTOUR_REL_TOL = 1e-10
 GRADIENT_FLOOR_REL = 1e-6
 WINDING_RESIDUAL = 0.1
 _JUMP_LIMIT = (math.pi / 2.0) * (1.0 - 1e-9)
-# rows of xs per abs2_fn call in det_grid.  At grid 2048 on a 2.1 GHz Xeon
-# with 2 MiB of L2 per core, 8, 16 and 32 rows were equally fast (within
-# noise) and 64 rows about 1.9x slower
-DET_BAND_ROWS = 16
+# det_grid bounds tiles of DET_TILE_MAX cells a side, quarters them down to
+# DET_TILE and evaluates the finest ones it cannot skip.  Over the 21
+# sigma_mn pairs at grid 2048, tiles of 8 cells evaluate 5% of the nodes
+# and bound 11k tiles a job, tiles of 16 cells 9% and 6k, in about the
+# same time
+DET_TILE = 8
+DET_TILE_MAX = 128
+# stride of the node lattice that seeds det_grid's maxima
+_LATTICE = 16
+# abs2_fn evaluates as many tiles per call as hold about the nodes of
+# _CALL_ROWS rows of the grid
+_CALL_ROWS = 16
 # det_grid_peak_bytes is a conservative bound, the figure of the whole-grid
-# det grid (12 B per node for a float64 grid and four boolean masks ...
+# det grid that contouring once held: 12 B per node (a float64 grid and
+# four boolean masks) ...
 _GRID_BYTES_PER_NODE = 8 + 4
-# ... plus 160 B per node of one band), kept so that the same grids pass the
-# cap; the band sweep holds one band of temporaries and the crossed cells
+# ... plus 160 B per node of _CALL_ROWS rows, kept so that the same grids
+# pass the cap.  det_grid holds the temporaries of one abs2_fn call, the
+# tile indices and bounds, and the crossed cells
 _BAND_BYTES_PER_NODE = 160
 # largest det_grid_peak_bytes a ChartSymbolField accepts: square grids up to 9352
 DET_GRID_BYTE_CAP = 2**30
@@ -54,7 +64,7 @@ def det_grid_peak_bytes(nx: int, ny: int) -> int:
     """Bound on the working set of det_grid plus contouring on an nx x ny grid."""
     cols = int(ny) + 1
     rows = int(nx) + 1
-    return rows * cols * _GRID_BYTES_PER_NODE + min(DET_BAND_ROWS, rows) * cols * _BAND_BYTES_PER_NODE
+    return rows * cols * _GRID_BYTES_PER_NODE + min(_CALL_ROWS, rows) * cols * _BAND_BYTES_PER_NODE
 
 
 def _chart_points(X, Y) -> np.ndarray:
@@ -73,9 +83,15 @@ class ChartSymbolField:
     coordinate arrays X, Y that broadcast to (|u|^2, |w|^2), for det M and
     |M|^2.  Both must be pure: repeated evaluation at the same point is bit
     identical, also across array sizes and shapes, since det_grid
-    evaluates bands of nodes and det_at a few points and contouring
+    evaluates tiles of nodes and det_at a few points and contouring
     compares the two.  The operation-order rule of the sphere module
     serves that for rep_fn; real arithmetic needs no such rule.
+
+    tile_bound_fn, if given, maps tile centres cx, cy (arrays that
+    broadcast) and a radius rho to (sign, abs_det, norm2): at every point
+    within rho of a centre, the det computed from abs2_fn is >= 0 where
+    sign is 1 and < 0 where it is -1, and its modulus and |u|^2 + |w|^2
+    are at most abs_det and norm2.  Without it every tile is evaluated.
     """
 
     x0: float
@@ -86,6 +102,8 @@ class ChartSymbolField:
     ny: int
     rep_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     abs2_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    tile_bound_fn: Callable[[np.ndarray, np.ndarray, float],
+                            tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -109,44 +127,115 @@ class ChartSymbolField:
         a, b = self.abs2_fn(X, Y)
         return 0.5 * (a - b)
 
+    def _tile_bounds(self, size: int, ti: np.ndarray, tj: np.ndarray) -> tuple[np.ndarray, ...]:
+        """tile_bound_fn on the size x size cell tiles (ti, tj), cut short at
+        the end of the grid: every node of a tile lies within rho of its
+        centre."""
+        if self.tile_bound_fn is None:
+            return np.zeros(ti.size, int), np.full(ti.size, np.inf), np.full(ti.size, np.inf)
+        xs, ys = self.nodes()
+        centres, reach = [], []
+        for t, k, n in ((xs, ti, self.nx), (ys, tj, self.ny)):
+            lo, hi = t[k * size], t[np.minimum(k * size + size, n)]
+            c = lo + 0.5 * (hi - lo)
+            centres.append(c)
+            reach.append(float(np.maximum(c - lo, hi - c).max()))
+        # the subtractions and hypot round by less than a part in 2^40
+        rho = math.hypot(*reach) * (1.0 + 2.0**-40)
+        # a bound takes about ten times the bytes of a node (380 B against
+        # 44 B measured), so a call holds about as many bytes as abs2_fn's
+        step = max(1, _CALL_ROWS * (self.ny + 1) // 10)
+        parts = [self.tile_bound_fn(centres[0][k:k + step], centres[1][k:k + step], rho)
+                 for k in range(0, ti.size, step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
     def det_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Cells whose corners do not all share the sign f >= 0, as ascending
         codes i * ny + j of [xs[i], xs[i+1]] x [ys[j], ys[j+1]], and their
         values at the corners (i, j), (i+1, j), (i, j+1), (i+1, j+1).
 
-        One sweep runs abs2_fn on DET_BAND_ROWS rows of xs at a time, each
-        band carrying the last row of the one before, so no whole-grid
-        array is held; max|f| and max|M|^2 come from per-band maxima.
+        Tiles of cells are bounded by tile_bound_fn from DET_TILE_MAX cells
+        a side down, each quartered while it is not proven one-signed or
+        its bound reaches the maxima of max|f| and max|M|^2 known so far,
+        which start from a lattice of every _LATTICE-th node.  Of the
+        DET_TILE tiles left, those not proven one-signed are evaluated and
+        give the crossed cells; then the others whose bounds still reach
+        the maxima are evaluated too (branch and bound), so both maxima are
+        exact over the nodes.  A skipped tile holds no zero of the computed
+        det at its nodes.  The cells skipped, evaluated for their signs and
+        evaluated for the maxima go to the cache as "det_cells".
         """
         if "det_grid" not in self._cache:
             xs, ys = self.nodes()
-            cols = ys.size
-            buf = np.empty((DET_BAND_ROWS + 1, cols))
-            corner = np.array([0, cols, 1, cols + 1])
-            codes, corners, max_abs, max_norm2 = [], [], [], []
-            for i0 in range(0, xs.size, DET_BAND_ROWS):
-                rows = min(DET_BAND_ROWS, xs.size - i0)
-                a, b = self.abs2_fn(xs[i0:i0 + rows, None], ys)
-                band = buf[1:rows + 1]
-                np.multiply(0.5, a - b, out=band)
-                max_abs.append(max(band.max(), -band.min()))
-                max_norm2.append((a + b).max())
-                # rows i0 - 1 .. i0 + rows - 1, the first band without a carried row
-                F = buf[:rows + 1] if i0 else band
-                S = F >= 0.0
-                step = S[:-1] != S[1:]
-                # parity: a cell whose corners differ has two sides that differ,
-                # so three of its sides tell
-                cross = step[:, :-1] | step[:, 1:] | (S[:-1, :-1] != S[:-1, 1:])
-                k = np.flatnonzero(cross)
-                r, j = np.divmod(k, cols - 1)
-                codes.append(k + max(i0 - 1, 0) * (cols - 1))
-                corners.append(F.ravel()[(r * cols + j)[:, None] + corner])
-                buf[0] = buf[rows]
-            self._cache["det_grid"] = np.concatenate(codes), np.concatenate(corners)
-            self._cache["max_abs_det"] = float(max(max_abs))
-            self._cache["max_norm2"] = float(max(max_norm2))
+            a, b = self.abs2_fn(xs[::_LATTICE, None], ys[::_LATTICE])
+            F = 0.5 * (a - b)
+            peak = [max(F.max(), -F.min()), (a + b).max()]
+            codes, corners = [np.empty(0, dtype=np.intp)], [np.empty((0, 4))]
+            counts = {"skipped": 0, "sign": 0, "max": 0}
+            size = DET_TILE_MAX
+            ti, tj = np.divmod(np.arange(-(-self.nx // size) * -(-self.ny // size)), -(-self.ny // size))
+            known = np.zeros(ti.size, dtype=bool)   # proven one-signed
+            while True:
+                sign, abs_bound, norm2_bound = self._tile_bounds(size, ti, tj)
+                known |= sign != 0
+                # kept unless proven one-signed with both bounds below the
+                # maxima so far; a NaN bound keeps it
+                keep = ~(known & (abs_bound < peak[0]) & (norm2_bound < peak[1]))
+                cells = np.minimum(size, self.nx - ti * size) * np.minimum(size, self.ny - tj * size)
+                if size == DET_TILE:
+                    break
+                counts["skipped"] += int(cells[~keep].sum())
+                # the quarters of each kept tile that lie on the grid
+                ti = (2 * ti[keep, None] + [0, 0, 1, 1]).ravel()
+                tj = (2 * tj[keep, None] + [0, 1, 0, 1]).ravel()
+                known = np.repeat(known[keep], 4)
+                size //= 2
+                on = (ti * size < self.nx) & (tj * size < self.ny)
+                ti, tj, known = ti[on], tj[on], known[on]
+            self._eval_tiles(size, ti[~known], tj[~known], peak, (codes, corners))
+            counts["sign"] = int(cells[~known].sum())
+            # branch and bound: the one-signed tiles that still reach the
+            # maxima of the nodes evaluated so far
+            keep = known & ~((abs_bound < peak[0]) & (norm2_bound < peak[1]))
+            self._eval_tiles(size, ti[keep], tj[keep], peak)
+            counts["max"] = int(cells[keep].sum())
+            counts["skipped"] += int(cells[known].sum()) - counts["max"]
+            codes, corners = np.concatenate(codes), np.concatenate(corners)
+            order = np.argsort(codes)
+            self._cache["det_grid"] = codes[order], corners[order]
+            self._cache["max_abs_det"] = float(peak[0])
+            self._cache["max_norm2"] = float(peak[1])
+            self._cache["det_cells"] = counts
         return self._cache["det_grid"]
+
+    def _eval_tiles(self, size: int, ti: np.ndarray, tj: np.ndarray, peak: list, crossed=None) -> None:
+        """abs2_fn at the nodes of the size x size cell tiles (ti, tj): raise
+        the running maxima peak and, given crossed = (codes, corners), append
+        the crossed cells of the tiles."""
+        steps = np.arange(size + 1)
+        chunk = max(1, _CALL_ROWS * (self.ny + 1) // (size + 1) ** 2)
+        for k in range(0, ti.size, chunk):
+            # node rows and columns of each tile, the last repeated past the grid
+            self._eval_nodes(np.minimum(ti[k:k + chunk, None] * size + steps, self.nx),
+                             np.minimum(tj[k:k + chunk, None] * size + steps, self.ny), peak, crossed)
+
+    def _eval_nodes(self, rows: np.ndarray, cols: np.ndarray, peak: list, crossed) -> None:
+        """One abs2_fn call on the node rows by the node columns of each tile."""
+        xs, ys = self.nodes()
+        a, b = self.abs2_fn(xs[rows][:, :, None], ys[cols][:, None, :])
+        F = 0.5 * (a - b)
+        peak[0], peak[1] = max(peak[0], F.max(), -F.min()), max(peak[1], (a + b).max())
+        if crossed is None:
+            return
+        S = F >= 0.0
+        step = S[:, :-1] != S[:, 1:]
+        # parity: a cell whose corners differ has two sides that differ, so
+        # three of its sides tell
+        cross = step[:, :, :-1] | step[:, :, 1:] | (S[:, :-1, :-1] != S[:, :-1, 1:])
+        cross &= (rows[:, :-1] < self.nx)[:, :, None] & (cols[:, :-1] < self.ny)[:, None, :]
+        t, r, c = np.nonzero(cross)
+        crossed[0].append(rows[t, r] * self.ny + cols[t, c])
+        crossed[1].append(np.column_stack([F[t, r, c], F[t, r + 1, c], F[t, r, c + 1], F[t, r + 1, c + 1]]))
 
     @property
     def max_abs_det(self) -> float:

@@ -18,8 +18,10 @@ transversal circle.
 
 det M = (|u|^2 - |w|^2) / 2 needs only the moduli, which
 SphereSymbol.abs2_grid computes in real arithmetic; real + and * round
-alike in either operand order and on every SIMD path, so a det grid band
-agrees bit for bit with det_at at its nodes.
+alike in either operand order and on every SIMD path, so the det grid's
+tiles agree bit for bit with det_at at their nodes.  SphereSymbol.tile_bounds
+bounds what abs2_grid computes over a disc, so that det_grid can skip
+the tiles it proves one-signed.
 
 The complex kernel of the kernel lines (PolyVF.evaluate, and
 SphereSymbol.rep_grid as the chart field's rep_fn) uses one fixed
@@ -60,6 +62,17 @@ N_RANGE = (0, 6)
 ROOT_REL_TOL = 1e-13
 # half width of the central difference transversality_h takes at r = 1
 TRANSVERSALITY_STEP = 1e-6
+_U = 2.0**-53
+# relative error of abs2_grid's |u|^2 and |w|^2 at most 47 roundings deep,
+# and the error of a complex Horner step on a full quadratic (tile_bounds)
+_ABS2_ROUNDING = 64 * _U
+_HORNER_ROUNDING = 10 * _U
+# slack of tile_bounds, relative to the size of its terms, that dwarfs any
+# libm error in its logs and exponentials at the tile centres
+_TILE_SLACK = 1e-9
+# tile_bounds certifies only where each |factor| and lam^2 lie in
+# [_SAFE_MOD, 1 / _SAFE_MOD] on the disc
+_SAFE_MOD = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -163,11 +176,90 @@ class SphereSymbol:
                 b *= mod2[f]
         return a, b
 
+    def tile_bounds(self, cx: np.ndarray, cy: np.ndarray,
+                    rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bounds on what abs2_grid computes at any point within rho of a
+        centre cx + i cy (arrays that broadcast): the sign of det M, 1 where
+        every computed det is >= 0, -1 where every one is < 0 and 0 where
+        neither is certified, and upper bounds on the computed |det M| and
+        |u|^2 + |w|^2 (inf where not certified).
+
+        The sign comes from g = log|u|^2 - log|w|^2 = log|v|^2 - sum_k
+        log|f_k|^2 + 4 log(1 + r^2) - log 16 in its centred form: its value
+        and gradient at the centre, and the Hessian bounded on the disc.
+        For a quadratic p = p(c) + p'(c) d + a2 d^2 the Hessian norm of
+        log|p|^2 is 2 |p''/p - (p'/p)^2| <= 2 (2|a2| / m + (|p'(c)| + 2|a2|
+        rho)^2 / m^2), with m = |p(c)| - |p'(c)| rho - |a2| rho^2 <= |p| on
+        the disc, and that of log(1 + r^2) is at most 2.  Each maximum is
+        the same second-order form on |u|^2 - |w|^2 and on |u|^2 + |w|^2,
+        where the Hessian of a = exp(log a) is at most sup a (H + G^2), H
+        and G bounding the Hessian and the gradient of log a on the disc.
+
+        The computed values: abs2_grid rounds |u|^2 and |w|^2 at most 47
+        times (((L2 L2) L2) |z^2|^2 |z^2|^2 |z^2|^2 with L2 nine roundings
+        deep and |z^2|^2 five), a relative error below _ABS2_ROUNDING.  A
+        full quadratic evaluated by complex Horner steps is off by at most
+        _HORNER_ROUNDING sum |a_i| |z|^i (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 5.1), which moves log|p|^2 by at most
+        4 E / m while E <= m / 2.  A certified tile needs every factor's
+        modulus and lam^2 within [_SAFE_MOD, 1 / _SAFE_MOD]: then every
+        partial product is normal, at least 2^-540, and a subnormal X X, Y Y
+        or Horner term moves a sum by far less than the 17 roundings that
+        _ABS2_ROUNDING spares.  So fl(a - b) has the sign of a - b and is no
+        subnormal, and 0.5 fl(a - b), which rounds to -0.0 only at -2^-1074,
+        keeps it.  _TILE_SLACK covers the rounding and libm error of this
+        bound, so a decision may differ between CPU dispatch paths but a
+        certified one always holds.
+        """
+        C = _chart_points(cx, cy)
+        r2 = cx * cx + cy * cy
+        reach = np.sqrt(r2) + rho
+        ok = 4.0 / (1.0 + reach * reach) ** 2 >= _SAFE_MOD   # lam^2 on the disc
+        # log|p|^2, its gradient as a complex number, its Hessian bound and
+        # the error of its computed value, per distinct factor
+        terms = {_ONE: (0.0, 0.0, 0.0, 0.0)}
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for f in {self.v, *self.factors} - {_ONE}:
+                p, dp = np.asarray(f.evaluate(C)), PolyVF(f.a1, 2.0 * f.a2, 0j).evaluate(C)
+                mod2, a2 = p.real * p.real + p.imag * p.imag, abs(f.a2)
+                mod, dmod = np.sqrt(mod2), np.abs(dp)
+                arm = (dmod + a2 * rho) * rho
+                low = mod - arm
+                ok &= (low >= _SAFE_MOD) & (mod + arm <= 1.0 / _SAFE_MOD)
+                err = 0.0
+                if f not in (_Z, _Z2):
+                    err = _HORNER_ROUNDING * (abs(f.a0) + (abs(f.a1) + a2 * reach) * reach) / low
+                    ok &= err <= 0.5
+                terms[f] = (np.log(mod2), np.conj(dp) * p * (2.0 / mod2),
+                            2.0 * (2.0 * a2 / low + ((dmod + 2.0 * a2 * rho) / low) ** 2), 4.0 * err)
+            log_q, grad_q = np.log1p(r2), C * (2.0 / (1.0 + r2))
+            la, ga, ha, ea = terms[self.v]
+            la, ga, ha = la + (math.log(4.0) - 2.0 * log_q), ga - 2.0 * grad_q, ha + 4.0
+            lb, gb, hb, eb = 3.0 * math.log(4.0) - 6.0 * log_q, -6.0 * grad_q, 12.0, 0.0
+            for f in set(self.factors) - {_ONE}:
+                k, (lf, gf, hf, ef) = self.factors.count(f), terms[f]
+                lb, gb, hb, eb = lb + k * lf, gb + k * gf, hb + k * hf, eb + k * ef
+            g, half_rho2 = la - lb, 0.5 * rho * rho
+            spread = np.abs(ga - gb) * rho + (ha + hb - 8.0) * half_rho2
+            margin = 2.0 * _ABS2_ROUNDING + ea + eb + _TILE_SLACK * (1.0 + np.abs(la) + np.abs(lb) + spread)
+            sign = np.where(ok & (np.abs(g) - spread > margin), np.sign(g), 0.0)
+            # sup a and sup b on the disc, and their Hessian bounds
+            na, nb = np.abs(ga), np.abs(gb)
+            sup_a, sup_b = np.exp(la + na * rho + ha * half_rho2), np.exp(lb + nb * rho + hb * half_rho2)
+            hess = (sup_a * (ha + (na + ha * rho) ** 2) + sup_b * (hb + (nb + hb * rho) ** 2)) * half_rho2
+            a, b = np.exp(la), np.exp(lb)
+            da, db = a * ga, b * gb
+            pad = (sup_a * (np.expm1(_ABS2_ROUNDING + ea) + _TILE_SLACK)
+                   + sup_b * (np.expm1(_ABS2_ROUNDING + eb) + _TILE_SLACK))
+            abs_det = (np.abs(a - b) + np.abs(da - db) * rho + hess + pad) * (0.5 + _TILE_SLACK)
+            norm2 = (a + b + np.abs(da + db) * rho + hess + pad) * (1.0 + _TILE_SLACK)
+        return sign, np.where(ok, abs_det, np.inf), np.where(ok, norm2, np.inf)
+
     def chart_field(self, halfwidth: float = 2.0, grid: int = 512) -> ChartSymbolField:
         """This symbol's field on a chart square."""
         return ChartSymbolField(
-            x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth,
-            nx=grid, ny=grid, rep_fn=self.rep_grid, abs2_fn=self.abs2_grid,
+            x0=-halfwidth, x1=halfwidth, y0=-halfwidth, y1=halfwidth, nx=grid, ny=grid,
+            rep_fn=self.rep_grid, abs2_fn=self.abs2_grid, tile_bound_fn=self.tile_bounds,
         )
 
 

@@ -8,8 +8,9 @@ transports, the cyclic line lift and the pairwise separation loop at the
 end are the earlier per-caller copies that the shared primitives replaced;
 the single-start descent is the loop that the batched one replaced,
 the whole-grid determinant and its masks are the ones that the band
-sweep replaced, the neighbour-list walk of the contour chains is the one
-that the successor walk replaced, the determinant of the complex pair is
+sweep replaced, the band sweep of every node is the one that the
+certified sparse det grid replaced, the neighbour-list walk of the
+contour chains is the one that the successor walk replaced, the determinant of the complex pair is
 the one that the
 moduli |u|^2, |w|^2 replaced, the full-quadratic sphere representative
 is the kernel that the fixed-order one replaced, the per-value CSV and
@@ -679,7 +680,8 @@ def rep_consistency_gap(sym: SphereSymbol, z: complex) -> float:
 # ---------------------------------------------------------------------------
 # the determinant from the complex pair, and the whole-grid det grid with
 # the masks that contouring once kept, which the band sweep of
-# (|u|^2, |w|^2) replaced; and (|u|^2, |w|^2) of a sphere symbol written out
+# (|u|^2, |w|^2) replaced; that band sweep, which the sparse det grid
+# replaced; and (|u|^2, |w|^2) of a sphere symbol written out
 
 
 def det_norm2(u, w) -> tuple[np.ndarray, np.ndarray]:
@@ -732,6 +734,36 @@ def det_grid_whole(fld) -> tuple[np.ndarray, float, float]:
     a, b = fld.abs2_fn(xs[:, None], ys[None, :])
     F = 0.5 * (a - b)
     return F, float(np.abs(F).max()), float((a + b).max())
+
+
+def det_grid_bands(fld, rows: int = 16) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(codes, corners, max |F|, max |u|^2 + |w|^2) of det_grid from a sweep
+    of every node: abs2_fn on `rows` rows of xs at a time, each band
+    carrying the last row of the one before, and the crossed cells of each
+    band from its sign mask."""
+    xs, ys = fld.nodes()
+    cols = ys.size
+    buf = np.empty((rows + 1, cols))
+    corner = np.array([0, cols, 1, cols + 1])
+    codes, corners, max_abs, max_norm2 = [], [], [], []
+    for i0 in range(0, xs.size, rows):
+        n = min(rows, xs.size - i0)
+        a, b = fld.abs2_fn(xs[i0:i0 + n, None], ys)
+        band = buf[1:n + 1]
+        np.multiply(0.5, a - b, out=band)
+        max_abs.append(max(band.max(), -band.min()))
+        max_norm2.append((a + b).max())
+        # rows i0 - 1 .. i0 + n - 1, the first band without a carried row
+        F = buf[:n + 1] if i0 else band
+        S = F >= 0.0
+        step = S[:-1] != S[1:]
+        cross = step[:, :-1] | step[:, 1:] | (S[:-1, :-1] != S[:-1, 1:])
+        k = np.flatnonzero(cross)
+        r, j = np.divmod(k, cols - 1)
+        codes.append(k + max(i0 - 1, 0) * (cols - 1))
+        corners.append(F.ravel()[(r * cols + j)[:, None] + corner])
+        buf[0] = buf[n]
+    return np.concatenate(codes), np.concatenate(corners), float(max(max_abs)), float(max(max_norm2))
 
 
 def crossing_cells_whole(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

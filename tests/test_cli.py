@@ -487,9 +487,10 @@ print(libc.mallinfo2().hblks - before)
 """
 
 # The heap's releasable top (mallinfo2 keepcost) after freeing six
-# 16 x 2049 complex arrays, about the temporaries of one grid-2048 det-grid
-# band.  Under a 2 MiB trim threshold these frees trim the heap, and the
-# next band faults the same pages in again.
+# 16 x 2049 complex arrays, 3.1 MB, more than the temporaries of one
+# det_grid call at grid 2048 (at most 2.0 MB).  Under a 2 MiB trim
+# threshold such frees trim the heap, and the next call faults the same
+# pages in again.
 _BAND_PROBE = _PROBE_START + """
 band = [np.ones((16, 2049), complex) for _ in range(6)]
 del band

@@ -15,8 +15,8 @@ from wavesym.errors import (
 )
 from wavesym.fresnel import Crystal, singular_directions
 from wavesym.multiplicity import (
-    DET_BAND_ROWS,
     DET_GRID_BYTE_CAP,
+    DET_TILE,
     ChartSymbolField,
     MultiplicityComponent,
     SingularCurve,
@@ -684,7 +684,7 @@ def test_field_refuses_grid_above_byte_cap():
         sigma_mn(1, 4).chart_field(grid=100_000)
 
 
-# --- band sweep of the det grid ----------------------------------------------
+# --- tiles of the det grid ----------------------------------------------------
 
 
 def wavy(Z):
@@ -693,8 +693,8 @@ def wavy(Z):
 
 
 def diagonal_lines(Z):
-    # det = ((x - y)^2 - 0.09) / 2: the lines x - y = +-0.3 cross every band
-    # seam of every BAND_SHAPES grid on the chart below
+    # det = ((x - y)^2 - 0.09) / 2: the lines x - y = +-0.3 cross every row
+    # seam of the tiles of every BAND_SHAPES grid on the chart below
     return pair(Z.real - Z.imag, np.full(Z.shape, 0.3))
 
 
@@ -702,16 +702,16 @@ BAND_FNS = {f"sigma{m}{n}": (sigma_mn(m, n).rep_grid, sigma_mn(m, n).abs2_grid)
             for m, n in ((0, 3), (1, 4), (2, 5), (2, 6))}
 BAND_FNS["wavy"] = (wavy, abs2_from_rep(wavy))
 BAND_FNS["lines"] = (diagonal_lines, abs2_from_rep(diagonal_lines))
-# grids whose nx + 1 node rows fill whole bands exactly or overrun by one or two rows
-BAND_GRIDS = sorted({g for g in (16, DET_BAND_ROWS - 1, DET_BAND_ROWS, DET_BAND_ROWS + 1,
-                                 2 * DET_BAND_ROWS - 1, 2 * DET_BAND_ROWS, 2 * DET_BAND_ROWS + 1)
-                     if g >= 16})
-BAND_SHAPES = [(g, g) for g in BAND_GRIDS] + [(2 * DET_BAND_ROWS + 1, 23), (17, 3 * DET_BAND_ROWS)]
+# grids whose nx + 1 node rows fill whole tiles of 8 or 16 cells, or overrun
+# them by one or two rows
+BAND_SHAPES = [(16, 16), (17, 17), (31, 31), (32, 32), (33, 33), (33, 23), (17, 48)]
 
 
 @pytest.mark.parametrize("name", sorted(BAND_FNS))
 @pytest.mark.parametrize("nx,ny", BAND_SHAPES)
 def test_banded_det_grid_matches_whole_grid(name, nx, ny):
+    """Fields without a tile bound evaluate every tile, through the same
+    sweep as the bounded sphere fields."""
     rep_fn, abs2_fn = BAND_FNS[name]
     fld = ChartSymbolField(x0=-2.6, x1=2.2, y0=-1.9, y1=2.6, nx=nx, ny=ny, rep_fn=rep_fn,
                            abs2_fn=abs2_fn)
@@ -720,7 +720,7 @@ def test_banded_det_grid_matches_whole_grid(name, nx, ny):
     codes, corners = fld.det_grid()
     assert codes_ref.size > 0
     if name == "lines":
-        seam_rows = range(DET_BAND_ROWS - 1, nx, DET_BAND_ROWS)
+        seam_rows = range(DET_TILE - 1, nx, DET_TILE)
         assert set(seam_rows) <= set((codes_ref // ny).tolist())
     assert codes.tobytes() == codes_ref.tobytes()
     assert corners.tobytes() == corners_ref.tobytes()
@@ -740,12 +740,14 @@ def test_det_grid_memory_stays_near_its_result():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # ten float64 arrays over the DET_BAND_ROWS + 1 node rows of a band with
-    # its carried row (63 B per band node measured), plus the crossing-cell
-    # table twice: its per-band pieces and their concatenation.  Nothing
-    # scales with the 1025 node rows of the grid
+    # ten float64 arrays over 17 node rows of the grid, plus the crossed-cell
+    # table twice: its pieces and their concatenation.  One abs2_fn call
+    # evaluates about 16 rows' worth of tile nodes (44 B a node measured) and
+    # one tile_bound_fn call a tenth as many tiles; the tile indices and
+    # bounds held between calls scale with the tiles kept, not with the
+    # 1025 node rows of the grid.  1.2 MB measured against 1.6 MB here
     table = codes.nbytes + corners.nbytes
-    assert det_peak <= 10 * 8 * (DET_BAND_ROWS + 1) * 1025 + 2 * table
+    assert det_peak <= 10 * 8 * 17 * 1025 + 2 * table
     # the figure the byte cap is checked against covers contouring too
     assert peak <= det_grid_peak_bytes(1024, 1024)
 

@@ -26,3 +26,11 @@ def test_crystal_demo_writes_its_artifacts(tmp_path):
     for name in ("fresnel.obj", "eigenline.obj", "report.json"):
         assert (outdir / name).stat().st_size > 0, name
     assert "genus = 3" in proc.stdout.decode()
+
+
+def test_artifact_digest_refuses_a_setting_without_a_value(tmp_path):
+    # the job list takes minutes, so only the refusal runs here
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digest.py"), "--setting", "OPENBLAS_CORETYPE"],
+                          capture_output=True, text=True, cwd=tmp_path, env=_env())
+    assert proc.returncode == 2
+    assert "KEY=VALUE" in proc.stderr

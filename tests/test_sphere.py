@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavesym.errors import OutOfRange
-from wavesym.multiplicity import kernel_angles_along
+from wavesym.multiplicity import DET_TILE, ChartSymbolField, extract_singular_set, kernel_angles_along
 from wavesym.sphere import (
     PolyVF,
     SphereSymbol,
@@ -31,6 +31,7 @@ from .oracles import (
     alpha_root,
     chart2_symbol,
     chart_transition_angle,
+    det_grid_bands,
     det_norm2,
     predicted_kernel_angle,
     rep_consistency_gap,
@@ -287,6 +288,126 @@ def test_det_grid_portable_across_cpu_dispatch():
         digests.append(proc.stdout)
     assert len(digests[0].strip()) == 64
     assert digests == digests[:1] * 4
+
+
+# --- the certified sparse det grid --------------------------------------------
+
+
+def sigma_field(m, n, grid=2048):
+    halfwidth = max(2.0, 1.3 * max(z_set(m, n).radii))   # as trace_sigma_mn
+    return sigma_mn(m, n).chart_field(halfwidth=halfwidth, grid=grid)
+
+
+def assert_det_grid_equals_dense_sweep(fld):
+    codes, corners = fld.det_grid()
+    codes_ref, corners_ref, max_abs, max_norm2 = det_grid_bands(fld)
+    assert codes.tobytes() == codes_ref.tobytes()
+    assert corners.tobytes() == corners_ref.tobytes()
+    assert fld.max_abs_det == max_abs
+    assert fld.max_norm2 == max_norm2
+
+
+@pytest.mark.parametrize("m,n", SIGMA_PAIRS)
+def test_sparse_det_grid_equals_dense_sweep(m, n):
+    assert_det_grid_equals_dense_sweep(sigma_field(m, n))
+
+
+@pytest.mark.parametrize("m,n", SIGMA_PAIRS)
+def test_sparse_det_grid_skips_most_cells(m, n):
+    # a silent fall back to evaluating every tile fails here
+    fld = sigma_field(m, n)
+    fld.det_grid()
+    cells = fld._cache["det_cells"]
+    assert sum(cells.values()) == 2048 * 2048
+    assert cells["skipped"] >= 0.6 * 2048 * 2048
+
+
+@pytest.mark.parametrize("shape", [(1001, 777), (130, 257)])
+@pytest.mark.parametrize("sym", [sigma_mn(1, 4), sigma_mn(2, 5), random_symbol(0, True), random_symbol(3, False)],
+                         ids=["sigma14", "sigma25", "random0", "random3"])
+def test_sparse_det_grid_on_grids_of_part_tiles(sym, shape):
+    # nx + 1 and ny + 1 node rows fill no whole number of tiles; the chart
+    # is off centre
+    fld = ChartSymbolField(x0=-2.3, x1=1.9, y0=-1.7, y1=2.4, nx=shape[0], ny=shape[1], rep_fn=sym.rep_grid,
+                           abs2_fn=sym.abs2_grid, tile_bound_fn=sym.tile_bounds)
+    assert_det_grid_equals_dense_sweep(fld)
+    assert fld.det_grid()[0].size > 0
+
+
+def test_sparse_det_grid_finds_an_oval_inside_one_tile():
+    """v = z - z0 and s = c: det < 0 on the small oval |z - z0| < lam^2 |c|
+    of radius 2.5 cells about a tile centre, the only zero set on the chart."""
+    grid, h = 512, 4.0 / 512
+    k = 300 // DET_TILE * DET_TILE + DET_TILE // 2
+    z0 = complex(-2.0 + k * h, -2.0 + (k - 2 * DET_TILE) * h)
+    c = 2.5 * h * (1.0 + abs(z0) ** 2) ** 2 / 4.0
+    one = PolyVF.monomial(0)
+    sym = SphereSymbol(v=PolyVF(-z0, 1.0 + 0j, 0j), factors=(PolyVF(c + 0j, 0j, 0j), one, one))
+    fld = sym.chart_field(halfwidth=2.0, grid=grid)
+    assert_det_grid_equals_dense_sweep(fld)
+    ci, cj = np.divmod(fld.det_grid()[0], grid)
+    assert ci.size > 0 and len(set(zip((ci // DET_TILE).tolist(), (cj // DET_TILE).tolist()))) == 1
+    (curve,) = extract_singular_set(fld)
+    assert curve.closed and curve.length == pytest.approx(2.0 * math.pi * 2.5 * h, rel=0.05)
+
+
+@pytest.mark.parametrize("m,n", SIGMA_PAIRS)
+def test_tile_bounds_hold_at_points_on_the_zero_set(m, n):
+    """A disc of radius 0 is a point.  Within 1e-13 of a multiplicity circle
+    abs2_grid's rounding decides the sign of det M, so the bound certifies a
+    sign, and bounds |det M| and |u|^2 + |w|^2, only with its margin over
+    that rounding."""
+    sym = sigma_mn(m, n)
+    rng = np.random.default_rng(10 * m + n)
+    for r in z_set(m, n).radii:
+        t, theta = rng.uniform(-1e-13, 1e-13, 4000), rng.uniform(0.0, 2.0 * math.pi, 4000)
+        x, y = r * (1.0 + t) * np.cos(theta), r * (1.0 + t) * np.sin(theta)
+        sign, abs_bound, norm2_bound = sym.tile_bounds(x, y, 0.0)
+        a, b = sym.abs2_grid(x, y)
+        f = 0.5 * (a - b)
+        assert np.all(f[sign > 0] >= 0.0) and np.all(f[sign < 0] < 0.0)
+        assert np.all(np.abs(f) <= abs_bound) and np.all(a + b <= norm2_bound)
+
+
+def coefficients():
+    return st.one_of(st.sampled_from([0j, 1 + 0j, -1 + 0j, 0.5j]),
+                     st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+
+
+def quadratics():
+    """General quadratics by coefficients, or with roots inside the chart."""
+    by_roots = st.builds(lambda r1, r2, lead: PolyVF(lead * r1 * r2, -lead * (r1 + r2), lead),
+                         st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+                         st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+                         st.sampled_from([1 + 0j, -0.7 + 0.2j, 2.5 + 0j]))
+    return st.one_of(st.builds(PolyVF, coefficients(), coefficients(), coefficients()), by_roots,
+                     st.sampled_from([PolyVF.monomial(k) for k in range(3)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratics(), st.tuples(quadratics(), quadratics(), quadratics()),
+       st.floats(min_value=0.5, max_value=4.0))
+def test_tile_bounds_hold_at_every_node(v, factors, halfwidth):
+    """For every tile of 1, 2 and 4 times DET_TILE cells that the bound
+    calls one-signed, every computed det at its nodes has that sign, and
+    every node's |det M| and |u|^2 + |w|^2 stay under its bounds; the
+    sparse sweep equals the dense one."""
+    sym = SphereSymbol(v=v, factors=factors)
+    grid = 8 * DET_TILE
+    fld = sym.chart_field(halfwidth=halfwidth, grid=grid)
+    xs, ys = fld.nodes()
+    a, b = fld.abs2_fn(xs[:, None], ys[None, :])
+    F, N = 0.5 * (a - b), a + b
+    for size in (DET_TILE, 2 * DET_TILE, 4 * DET_TILE):
+        ti, tj = np.divmod(np.arange((grid // size) ** 2), grid // size)
+        sign, abs_bound, norm2_bound = fld._tile_bounds(size, ti, tj)
+        for k in range(ti.size):
+            tile = np.s_[ti[k] * size:ti[k] * size + size + 1, tj[k] * size:tj[k] * size + size + 1]
+            if sign[k] != 0:
+                assert np.all((F[tile] >= 0.0) == (sign[k] > 0))
+            assert np.abs(F[tile]).max() <= abs_bound[k]
+            assert N[tile].max() <= norm2_bound[k]
+    assert_det_grid_equals_dense_sweep(fld)
 
 
 TRANSVERSAL_PAIRS = [(m, n) for m, n in SIGMA_PAIRS if n - m != 2]
