@@ -736,13 +736,13 @@ def det_grid_whole(fld) -> tuple[np.ndarray, float, float]:
     return F, float(np.abs(F).max()), float((a + b).max())
 
 
-def det_grid_bands(fld, rows: int = 16) -> tuple[np.ndarray, np.ndarray, float, float]:
+def det_grid_bands(fld) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(codes, corners, max |F|, max |u|^2 + |w|^2) of det_grid from a sweep
-    of every node: abs2_fn on `rows` rows of xs at a time, each band
-    carrying the last row of the one before, and the crossed cells of each
-    band from its sign mask."""
+    of every node: abs2_fn on 16 rows of xs at a time, each band carrying
+    the last row of the one before, and the crossed cells of each band
+    from its sign mask."""
     xs, ys = fld.nodes()
-    cols = ys.size
+    rows, cols = 16, ys.size
     buf = np.empty((rows + 1, cols))
     corner = np.array([0, cols, 1, cols + 1])
     codes, corners, max_abs, max_norm2 = [], [], [], []
