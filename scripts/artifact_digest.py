@@ -2,7 +2,8 @@
 
 The jobs are the six of acceptance criterion 10, eigenline at the
 default subdiv 4 and at subdiv 5 for a crystal with close axes, the
-large eigenline and fresnel runs, two near-uniaxial fresnel runs, and
+large eigenline and fresnel runs, two near-uniaxial fresnel runs, two
+`winding` runs at a contour tolerance of 1e-300 and of 1e-6, and
 `sphere` plus `winding --out-csv` for all 21 sigma_mn pairs (m 0..2,
 n 0..6) at grid 512 and for five pairs at grid 2048.  Each runs in
 process through `wavesym.cli.main`, writes its artifacts to a temporary
@@ -60,6 +61,14 @@ JOBS = [
      [("--out", "f.json"), ("--out-obj", "f.obj")]),
     ("fresnel4_high", ["fresnel", "--subdiv", "4", "--epsilon", "2.31,3.7,2.31001"],
      [("--out", "f.json"), ("--out-obj", "f.obj")]),
+    # contour bisection at both ends of its tolerance: at 1e-300, 726 of
+    # the 1024 edges reach the cap of 64 halvings and keep their last
+    # midpoint; at 1e-6 every edge converges within 12 halvings (26 at
+    # the default 1e-10)
+    ("winding_cap", ["winding", "--m", "0", "--n", "3", "--grid", "256", "--tol-contour", "1e-300"],
+     [("--out", "w.json"), ("--out-csv", "w.csv")]),
+    ("winding_shallow", ["winding", "--m", "1", "--n", "5", "--grid", "512", "--tol-contour", "1e-6"],
+     [("--out", "w.json"), ("--out-csv", "w.csv")]),
 ]
 # sphere and winding over every sigma_mn pair, tangential ones included
 JOBS += [

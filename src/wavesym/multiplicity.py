@@ -285,10 +285,12 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     """Marching squares on det M with edgewise bisection refinement.
 
     Vertices are pushed down to |f| <= rel_tol * max|f| along their grid
-    edge.  Curves come back ordered by descending arclength, closed ones
-    oriented counter clockwise and starting at their lexicographically
-    smallest vertex.  A grid node where f vanishes inside a neighbourhood
-    of one sign is an isolated zero, not a curve, and is left out.
+    edge, or left at the midpoint of its 64th halving, whose |f| their
+    residual then reports.  Curves come back ordered by descending
+    arclength, closed ones oriented counter clockwise and starting at
+    their lexicographically smallest vertex.  A grid node where f vanishes
+    inside a neighbourhood of one sign is an isolated zero, not a curve,
+    and is left out.
     """
     if not 0.0 < rel_tol < math.inf:
         raise InputError("rel_tol must be positive and finite")
@@ -333,48 +335,44 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
         cross_pair = np.flatnonzero(saddle)[(fc >= 0.0) != (corners[saddle, 0] >= 0.0)]
         entry_slot[cross_pair] = slot[cross_pair][:, [2, 3, 0, 1]]
 
+    # a crossing edge moves x on the n_h "h" edges, which come first, and y
+    # on the "v" edges; its other coordinate c is fixed, the midpoint
+    # 0.5 * (c + c) being c, so only the moving one is bisected
     n_edges = edge_keys.size
-    vert, node = np.divmod(edge_keys, rows * cols)
-    vert = vert.astype(bool)
-    ei, ej = np.divmod(node, cols)
-    bi = ei + ~vert   # far end (i+1, j) of an "h" edge, (i, j+1) of a "v" edge
-    bj = ej + vert
-    ax, ay, fa = xs[ei], ys[ej], near[crossed][first]
-    bx, by, fb = xs[bi], ys[bj], far[crossed][first]
-    # orient brackets so fa >= 0 > fb
+    n_h = int(np.searchsorted(edge_keys, rows * cols))
+    ei, ej = np.divmod(edge_keys % (rows * cols), cols)
+    lo = np.concatenate((xs[ei[:n_h]], ys[ej[n_h:]]))
+    hi = np.concatenate((xs[ei[:n_h] + 1], ys[ej[n_h:] + 1]))
+    fixed = np.concatenate((ys[ej[:n_h]], xs[ei[n_h:]]))
+    fa, fb = near[crossed][first], far[crossed][first]
+    # orient brackets so f(lo) = fa >= 0 > fb = f(hi)
     swap = fa < 0.0
-    ax[swap], bx[swap] = bx[swap], ax[swap].copy()
-    ay[swap], by[swap] = by[swap], ay[swap].copy()
-    fa[swap], fb[swap] = fb[swap], fa[swap].copy()
-
-    vx_ = 0.5 * (ax + bx)
-    vy_ = 0.5 * (ay + by)
-    done = np.zeros(n_edges, dtype=bool)
-    res = np.empty(n_edges)
-    # endpoints already on the curve count as converged immediately
-    for end_x, end_y, end_f in ((ax, ay, fa), (bx, by, fb)):
-        hit = ~done & (np.abs(end_f) <= tol)
-        vx_[hit], vy_[hit], res[hit] = end_x[hit], end_y[hit], np.abs(end_f[hit])
-        done |= hit
-    for _ in range(64):
-        if done.all():
+    lo, hi, fa, fb = np.where(swap, hi, lo), np.where(swap, lo, hi), np.where(swap, fb, fa), np.where(swap, fa, fb)
+    # an end already on the curve is the vertex, the lo end first
+    on_lo = np.abs(fa) <= tol
+    move, res = np.where(on_lo, lo, hi), np.where(on_lo, np.abs(fa), np.abs(fb))
+    # the live edges, "h" first: their indices, brackets and fixed coordinates
+    live = np.flatnonzero(~(on_lo | (np.abs(fb) <= tol)))
+    lo, hi, fix, k = lo[live], hi[live], fixed[live], np.count_nonzero(live < n_h)
+    for step in range(64):
+        if not live.size:
             break
-        act = ~done
-        mx = 0.5 * (ax[act] + bx[act])
-        my = 0.5 * (ay[act] + by[act])
-        fm = fld.det_at(mx, my)
-        idx = np.nonzero(act)[0]
-        conv = np.abs(fm) <= tol
-        vx_[idx], vy_[idx] = mx, my
-        res[idx] = np.abs(fm)
-        done[idx[conv]] = True
+        mid = 0.5 * (lo + hi)
+        fm = fld.det_at(np.concatenate((mid[:k], fix[k:])), np.concatenate((fix[:k], mid[k:])))
+        # np.where, not copyto(..., where=): on the random masks here the
+        # masked copy takes three times as long
         pos = fm >= 0.0
-        upd_pos = idx[~conv & pos]
-        upd_neg = idx[~conv & ~pos]
-        sel_pos = ~conv & pos
-        sel_neg = ~conv & ~pos
-        ax[upd_pos], ay[upd_pos], fa[upd_pos] = mx[sel_pos], my[sel_pos], fm[sel_pos]
-        bx[upd_neg], by[upd_neg], fb[upd_neg] = mx[sel_neg], my[sel_neg], fm[sel_neg]
+        lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+        # an edge still live after the 64th halving keeps its last midpoint
+        out = (np.abs(fm) <= tol) | (step == 63)
+        if out.any():
+            at = live[out]
+            move[at], res[at] = mid[out], np.abs(fm[out])
+            keep = ~out
+            k = np.count_nonzero(keep[:k])
+            live, lo, hi, fix = live[keep], lo[keep], hi[keep], fix[keep]
+    vx_ = np.concatenate((move[:n_h], fixed[n_h:]))
+    vy_ = np.concatenate((fixed[:n_h], move[n_h:]))
 
     succ = np.full(n_edges, -1)
     succ[entry_slot[entry]] = slot[crossed & ~entry]
@@ -388,8 +386,9 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
         if closed:
             if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0.0:   # clockwise
                 idxs, x, y = idxs[::-1], x[::-1], y[::-1]
-            # from the first least vertex round to it again
-            idxs = idxs.take(np.lexsort((y, x))[0] + np.arange(idxs.size + 1), mode="wrap")
+            # from the first least vertex, the least y among the least x, round to it again
+            least_x = np.flatnonzero(x == x.min())
+            idxs = idxs.take(least_x[np.argmin(y[least_x])] + np.arange(idxs.size + 1), mode="wrap")
         elif (x[-1], y[-1]) < (x[0], y[0]):
             idxs = idxs[::-1]
         pts = np.column_stack([vx_[idxs], vy_[idxs]])

@@ -10,9 +10,11 @@ the single-start descent is the loop that the batched one replaced,
 the whole-grid determinant and its masks are the ones that the band
 sweep replaced, the band sweep of every node is the one that the
 certified sparse det grid replaced, the neighbour-list walk of the
-contour chains is the one that the successor walk replaced, the determinant of the complex pair is
-the one that the
-moduli |u|^2, |w|^2 replaced, the full-quadratic sphere representative
+contour chains is the one that the successor walk replaced, the masked
+bisection of every crossed edge (with the lexsort for a closed curve's
+least vertex) is the one that the live-edge bisection replaced, the
+determinant of the complex pair is the one that the moduli |u|^2, |w|^2
+replaced, the full-quadratic sphere representative
 is the kernel that the fixed-order one replaced, the per-value CSV and
 OBJ writers are the ones that the row and block formatters replaced, and
 the np.cross tangent frames are the ones that the written-out cross
@@ -40,7 +42,8 @@ import math
 import numpy as np
 
 from wavesym.eigenline import _tie_break_jitter
-from wavesym.errors import GluingMismatch, InputError, LiftFailure, NotBiaxial, NotClosed, ZeroOnVertex
+from wavesym.errors import DegenerateField, GluingMismatch, InputError, LiftFailure, NotBiaxial, NotClosed, ZeroOnVertex
+from wavesym.multiplicity import CONTOUR_REL_TOL, SingularCurve, _chains, _polyline_length
 from wavesym.serialize import _g17, fmt_float
 from wavesym.sphere import PolyVF, SphereSymbol
 from wavesym.spheremesh import SurfaceMesh, _icosahedron, rotate_pq, tangent_frames, transport_pq, unit_rows
@@ -917,3 +920,117 @@ def icosphere_loop(subdivisions: int = 0) -> SurfaceMesh:
             new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         faces = np.array(new_faces)
     return SurfaceMesh(vertices=np.array(verts), faces=faces)
+
+
+def extract_singular_set_masked(fld, rel_tol: float = CONTOUR_REL_TOL) -> list[SingularCurve]:
+    """extract_singular_set with the bisection loop that the live-edge loop
+    replaced: every halving gathers and scatters both coordinates and both
+    end values of every crossed edge through masks, live or converged; and
+    the least vertex of a closed curve from np.lexsort."""
+    if not 0.0 < rel_tol < math.inf:
+        raise InputError("rel_tol must be positive and finite")
+    codes, corners = fld.det_grid()
+    max_abs = fld.max_abs_det
+    if max_abs <= 1e-14 * max(1.0, fld.max_norm2):
+        raise DegenerateField("det M vanishes on the whole grid")
+    tol = rel_tol * max_abs
+    if codes.size == 0:
+        return []
+
+    xs, ys = fld.nodes()
+    rows, cols = xs.size, ys.size
+    ci, cj = np.divmod(codes, cols - 1)
+    # an edge is coded (kind * (nx + 1) + i) * (ny + 1) + j, kind 0 for the
+    # edge (i, j)-(i+1, j) and 1 for (i, j)-(i, j+1), so codes sort like
+    # (kind, i, j); the sides of a cell in the order S, E, N, W, with the
+    # values at their (i, j) ends and at their far ends
+    side = np.column_stack([ci * cols + cj, (rows + ci + 1) * cols + cj,
+                            ci * cols + cj + 1, (rows + ci) * cols + cj])
+    near, far = corners[:, [0, 1, 2, 0]], corners[:, [1, 3, 3, 2]]
+    crossed = (near >= 0.0) != (far >= 0.0)
+    # refine every crossing edge to a vertex by bisection along the edge;
+    # slot holds the edge index of each crossed side of a cell
+    edge_keys, first, inverse = np.unique(side[crossed], return_index=True, return_inverse=True)
+    slot = np.zeros_like(side)
+    slot[crossed] = inverse
+    # a crossed cell has two crossing edges, or four at a saddle (parity
+    # rules out odd counts).  A segment enters its cell through a crossed
+    # side whose counter clockwise first corner (S: SW, E: SE, N: NE, W: NW)
+    # has f >= 0, which puts f >= 0 on its left, and leaves through another
+    entry = crossed & (corners[:, [0, 1, 3, 2]] >= 0.0)
+    entry_slot = slot.copy()
+    saddle = crossed.all(axis=1)
+    if saddle.any():
+        # a center sample picks the branch pairing
+        si, sj = ci[saddle], cj[saddle]
+        fc = fld.det_at(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
+        # a center of the SW corner's sign joins that corner's region, and
+        # the branches cut off SE and NW, pairing entry and exit sides in
+        # S, E, N, W order; otherwise they cut off SW and NE, crosswise
+        cross_pair = np.flatnonzero(saddle)[(fc >= 0.0) != (corners[saddle, 0] >= 0.0)]
+        entry_slot[cross_pair] = slot[cross_pair][:, [2, 3, 0, 1]]
+
+    n_edges = edge_keys.size
+    vert, node = np.divmod(edge_keys, rows * cols)
+    vert = vert.astype(bool)
+    ei, ej = np.divmod(node, cols)
+    bi = ei + ~vert   # far end (i+1, j) of an "h" edge, (i, j+1) of a "v" edge
+    bj = ej + vert
+    ax, ay, fa = xs[ei], ys[ej], near[crossed][first]
+    bx, by, fb = xs[bi], ys[bj], far[crossed][first]
+    # orient brackets so fa >= 0 > fb
+    swap = fa < 0.0
+    ax[swap], bx[swap] = bx[swap], ax[swap].copy()
+    ay[swap], by[swap] = by[swap], ay[swap].copy()
+    fa[swap], fb[swap] = fb[swap], fa[swap].copy()
+
+    vx_ = 0.5 * (ax + bx)
+    vy_ = 0.5 * (ay + by)
+    done = np.zeros(n_edges, dtype=bool)
+    res = np.empty(n_edges)
+    # endpoints already on the curve count as converged immediately
+    for end_x, end_y, end_f in ((ax, ay, fa), (bx, by, fb)):
+        hit = ~done & (np.abs(end_f) <= tol)
+        vx_[hit], vy_[hit], res[hit] = end_x[hit], end_y[hit], np.abs(end_f[hit])
+        done |= hit
+    for _ in range(64):
+        if done.all():
+            break
+        act = ~done
+        mx = 0.5 * (ax[act] + bx[act])
+        my = 0.5 * (ay[act] + by[act])
+        fm = fld.det_at(mx, my)
+        idx = np.nonzero(act)[0]
+        conv = np.abs(fm) <= tol
+        vx_[idx], vy_[idx] = mx, my
+        res[idx] = np.abs(fm)
+        done[idx[conv]] = True
+        pos = fm >= 0.0
+        upd_pos = idx[~conv & pos]
+        upd_neg = idx[~conv & ~pos]
+        sel_pos = ~conv & pos
+        sel_neg = ~conv & ~pos
+        ax[upd_pos], ay[upd_pos], fa[upd_pos] = mx[sel_pos], my[sel_pos], fm[sel_pos]
+        bx[upd_neg], by[upd_neg], fb[upd_neg] = mx[sel_neg], my[sel_neg], fm[sel_neg]
+
+    succ = np.full(n_edges, -1)
+    succ[entry_slot[entry]] = slot[crossed & ~entry]
+    curves = []
+    for idxs, closed in _chains(succ):
+        x, y = vx_[idxs], vy_[idxs]
+        if not (np.any(x != x[0]) or np.any(y != y[0])):
+            # every crossing edge converged to one grid node: an isolated
+            # zero of f, a point and not a curve
+            continue
+        if closed:
+            if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0.0:   # clockwise
+                idxs, x, y = idxs[::-1], x[::-1], y[::-1]
+            # from the first least vertex round to it again
+            idxs = idxs.take(np.lexsort((y, x))[0] + np.arange(idxs.size + 1), mode="wrap")
+        elif (x[-1], y[-1]) < (x[0], y[0]):
+            idxs = idxs[::-1]
+        pts = np.column_stack([vx_[idxs], vy_[idxs]])
+        curves.append(SingularCurve(polyline=pts, closed=closed, length=_polyline_length(pts), residuals=res[idxs]))
+
+    curves.sort(key=lambda c: (-c.length, c.polyline[0, 0], c.polyline[0, 1]))
+    return curves

@@ -34,13 +34,14 @@ from wavesym.multiplicity import (
     vector_loop_turns,
 )
 from wavesym.spheremesh import icosphere, transport_pq
-from wavesym.sphere import sigma_mn
+from wavesym.sphere import PolyVF, SphereSymbol, sigma_mn
 
 from .oracles import (
     _face_boundary_samples,
     abs2_from_rep,
     crossing_cells_whole,
     det_grid_whole,
+    extract_singular_set_masked,
     fibonacci_sphere,
     neighbour_walks,
     optic_axes_closed_form,
@@ -187,6 +188,141 @@ def test_extract_refuses_a_tolerance_not_positive_and_finite(rel_tol):
     fld = sigma_mn(0, 6).chart_field(halfwidth=2.0, grid=32)
     with pytest.raises(InputError, match="rel_tol"):
         extract_singular_set(fld, rel_tol=rel_tol)
+
+
+def general_quadratics():
+    """Quadratics with every coefficient drawn, or with both roots drawn
+    inside the chart; no monomials."""
+    coeff = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    root = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    by_roots = st.builds(lambda r1, r2, lead: PolyVF(lead * r1 * r2, -lead * (r1 + r2), lead),
+                         root, root, st.sampled_from([1 + 0j, -0.7 + 0.2j, 2.5 + 0j]))
+    return st.one_of(st.builds(PolyVF, coeff, coeff, coeff), by_roots)
+
+
+@st.composite
+def contour_fields(draw):
+    """sigma_mn on a square chart at grids 64 to 512, or a symbol of general
+    quadratics on an off-centre chart of 64 to 256 by 64 to 256 cells."""
+    if draw(st.booleans()):
+        m, n = draw(st.tuples(st.integers(0, 2), st.integers(0, 6)))
+        return sigma_mn(m, n).chart_field(halfwidth=draw(st.floats(1.0, 3.0)), grid=draw(st.integers(64, 512)))
+    sym = SphereSymbol(v=draw(general_quadratics()), factors=tuple(draw(general_quadratics()) for _ in range(3)))
+    x0, y0 = draw(st.floats(-3.0, -0.5)), draw(st.floats(-3.0, -0.5))
+    return ChartSymbolField(x0=x0, x1=x0 + draw(st.floats(1.0, 5.0)), y0=y0, y1=y0 + draw(st.floats(1.0, 5.0)),
+                            nx=draw(st.integers(64, 256)), ny=draw(st.integers(64, 256)),
+                            rep_fn=sym.rep_grid, abs2_fn=sym.abs2_grid, tile_bound_fn=sym.tile_bounds)
+
+
+def extract_tracing_det_at(extract, fld, rel_tol):
+    """extract(fld, rel_tol) and the points it passed to fld.det_at, as rows
+    in ascending order."""
+    calls = []
+
+    def recording(X, Y):
+        calls.append(np.column_stack([X, Y]))
+        return ChartSymbolField.det_at(fld, X, Y)
+
+    fld.det_at = recording
+    try:
+        curves = extract(fld, rel_tol=rel_tol)
+    finally:
+        del fld.det_at
+    pts = np.concatenate(calls) if calls else np.empty((0, 2))
+    return curves, pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(contour_fields(), st.floats(-300.0, -1.0).map(lambda e: 10.0**e))
+@example(sigma_mn(0, 3).chart_field(halfwidth=2.0, grid=256), 1e-300)
+@example(sigma_mn(2, 5).chart_field(halfwidth=2.0, grid=512), 1e-10)
+def test_extraction_equals_masked_bisection_bit_for_bit(fld, rel_tol):
+    """The live-edge bisection gives the masked loop's curves: polylines and
+    residuals byte for byte, closed and length, and it passes det_at the
+    same multiset of points.  rel_tol runs log-uniform down to 1e-300,
+    where most edges end at the cap of 64 halvings.  40 examples take
+    about 1.5 s on a 2-vCPU Xeon."""
+    try:
+        want, want_pts = extract_tracing_det_at(extract_singular_set_masked, fld, rel_tol)
+    except DegenerateField:
+        with pytest.raises(DegenerateField):
+            extract_singular_set(fld, rel_tol=rel_tol)
+        return
+    got, got_pts = extract_tracing_det_at(extract_singular_set, fld, rel_tol)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.polyline.shape == w.polyline.shape and g.polyline.tobytes() == w.polyline.tobytes()
+        assert g.residuals.tobytes() == w.residuals.tobytes()
+        assert type(g.closed) is bool and g.closed == w.closed
+        assert g.length == w.length
+    assert got_pts.shape == want_pts.shape and got_pts.tobytes() == want_pts.tobytes()
+
+
+def test_extraction_equals_masked_bisection_where_edges_converge_at_the_cap():
+    """det = x - c(y), c(y) spread over [1, 2) h 2^-50 for the cell width h,
+    on a chart whose middle cell has x = 0 as its midpoint: each row's edge
+    there halves toward c(y), and at tol 2^-70 max|f| some edges converge
+    at the 64th halving while others are left after it.  Both must write
+    the midpoint of that halving, as the masked loop does."""
+    nx = 33
+    h = 2.0 / nx
+    phi = 0.5 * (math.sqrt(5.0) - 1.0)
+
+    def abs2_fn(X, Y):
+        X, Y = np.broadcast_arrays(X, Y)
+        return 2.0 * X, 2.0 * h * 2.0**-50 * (1.0 + np.mod(37.0 * phi * (Y + 1.0), 1.0))
+
+    fld = ChartSymbolField(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, nx=nx, ny=64,
+                           rep_fn=lambda Z: (Z, Z), abs2_fn=abs2_fn)
+    sizes = []
+    fld.det_at = lambda X, Y: (sizes.append(X.size), ChartSymbolField.det_at(fld, X, Y))[1]
+    (curve,) = extract_singular_set(fld, rel_tol=2.0**-70)
+    del fld.det_at
+    left = int(np.count_nonzero(curve.residuals > 2.0**-70 * fld.max_abs_det))
+    assert len(sizes) == 64 and sizes[-1] > left > 0
+    want, want_pts = extract_tracing_det_at(extract_singular_set_masked, fld, 2.0**-70)
+    got, got_pts = extract_tracing_det_at(extract_singular_set, fld, 2.0**-70)
+    assert [(c.polyline.tobytes(), c.residuals.tobytes(), c.closed, c.length) for c in got] == \
+        [(c.polyline.tobytes(), c.residuals.tobytes(), c.closed, c.length) for c in want]
+    assert got_pts.tobytes() == want_pts.tobytes()
+
+
+def vertex_rows(curves):
+    """Every vertex of the curves, a closed curve's repeated one once, as
+    rows in ascending order."""
+    pts = np.concatenate([c.polyline[:-1] if c.closed else c.polyline for c in curves])
+    return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+
+def transposed(fld):
+    """The field f(y, x) on the chart with x and y swapped."""
+    bound = fld.tile_bound_fn
+    return ChartSymbolField(x0=fld.y0, x1=fld.y1, y0=fld.x0, y1=fld.x1, nx=fld.ny, ny=fld.nx,
+                            rep_fn=lambda Z: fld.rep_fn(Z.imag + 1j * Z.real),
+                            abs2_fn=lambda X, Y: fld.abs2_fn(Y, X),
+                            tile_bound_fn=None if bound is None else lambda cx, cy, rho: bound(cy, cx, rho))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-300])
+@pytest.mark.parametrize("make", [
+    lambda: sigma_mn(0, 1).chart_field(halfwidth=2.0, grid=256),
+    lambda: sigma_mn(1, 4).chart_field(halfwidth=2.0, grid=200),
+    lambda: SphereSymbol(v=PolyVF(0.3 - 0.2j, 1.1 + 0.4j, -0.5 + 0j),
+                         factors=(PolyVF(0.2j, -0.6 + 0j, 1.0 + 0.3j), PolyVF(1 + 0j, 0.7 - 0.1j, 0j),
+                                  PolyVF(-0.4 + 0.4j, 0j, 0.9 + 0j))).chart_field(halfwidth=1.5, grid=160),
+    lambda: crossing_lines(0.3, 0.7)[0],
+], ids=["sigma01", "sigma14", "general", "saddle"])
+def test_transposed_field_gives_the_swapped_vertices(make, rel_tol):
+    """On a square chart, where xs == ys, the vertices of f(y, x) are those
+    of f(x, y) with their coordinates swapped, bit for bit: an "h" edge of
+    one is a "v" edge of the other, so each kind must be bisected along its
+    own moving coordinate."""
+    fld = make()
+    xs, ys = fld.nodes()
+    assert np.array_equal(xs, ys)
+    want = vertex_rows(extract_singular_set(fld, rel_tol=rel_tol))[:, ::-1]
+    got = vertex_rows(extract_singular_set(transposed(fld), rel_tol=rel_tol))
+    assert got.tobytes() == want[np.lexsort((want[:, 1], want[:, 0]))].tobytes()
 
 
 @st.composite
