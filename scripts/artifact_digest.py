@@ -5,7 +5,8 @@ default subdiv 4 and at subdiv 5 for a crystal with close axes, the
 large eigenline and fresnel runs, two near-uniaxial fresnel runs, two
 `winding` runs at a contour tolerance of 1e-300 and of 1e-6, and
 `sphere` plus `winding --out-csv` for all 21 sigma_mn pairs (m 0..2,
-n 0..6) at grid 512 and for five pairs at grid 2048.  Each runs in
+n 0..6) at grid 512, for five pairs at grid 2048 and for one pair at
+grid 1000.  Each runs in
 process through `wavesym.cli.main`, writes its artifacts to a temporary
 directory, and yields one line
 `job artifact sha256` per artifact (stdout counts as an artifact).
@@ -86,6 +87,13 @@ JOBS += [
 JOBS += [
     (f"{cmd}_{m}{n}_2048", [cmd, "--m", str(m), "--n", str(n), "--grid", "2048"], outputs)
     for m, n in ((0, 3), (0, 6), (1, 6), (2, 5), (2, 6))
+    for cmd, outputs in (("sphere", [("--out", "s.json")]),
+                         ("winding", [("--out", "w.json"), ("--out-csv", "w.csv")]))
+]
+# a grid that is no power of two: the last tiles of the det grid stop
+# short of 8 and 128 cells
+JOBS += [
+    (f"{cmd}_14_1000", [cmd, "--m", "1", "--n", "4", "--grid", "1000"], outputs)
     for cmd, outputs in (("sphere", [("--out", "s.json")]),
                          ("winding", [("--out", "w.json"), ("--out-csv", "w.csv")]))
 ]

@@ -297,7 +297,7 @@ def _fix_malloc_thresholds() -> None:
     temporaries (up to 256 KiB each at grid 2048) would be mapped and
     faulted in again on every abs2_fn call.  The trim threshold sits above
     the temporaries of one call together (at most 1.4 MB for an
-    evaluation and 2.0 MB for a tile bound at grid 2048): when they are
+    evaluation or for a tile bound at grid 2048): when they are
     freed at the top of the heap, the next call reuses their pages
     instead of the heap being trimmed and grown again on every call.
     Other C libraries are left alone.

@@ -32,7 +32,7 @@ class RankZero(ComputationError):
 
 
 class DegenerateField(ComputationError):
-    """The determinant field vanishes identically on the sampling grid."""
+    """The determinant field vanishes on the lattice that sets its scale."""
 
 
 class LiftFailure(ComputationError):

@@ -36,35 +36,32 @@ WINDING_RESIDUAL = 0.1
 _JUMP_LIMIT = (math.pi / 2.0) * (1.0 - 1e-9)
 # det_grid bounds tiles of DET_TILE_MAX cells a side, quarters them down to
 # DET_TILE and evaluates the finest ones it cannot skip.  Over the 21
-# sigma_mn pairs at grid 2048, tiles of 8 cells evaluate 5% of the nodes
-# and bound 11k tiles a job, tiles of 16 cells 9% and 6k, in about the
+# sigma_mn pairs at grid 2048, tiles of 8 cells evaluate 2% of the nodes
+# and bound 5k tiles a job, tiles of 16 cells 4% and 3k, in about the
 # same time
 DET_TILE = 8
 DET_TILE_MAX = 128
-# stride of the node lattice that seeds det_grid's maxima
-_LATTICE = 16
+# nodes a side of the lattice of the chart that sets the tolerance scale
+SCALE_NODES = 129
 # abs2_fn evaluates as many tiles per call as hold about the nodes of
 # _CALL_ROWS rows of the grid
 _CALL_ROWS = 16
-# det_grid_peak_bytes is a conservative bound, the figure of the whole-grid
-# det grid that contouring once held: 12 B per node (a float64 grid and
-# four boolean masks) ...
-_GRID_BYTES_PER_NODE = 8 + 4
-# ... plus 160 B per node of _CALL_ROWS rows, kept so that the same grids
-# pass the cap.  det_grid holds the temporaries of one abs2_fn call, the
-# tile indices and bounds, and the crossed cells
-_BAND_BYTES_PER_NODE = 160
-# largest det_grid_peak_bytes a ChartSymbolField accepts: square grids up to 9352
+# bytes held, measured with tracemalloc on sphere fields.  Per node of one
+# abs2_fn call, its temporaries and sign masks: 42 B for sigma_mn, 106 B
+# for general quadratics, whose complex Horner steps dominate (a
+# tile_bound_fn call holds fewer).  Per tile of DET_TILE cells, were every
+# tile kept: its indices, cell counts, sign and quartering temporaries,
+# 43 B.  Per crossed cell, det_grid and extract_singular_set together:
+# 420 B on curves through many cells and 850 B where every cell closes a
+# loop of its own; the table's pieces, concatenation and sorted copy are
+# 88 B of it
+_CALL_NODE_BYTES = 112
+_TILE_BYTES = 48
+_CROSSED_CELL_BYTES = 1024
+# largest working set a ChartSymbolField accepts: square grids up to 36656
 DET_GRID_BYTE_CAP = 2**30
 # points on the local_degree circle
 LOCAL_DEGREE_SAMPLES = 180
-
-
-def det_grid_peak_bytes(nx: int, ny: int) -> int:
-    """Bound on the working set of det_grid plus contouring on an nx x ny grid."""
-    cols = int(ny) + 1
-    rows = int(nx) + 1
-    return rows * cols * _GRID_BYTES_PER_NODE + min(_CALL_ROWS, rows) * cols * _BAND_BYTES_PER_NODE
 
 
 def _chart_points(X, Y) -> np.ndarray:
@@ -88,10 +85,17 @@ class ChartSymbolField:
     serves that for rep_fn; real arithmetic needs no such rule.
 
     tile_bound_fn, if given, maps tile centres cx, cy (arrays that
-    broadcast) and a radius rho to (sign, abs_det, norm2): at every point
-    within rho of a centre, the det computed from abs2_fn is >= 0 where
-    sign is 1 and < 0 where it is -1, and its modulus and |u|^2 + |w|^2
-    are at most abs_det and norm2.  Without it every tile is evaluated.
+    broadcast) and a radius rho to a sign: at every point within rho of a
+    centre, the det computed from abs2_fn is >= 0 where the sign is 1 and
+    < 0 where it is -1.  Without it every tile is evaluated.
+
+    The tolerances of contouring and of its certificates scale with
+    max_abs_det and max_norm2, the maxima of |det M| and |u|^2 + |w|^2
+    over a lattice of SCALE_NODES x SCALE_NODES nodes of the rectangle,
+    so they mean the same at every grid.  A grid whose tiles, were none
+    skipped, and call buffers could exceed DET_GRID_BYTE_CAP is refused
+    here, and one whose zero set crosses more cells than the cap leaves
+    room for is refused by det_grid.
     """
 
     x0: float
@@ -102,8 +106,7 @@ class ChartSymbolField:
     ny: int
     rep_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     abs2_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    tile_bound_fn: Callable[[np.ndarray, np.ndarray, float],
-                            tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    tile_bound_fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -111,10 +114,17 @@ class ChartSymbolField:
             raise InputError("empty chart rectangle")
         if self.nx < 16 or self.ny < 16:
             raise InputError("grid resolution must be at least 16 per axis")
-        need = det_grid_peak_bytes(self.nx, self.ny)
+        # every tile of DET_TILE cells kept
+        need = self._held_bytes(-(-self.nx // DET_TILE) * -(-self.ny // DET_TILE))
         if need > DET_GRID_BYTE_CAP:
-            raise InputError(f"a {self.nx} x {self.ny} grid needs about {need / 2**30:.2f} GiB for its "
-                             f"det grid, above the {DET_GRID_BYTE_CAP / 2**30:.0f} GiB cap")
+            raise InputError(f"a {self.nx} x {self.ny} grid may need {need:,} bytes for the tiles and buffers "
+                             f"of its det grid, above the {DET_GRID_BYTE_CAP:,}-byte cap")
+
+    def _held_bytes(self, tiles: int, cells: int = 0) -> int:
+        """Bytes that det_grid and contouring hold with this many tiles of
+        DET_TILE cells and crossed cells, and one call's buffers."""
+        return (tiles * _TILE_BYTES + cells * _CROSSED_CELL_BYTES
+                + max(_CALL_ROWS * (self.ny + 1), SCALE_NODES**2) * _CALL_NODE_BYTES)
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         if "nodes" not in self._cache:
@@ -127,27 +137,28 @@ class ChartSymbolField:
         a, b = self.abs2_fn(X, Y)
         return 0.5 * (a - b)
 
-    def _tile_bounds(self, size: int, ti: np.ndarray, tj: np.ndarray) -> tuple[np.ndarray, ...]:
-        """tile_bound_fn on the size x size cell tiles (ti, tj), cut short at
-        the end of the grid: every node of a tile lies within rho of its
-        centre."""
+    def _tile_bounds(self, size: int, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
+        """tile_bound_fn's signs on the size x size cell tiles (ti, tj), cut
+        short at the end of the grid: every node of a tile lies within rho
+        of its centre."""
         if self.tile_bound_fn is None:
-            return np.zeros(ti.size, int), np.full(ti.size, np.inf), np.full(ti.size, np.inf)
+            return np.zeros(ti.size)
         xs, ys = self.nodes()
-        centres, reach = [], []
-        for t, k, n in ((xs, ti, self.nx), (ys, tj, self.ny)):
-            lo, hi = t[k * size], t[np.minimum(k * size + size, n)]
-            c = lo + 0.5 * (hi - lo)
-            centres.append(c)
-            reach.append(float(np.maximum(c - lo, hi - c).max()))
-        # the subtractions and hypot round by less than a part in 2^40
-        rho = math.hypot(*reach) * (1.0 + 2.0**-40)
-        # a bound takes about ten times the bytes of a node (380 B against
-        # 44 B measured), so a call holds about as many bytes as abs2_fn's
-        step = max(1, _CALL_ROWS * (self.ny + 1) // 10)
-        parts = [self.tile_bound_fn(centres[0][k:k + step], centres[1][k:k + step], rho)
-                 for k in range(0, ti.size, step)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        # a bound takes about six times the bytes of a node (250 B against
+        # 42 B measured on sigma_mn), so a call holds about as many bytes
+        # as abs2_fn's
+        step = max(1, _CALL_ROWS * (self.ny + 1) // 6)
+        signs = []
+        for k in range(0, ti.size, step):
+            centres, reach = [], []
+            for t, i, n in ((xs, ti[k:k + step], self.nx), (ys, tj[k:k + step], self.ny)):
+                lo, hi = t[i * size], t[np.minimum(i * size + size, n)]
+                c = lo + 0.5 * (hi - lo)
+                centres.append(c)
+                reach.append(float(np.maximum(c - lo, hi - c).max()))
+            # the subtractions and hypot round by less than a part in 2^40
+            signs.append(self.tile_bound_fn(*centres, math.hypot(*reach) * (1.0 + 2.0**-40)))
+        return np.concatenate(signs)
 
     def det_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Cells whose corners do not all share the sign f >= 0, as ascending
@@ -155,78 +166,61 @@ class ChartSymbolField:
         values at the corners (i, j), (i+1, j), (i, j+1), (i+1, j+1).
 
         Tiles of cells are bounded by tile_bound_fn from DET_TILE_MAX cells
-        a side down, each quartered while it is not proven one-signed or
-        its bound reaches the maxima of max|f| and max|M|^2 known so far,
-        which start from a lattice of every _LATTICE-th node.  Of the
-        DET_TILE tiles left, those not proven one-signed are evaluated and
-        give the crossed cells; then the others whose bounds still reach
-        the maxima are evaluated too (branch and bound), so both maxima are
-        exact over the nodes.  A skipped tile holds no zero of the computed
-        det at its nodes.  The cells skipped, evaluated for their signs and
-        evaluated for the maxima go to the cache as "det_cells".
+        a side down; a tile proven one-signed is skipped, any other is
+        quartered, down to DET_TILE cells, and those left are evaluated for
+        their crossed cells.  A skipped tile holds no zero of the computed
+        det at its nodes.  The cells skipped and evaluated go to the cache
+        as "det_cells".  InputError refuses a crossed-cell table above
+        DET_GRID_BYTE_CAP as it grows.
         """
         if "det_grid" not in self._cache:
-            xs, ys = self.nodes()
-            a, b = self.abs2_fn(xs[::_LATTICE, None], ys[::_LATTICE])
-            F = 0.5 * (a - b)
-            peak = [max(F.max(), -F.min()), (a + b).max()]
-            codes, corners = [np.empty(0, dtype=np.intp)], [np.empty((0, 4))]
-            counts = {"skipped": 0, "sign": 0, "max": 0}
+            counts = {"skipped": 0, "sign": 0}
             size = DET_TILE_MAX
             ti, tj = np.divmod(np.arange(-(-self.nx // size) * -(-self.ny // size)), -(-self.ny // size))
-            known = np.zeros(ti.size, dtype=bool)   # proven one-signed
             while True:
-                sign, abs_bound, norm2_bound = self._tile_bounds(size, ti, tj)
-                known |= sign != 0
-                # kept unless proven one-signed with both bounds below the
-                # maxima so far; a NaN bound keeps it
-                keep = ~(known & (abs_bound < peak[0]) & (norm2_bound < peak[1]))
                 cells = np.minimum(size, self.nx - ti * size) * np.minimum(size, self.ny - tj * size)
-                if size == DET_TILE:
+                known = self._tile_bounds(size, ti, tj) != 0   # proven one-signed
+                counts["skipped"] += int(cells[known].sum())
+                ti, tj = ti[~known], tj[~known]
+                if size == DET_TILE or not ti.size:
                     break
-                counts["skipped"] += int(cells[~keep].sum())
-                # the quarters of each kept tile that lie on the grid
-                ti = (2 * ti[keep, None] + [0, 0, 1, 1]).ravel()
-                tj = (2 * tj[keep, None] + [0, 1, 0, 1]).ravel()
-                known = np.repeat(known[keep], 4)
+                # the quarters of each tile left that lie on the grid
+                ti = (2 * ti[:, None] + [0, 0, 1, 1]).ravel()
+                tj = (2 * tj[:, None] + [0, 1, 0, 1]).ravel()
                 size //= 2
                 on = (ti * size < self.nx) & (tj * size < self.ny)
-                ti, tj, known = ti[on], tj[on], known[on]
-            self._eval_tiles(size, ti[~known], tj[~known], peak, (codes, corners))
+                ti, tj = ti[on], tj[on]
             counts["sign"] = int(cells[~known].sum())
-            # branch and bound: the one-signed tiles that still reach the
-            # maxima of the nodes evaluated so far
-            keep = known & ~((abs_bound < peak[0]) & (norm2_bound < peak[1]))
-            self._eval_tiles(size, ti[keep], tj[keep], peak)
-            counts["max"] = int(cells[keep].sum())
-            counts["skipped"] += int(cells[known].sum()) - counts["max"]
-            codes, corners = np.concatenate(codes), np.concatenate(corners)
+            codes, corners = self._eval_tiles(size, ti, tj)
             order = np.argsort(codes)
             self._cache["det_grid"] = codes[order], corners[order]
-            self._cache["max_abs_det"] = float(peak[0])
-            self._cache["max_norm2"] = float(peak[1])
             self._cache["det_cells"] = counts
         return self._cache["det_grid"]
 
-    def _eval_tiles(self, size: int, ti: np.ndarray, tj: np.ndarray, peak: list, crossed=None) -> None:
-        """abs2_fn at the nodes of the size x size cell tiles (ti, tj): raise
-        the running maxima peak and, given crossed = (codes, corners), append
-        the crossed cells of the tiles."""
+    def _eval_tiles(self, size: int, ti: np.ndarray, tj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The crossed cells of the size x size cell tiles (ti, tj), as codes
+        and corners in the order of the tiles."""
         steps = np.arange(size + 1)
         chunk = max(1, _CALL_ROWS * (self.ny + 1) // (size + 1) ** 2)
+        codes, corners, held = [np.empty(0, dtype=np.intp)], [np.empty((0, 4))], 0
         for k in range(0, ti.size, chunk):
             # node rows and columns of each tile, the last repeated past the grid
-            self._eval_nodes(np.minimum(ti[k:k + chunk, None] * size + steps, self.nx),
-                             np.minimum(tj[k:k + chunk, None] * size + steps, self.ny), peak, crossed)
+            code, corner = self._eval_nodes(np.minimum(ti[k:k + chunk, None] * size + steps, self.nx),
+                                            np.minimum(tj[k:k + chunk, None] * size + steps, self.ny))
+            codes.append(code)
+            corners.append(corner)
+            held += code.size
+            if self._held_bytes(ti.size, held) > DET_GRID_BYTE_CAP:
+                raise InputError(f"the zero set crosses {held:,} cells or more of a {self.nx} x {self.ny} grid, "
+                                 f"whose contouring needs more than the {DET_GRID_BYTE_CAP:,}-byte cap")
+        return np.concatenate(codes), np.concatenate(corners)
 
-    def _eval_nodes(self, rows: np.ndarray, cols: np.ndarray, peak: list, crossed) -> None:
-        """One abs2_fn call on the node rows by the node columns of each tile."""
+    def _eval_nodes(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One abs2_fn call on the node rows by the node columns of each
+        tile: the codes and corners of its crossed cells."""
         xs, ys = self.nodes()
         a, b = self.abs2_fn(xs[rows][:, :, None], ys[cols][:, None, :])
         F = 0.5 * (a - b)
-        peak[0], peak[1] = max(peak[0], F.max(), -F.min()), max(peak[1], (a + b).max())
-        if crossed is None:
-            return
         S = F >= 0.0
         step = S[:, :-1] != S[:, 1:]
         # parity: a cell whose corners differ has two sides that differ, so
@@ -234,18 +228,26 @@ class ChartSymbolField:
         cross = step[:, :, :-1] | step[:, :, 1:] | (S[:, :-1, :-1] != S[:, :-1, 1:])
         cross &= (rows[:, :-1] < self.nx)[:, :, None] & (cols[:, :-1] < self.ny)[:, None, :]
         t, r, c = np.nonzero(cross)
-        crossed[0].append(rows[t, r] * self.ny + cols[t, c])
-        crossed[1].append(np.column_stack([F[t, r, c], F[t, r + 1, c], F[t, r, c + 1], F[t, r + 1, c + 1]]))
+        return (rows[t, r] * self.ny + cols[t, c],
+                np.column_stack([F[t, r, c], F[t, r + 1, c], F[t, r, c + 1], F[t, r + 1, c + 1]]))
+
+    def _scale(self) -> tuple[float, float]:
+        if "scale" not in self._cache:
+            a, b = self.abs2_fn(np.linspace(self.x0, self.x1, SCALE_NODES)[:, None],
+                                np.linspace(self.y0, self.y1, SCALE_NODES))
+            F = 0.5 * (a - b)
+            self._cache["scale"] = float(max(F.max(), -F.min())), float((a + b).max())
+        return self._cache["scale"]
 
     @property
     def max_abs_det(self) -> float:
-        self.det_grid()
-        return self._cache["max_abs_det"]
+        """max |det M| over the SCALE_NODES x SCALE_NODES lattice."""
+        return self._scale()[0]
 
     @property
     def max_norm2(self) -> float:
-        self.det_grid()
-        return self._cache["max_norm2"]
+        """max |u|^2 + |w|^2 over the SCALE_NODES x SCALE_NODES lattice."""
+        return self._scale()[1]
 
 
 @dataclass
@@ -284,8 +286,9 @@ def _chains(succ: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
 def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL) -> list[SingularCurve]:
     """Marching squares on det M with edgewise bisection refinement.
 
-    Vertices are pushed down to |f| <= rel_tol * max|f| along their grid
-    edge, or left at the midpoint of its 64th halving, whose |f| their
+    Vertices are pushed down to |f| <= rel_tol * max|f|, the maximum over
+    the chart's scale lattice (ChartSymbolField.max_abs_det), along their
+    grid edge, or left at the midpoint of its 64th halving, whose |f| their
     residual then reports.  Curves come back ordered by descending
     arclength, closed ones oriented counter clockwise and starting at
     their lexicographically smallest vertex.  A grid node where f vanishes
@@ -294,11 +297,11 @@ def extract_singular_set(fld: ChartSymbolField, rel_tol: float = CONTOUR_REL_TOL
     """
     if not 0.0 < rel_tol < math.inf:
         raise InputError("rel_tol must be positive and finite")
-    codes, corners = fld.det_grid()
     max_abs = fld.max_abs_det
     if max_abs <= 1e-14 * max(1.0, fld.max_norm2):
-        raise DegenerateField("det M vanishes on the whole grid")
+        raise DegenerateField(f"det M vanishes on the {SCALE_NODES} x {SCALE_NODES} scale lattice of the chart")
     tol = rel_tol * max_abs
+    codes, corners = fld.det_grid()
     if codes.size == 0:
         return []
 
@@ -410,7 +413,9 @@ def regular_value_check(fld: ChartSymbolField, curve: SingularCurve) -> RegularV
     Central differences with a dyadic step much smaller than the grid
     keep truncation error far below the floor, so a genuine tangency
     (zero gradient) separates from discretization noise by orders of
-    magnitude.
+    magnitude.  The floor is GRADIENT_FLOOR_REL * max|det M| per half
+    width of the chart, the maximum over its scale lattice, so it does
+    not depend on the grid.
     """
     pts = curve.polyline[:-1] if curve.closed else curve.polyline
     dx = (fld.x1 - fld.x0) * 2.0**-20

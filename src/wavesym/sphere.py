@@ -20,8 +20,8 @@ det M = (|u|^2 - |w|^2) / 2 needs only the moduli, which
 SphereSymbol.abs2_grid computes in real arithmetic; real + and * round
 alike in either operand order and on every SIMD path, so the det grid's
 tiles agree bit for bit with det_at at their nodes.  SphereSymbol.tile_bounds
-bounds what abs2_grid computes over a disc, so that det_grid can skip
-the tiles it proves one-signed.
+bounds the sign of what abs2_grid computes over a disc, so that det_grid
+can skip the tiles it proves one-signed.
 
 The complex kernel of the kernel lines (PolyVF.evaluate, and
 SphereSymbol.rep_grid as the chart field's rep_fn) uses one fixed
@@ -68,7 +68,7 @@ _U = 2.0**-53
 _ABS2_ROUNDING = 64 * _U
 _HORNER_ROUNDING = 10 * _U
 # slack of tile_bounds, relative to the size of its terms, that dwarfs any
-# libm error in its logs and exponentials at the tile centres
+# libm error in its logs at the tile centres
 _TILE_SLACK = 1e-9
 # tile_bounds certifies only where each |factor| and lam^2 lie in
 # [_SAFE_MOD, 1 / _SAFE_MOD] on the disc
@@ -176,13 +176,11 @@ class SphereSymbol:
                 b *= mod2[f]
         return a, b
 
-    def tile_bounds(self, cx: np.ndarray, cy: np.ndarray,
-                    rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bounds on what abs2_grid computes at any point within rho of a
-        centre cx + i cy (arrays that broadcast): the sign of det M, 1 where
-        every computed det is >= 0, -1 where every one is < 0 and 0 where
-        neither is certified, and upper bounds on the computed |det M| and
-        |u|^2 + |w|^2 (inf where not certified).
+    def tile_bounds(self, cx: np.ndarray, cy: np.ndarray, rho: float) -> np.ndarray:
+        """The sign of det M as abs2_grid computes it at any point within rho
+        of a centre cx + i cy (arrays that broadcast): 1 where every
+        computed det is >= 0, -1 where every one is < 0 and 0 where neither
+        is certified.
 
         The sign comes from g = log|u|^2 - log|w|^2 = log|v|^2 - sum_k
         log|f_k|^2 + 4 log(1 + r^2) - log 16 in its centred form: its value
@@ -190,10 +188,7 @@ class SphereSymbol:
         For a quadratic p = p(c) + p'(c) d + a2 d^2 the Hessian norm of
         log|p|^2 is 2 |p''/p - (p'/p)^2| <= 2 (2|a2| / m + (|p'(c)| + 2|a2|
         rho)^2 / m^2), with m = |p(c)| - |p'(c)| rho - |a2| rho^2 <= |p| on
-        the disc, and that of log(1 + r^2) is at most 2.  Each maximum is
-        the same second-order form on |u|^2 - |w|^2 and on |u|^2 + |w|^2,
-        where the Hessian of a = exp(log a) is at most sup a (H + G^2), H
-        and G bounding the Hessian and the gradient of log a on the disc.
+        the disc, and that of log(1 + r^2) is at most 2.
 
         The computed values: abs2_grid rounds |u|^2 and |w|^2 at most 47
         times (((L2 L2) L2) |z^2|^2 |z^2|^2 |z^2|^2 with L2 nine roundings
@@ -242,18 +237,7 @@ class SphereSymbol:
             g, half_rho2 = la - lb, 0.5 * rho * rho
             spread = np.abs(ga - gb) * rho + (ha + hb - 8.0) * half_rho2
             margin = 2.0 * _ABS2_ROUNDING + ea + eb + _TILE_SLACK * (1.0 + np.abs(la) + np.abs(lb) + spread)
-            sign = np.where(ok & (np.abs(g) - spread > margin), np.sign(g), 0.0)
-            # sup a and sup b on the disc, and their Hessian bounds
-            na, nb = np.abs(ga), np.abs(gb)
-            sup_a, sup_b = np.exp(la + na * rho + ha * half_rho2), np.exp(lb + nb * rho + hb * half_rho2)
-            hess = (sup_a * (ha + (na + ha * rho) ** 2) + sup_b * (hb + (nb + hb * rho) ** 2)) * half_rho2
-            a, b = np.exp(la), np.exp(lb)
-            da, db = a * ga, b * gb
-            pad = (sup_a * (np.expm1(_ABS2_ROUNDING + ea) + _TILE_SLACK)
-                   + sup_b * (np.expm1(_ABS2_ROUNDING + eb) + _TILE_SLACK))
-            abs_det = (np.abs(a - b) + np.abs(da - db) * rho + hess + pad) * (0.5 + _TILE_SLACK)
-            norm2 = (a + b + np.abs(da + db) * rho + hess + pad) * (1.0 + _TILE_SLACK)
-        return sign, np.where(ok, abs_det, np.inf), np.where(ok, norm2, np.inf)
+            return np.where(ok & (np.abs(g) - spread > margin), np.sign(g), 0.0)
 
     def chart_field(self, halfwidth: float = 2.0, grid: int = 512) -> ChartSymbolField:
         """This symbol's field on a chart square."""

@@ -731,31 +731,27 @@ def abs2_written_out(sym: SphereSymbol, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def det_grid_whole(fld) -> tuple[np.ndarray, float, float]:
-    """(F, max |F|, max |u|^2 + |w|^2) with abs2_fn run once on every node."""
+def det_grid_whole(fld) -> np.ndarray:
+    """F = det M with abs2_fn run once on every node."""
     xs, ys = fld.nodes()
     a, b = fld.abs2_fn(xs[:, None], ys[None, :])
-    F = 0.5 * (a - b)
-    return F, float(np.abs(F).max()), float((a + b).max())
+    return 0.5 * (a - b)
 
 
-def det_grid_bands(fld) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(codes, corners, max |F|, max |u|^2 + |w|^2) of det_grid from a sweep
-    of every node: abs2_fn on 16 rows of xs at a time, each band carrying
-    the last row of the one before, and the crossed cells of each band
-    from its sign mask."""
+def det_grid_bands(fld) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, corners) of det_grid from a sweep of every node: abs2_fn on
+    16 rows of xs at a time, each band carrying the last row of the one
+    before, and the crossed cells of each band from its sign mask."""
     xs, ys = fld.nodes()
     rows, cols = 16, ys.size
     buf = np.empty((rows + 1, cols))
     corner = np.array([0, cols, 1, cols + 1])
-    codes, corners, max_abs, max_norm2 = [], [], [], []
+    codes, corners = [], []
     for i0 in range(0, xs.size, rows):
         n = min(rows, xs.size - i0)
         a, b = fld.abs2_fn(xs[i0:i0 + n, None], ys)
         band = buf[1:n + 1]
         np.multiply(0.5, a - b, out=band)
-        max_abs.append(max(band.max(), -band.min()))
-        max_norm2.append((a + b).max())
         # rows i0 - 1 .. i0 + n - 1, the first band without a carried row
         F = buf[:n + 1] if i0 else band
         S = F >= 0.0
@@ -766,7 +762,7 @@ def det_grid_bands(fld) -> tuple[np.ndarray, np.ndarray, float, float]:
         codes.append(k + max(i0 - 1, 0) * (cols - 1))
         corners.append(F.ravel()[(r * cols + j)[:, None] + corner])
         buf[0] = buf[n]
-    return np.concatenate(codes), np.concatenate(corners), float(max(max_abs)), float(max(max_norm2))
+    return np.concatenate(codes), np.concatenate(corners)
 
 
 def crossing_cells_whole(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

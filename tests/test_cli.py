@@ -405,7 +405,7 @@ def test_grid_above_byte_cap_exit_2_without_artifacts(tmp_path, capsys, subcomma
         argv += ["--out-csv", str(csv)]
     code, stdout, err = run(capsys, *argv)
     assert code == 2
-    assert stdout == "" and "GiB cap" in err
+    assert stdout == "" and "a 100000 x 100000 grid may need" in err and "cap" in err
     assert not out.exists() and not csv.exists()
 
 

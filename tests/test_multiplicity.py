@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wavesym import multiplicity
 from wavesym.errors import (
     DegenerateField,
     InputError,
@@ -15,13 +16,11 @@ from wavesym.errors import (
 )
 from wavesym.fresnel import Crystal, singular_directions
 from wavesym.multiplicity import (
-    DET_GRID_BYTE_CAP,
     DET_TILE,
     ChartSymbolField,
     MultiplicityComponent,
     SingularCurve,
     _chains,
-    det_grid_peak_bytes,
     extract_singular_set,
     kernel_angles_along,
     knot_polyline,
@@ -807,12 +806,26 @@ def test_field_cache_is_not_state():
     assert fld == square_field(scaled_identity, grid=16)
 
 
+def accepts_square_grid(grid):
+    try:
+        square_field(scaled_identity, grid=grid)
+    except InputError:
+        return False
+    return True
+
+
 def test_field_refuses_grid_above_byte_cap():
     # construction only: a refused field never allocates its grid
-    side = max(g for g in range(16, 20000) if det_grid_peak_bytes(g, g) <= DET_GRID_BYTE_CAP)
-    square_field(scaled_identity, grid=side)
-    with pytest.raises(InputError, match="cap"):
-        square_field(scaled_identity, grid=side + 1)
+    lo, hi = 16, 10**6
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts_square_grid(mid) else (lo, mid)
+    # the largest square grid the whole-grid figure of the cap once accepted
+    assert lo >= 9352
+    tiles = (-(-lo // DET_TILE)) ** 2
+    assert square_field(scaled_identity, grid=lo)._held_bytes(tiles) <= multiplicity.DET_GRID_BYTE_CAP
+    with pytest.raises(InputError, match=f"a {hi} x {hi} grid .* cap"):
+        square_field(scaled_identity, grid=hi)
     with pytest.raises(InputError, match="cap"):
         ChartSymbolField(x0=0.0, x1=1.0, y0=0.0, y1=1.0, nx=16, ny=10**9, rep_fn=scaled_identity,
                          abs2_fn=abs2_from_rep(scaled_identity))
@@ -851,8 +864,7 @@ def test_banded_det_grid_matches_whole_grid(name, nx, ny):
     rep_fn, abs2_fn = BAND_FNS[name]
     fld = ChartSymbolField(x0=-2.6, x1=2.2, y0=-1.9, y1=2.6, nx=nx, ny=ny, rep_fn=rep_fn,
                            abs2_fn=abs2_fn)
-    F_ref, max_abs_ref, norm2_ref = det_grid_whole(fld)
-    codes_ref, corners_ref = crossing_cells_whole(F_ref)
+    codes_ref, corners_ref = crossing_cells_whole(det_grid_whole(fld))
     codes, corners = fld.det_grid()
     assert codes_ref.size > 0
     if name == "lines":
@@ -860,32 +872,66 @@ def test_banded_det_grid_matches_whole_grid(name, nx, ny):
         assert set(seam_rows) <= set((codes_ref // ny).tolist())
     assert codes.tobytes() == codes_ref.tobytes()
     assert corners.tobytes() == corners_ref.tobytes()
-    assert fld.max_abs_det == max_abs_ref
-    assert fld.max_norm2 == norm2_ref
 
 
-def test_det_grid_memory_stays_near_its_result():
-    fld = sigma_mn(1, 4).chart_field(halfwidth=2.6, grid=1024)
+def checkerboard(grid, halfwidth=1.0):
+    """det = 2 cos(pi i) cos(pi j) at node (i, j) of a grid on the square of
+    that halfwidth: its sign alternates from node to node, so the zero set
+    crosses every cell, each a saddle."""
+    h = 2.0 * halfwidth / grid
+
+    def rep(Z):
+        c = np.cos(np.pi * (Z.real + halfwidth) / h) * np.cos(np.pi * (Z.imag + halfwidth) / h)
+        return pair(1.0 + c, 1.0 - c)
+    return rep
+
+
+def traced_peaks(fld):
+    """tracemalloc peaks of det_grid, and of det_grid then contouring."""
     fld.nodes()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        codes, corners = fld.det_grid()
+        fld.det_grid()
         det_peak = tracemalloc.get_traced_memory()[1] - base
         extract_singular_set(fld)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return det_peak, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_det_grid_memory_stays_near_its_result():
+    fld = sigma_mn(1, 4).chart_field(halfwidth=2.6, grid=1024)
+    det_peak, peak = traced_peaks(fld)
+    codes, corners = fld.det_grid()
     # ten float64 arrays over 17 node rows of the grid, plus the crossed-cell
     # table twice: its pieces and their concatenation.  One abs2_fn call
-    # evaluates about 16 rows' worth of tile nodes (44 B a node measured) and
-    # one tile_bound_fn call a tenth as many tiles; the tile indices and
-    # bounds held between calls scale with the tiles kept, not with the
-    # 1025 node rows of the grid.  1.2 MB measured against 1.6 MB here
+    # evaluates about 16 rows' worth of tile nodes (42 B a node measured) and
+    # one tile_bound_fn call a sixth as many tiles; the tile indices and
+    # signs held between calls scale with the tiles kept, not with the
+    # 1025 node rows of the grid.  0.76 MB measured against 1.6 MB here
     table = codes.nbytes + corners.nbytes
     assert det_peak <= 10 * 8 * 17 * 1025 + 2 * table
     # the figure the byte cap is checked against covers contouring too
-    assert peak <= det_grid_peak_bytes(1024, 1024)
+    assert peak <= fld._held_bytes((1024 // DET_TILE) ** 2, codes.size)
+    # without a bound every tile is kept, which the figure checked up front
+    # covers
+    flat = square_field(scaled_identity, grid=1024)
+    assert traced_peaks(flat)[0] <= flat._held_bytes((1024 // DET_TILE) ** 2)
+
+
+def test_det_grid_refuses_a_crossed_cell_table_above_the_cap(monkeypatch):
+    fld = square_field(checkerboard(32), halfwidth=1.0, grid=32)
+    _, peak = traced_peaks(fld)
+    # every cell crossed and closing a loop of its own: the most that
+    # contouring holds per crossed cell
+    assert fld.det_grid()[0].size == 32 * 32
+    assert peak <= fld._held_bytes((32 // DET_TILE) ** 2, 32 * 32)
+    # a cap that the tiles and buffers fit, but not the table
+    monkeypatch.setattr(multiplicity, "DET_GRID_BYTE_CAP", 2**21)
+    fld = square_field(checkerboard(32), halfwidth=1.0, grid=32)
+    with pytest.raises(InputError, match="cells or more of a 32 x 32 grid"):
+        fld.det_grid()
 
 
 @given(st.integers(min_value=-8, max_value=8))
