@@ -19,8 +19,12 @@ time, such as numpy's `NPY_DISABLE_CPU_FEATURES` or `OPENBLAS_CORETYPE`,
 reach only that process.  Diff its output against a run without them to
 see which artifacts depend on the CPU dispatch path.
 
+`--job NAME` (repeatable) digests only the named jobs, in list order, so
+the lines of the jobs a change touches can be compared in seconds.  A
+name that is not in the list exits with status 2.
+
 Usage:
-    PYTHONPATH=src python3 scripts/artifact_digest.py [--setting KEY=VALUE ...]
+    PYTHONPATH=src python3 scripts/artifact_digest.py [--setting KEY=VALUE ...] [--job NAME ...]
 """
 
 from __future__ import annotations
@@ -119,7 +123,13 @@ def digest(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="sha256 of every CLI artifact of a fixed job list")
     parser.add_argument("--setting", action="append", default=[], metavar="KEY=VALUE",
                         help="run the jobs in a child process with this environment variable set")
+    parser.add_argument("--job", action="append", default=[], metavar="NAME",
+                        help="digest only this job; by default every job")
     args = parser.parse_args(argv)
+    names = [name for name, _, _ in JOBS]
+    unknown = [name for name in args.job if name not in names]
+    if unknown:
+        parser.error(f"unknown job {unknown[0]!r}")
     if args.setting:
         env = dict(os.environ)
         for item in args.setting:
@@ -127,10 +137,12 @@ def digest(argv: list[str] | None = None) -> int:
             if not (key and sep):
                 parser.error(f"--setting takes KEY=VALUE, got {item!r}")
             env[key] = value
-        return subprocess.run([sys.executable, __file__], env=env).returncode
+        jobs = [f"--job={name}" for name in args.job]
+        return subprocess.run([sys.executable, __file__, *jobs], env=env).returncode
     with tempfile.TemporaryDirectory() as tmp:
         for job in JOBS:
-            run_job(*job, Path(tmp))
+            if not args.job or job[0] in args.job:
+                run_job(*job, Path(tmp))
     return 0
 
 

@@ -24,7 +24,7 @@ from .fresnel import Crystal, compressed_grid, fresnel_mesh, fresnel_report, sin
 from .multiplicity import CONTOUR_REL_TOL, knot_polyline, knot_type, polylines_csv
 # perfbench/tracing.py wraps these three at their cli names
 from .multiplicity import extract_singular_set, regular_value_check, trace_component  # noqa: F401
-from .serialize import canonical_json, float_row_lines, join_lines, obj_face_groups, obj_objects
+from .serialize import canonical_json, float_rows_csv, obj_face_groups, obj_objects
 from .sphere import ROOT_REL_TOL, _validate_mn, analyze_mn, trace_sigma_mn, z_set
 
 # glibc mallopt parameters (malloc.h) and the values main() fixes them at
@@ -131,16 +131,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_artifact(path: str, text: str) -> None:
-    """Write serialized text as ASCII bytes: no locale encoding, no "\\r\\n"."""
-    Path(path).write_bytes(text.encode("ascii"))
-
-
 def _write_or_print(text: str, path: str | None) -> None:
+    """Print the text, or write it to path as ASCII bytes: no locale encoding, no "\\r\\n"."""
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_artifact(path, text)
+        Path(path).write_bytes(text.encode("ascii"))
 
 
 def _cmd_zset(cfg: RunConfig) -> None:
@@ -172,7 +168,7 @@ def _cmd_winding(cfg: RunConfig) -> None:
     _write_or_print(canonical_json({"curves": entries}), cfg.out)
     if cfg.out_csv is not None:
         components = [row.component for row in rows if row.component is not None]
-        _write_artifact(cfg.out_csv, polylines_csv(components))
+        polylines_csv(components, cfg.out_csv)
 
 
 def _cmd_fresnel(cfg: RunConfig) -> None:
@@ -181,7 +177,7 @@ def _cmd_fresnel(cfg: RunConfig) -> None:
     inner, outer, gap = fresnel_mesh(crystal, subdivisions=cfg.subdiv)
     _write_or_print(canonical_json(fresnel_report(crystal, axes, gap)), cfg.out)
     if cfg.out_obj is not None:
-        _write_artifact(cfg.out_obj, obj_objects([("fresnel_inner", inner), ("fresnel_outer", outer)]))
+        obj_objects([("fresnel_inner", inner), ("fresnel_outer", outer)], cfg.out_obj)
 
 
 def _cmd_eigenline(cfg: RunConfig) -> None:
@@ -194,8 +190,7 @@ def _cmd_eigenline(cfg: RunConfig) -> None:
     report = eigenline_report(man, crystal)
     _write_or_print(canonical_json(report), cfg.out)
     if cfg.out_obj is not None:
-        groups = [(name, np.arange(lo, hi)) for name, lo, hi in man.face_groups]
-        _write_artifact(cfg.out_obj, obj_face_groups(man.mesh, groups))
+        obj_face_groups(man.mesh, man.face_groups, cfg.out_obj)
 
 
 def _cmd_knots(cfg: RunConfig) -> None:
@@ -207,10 +202,8 @@ def _cmd_knots(cfg: RunConfig) -> None:
     }
     _write_or_print(canonical_json(report), cfg.out)
     if cfg.out_csv is not None:
-        lines = ["component_id,base_angle,fiber_angle"]
-        for cid, comp in enumerate(knot_polyline(cfg.winding, samples=cfg.samples)):
-            float_row_lines(str(cid), ",", comp, lines)
-        _write_artifact(cfg.out_csv, join_lines(lines))
+        float_rows_csv("component_id,base_angle,fiber_angle",
+                       knot_polyline(cfg.winding, samples=cfg.samples), cfg.out_csv)
 
 
 _DISPATCH = {

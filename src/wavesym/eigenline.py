@@ -30,7 +30,7 @@ from .multiplicity import lift_angles
 from .spheremesh import (
     MeshTopology,
     SurfaceMesh,
-    _boundary_half_edges,
+    _kept_boundary,
     boundary_loops,
     icosphere,
     mesh_topology,
@@ -50,6 +50,10 @@ from .sym2 import eigenvalues_grid
 SHEET1_RADIUS = 0.95
 SHEET2_RADIUS = 1.05
 LIFT_TOTAL_TOL = 0.15
+# faces per block of the critical scan: the corner values of a block take
+# 768 KiB, below the 1 MiB from which malloc maps every block afresh (see
+# cli.MALLOC_MMAP_THRESHOLD) and the kernel faults in each of its pages
+SCAN_BLOCK_FACES = 32768
 
 
 @dataclass
@@ -132,7 +136,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         if min_separation(pts) <= 3.0 * tube_radius:
             raise InputError("multiplicity points closer than 3 tube radii")
 
-    base = icosphere(subdivisions)
+    base, twin = icosphere(subdivisions, twins=True)
     V = base.vertices
     removed = np.zeros(base.n_vertices, dtype=bool)
     for i in range(k):
@@ -144,18 +148,15 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
 
     faces = base.faces
     while True:
-        keep_face = ~removed[faces].any(axis=1)
-        kept = faces[keep_face]
+        keep_face = ~(removed[faces[:, 0]] | removed[faces[:, 1]] | removed[faces[:, 2]])
+        tail, head = _kept_boundary(faces, twin, keep_face)
         # vertices whose link is pinched would give non simple boundaries
-        tail, head = _boundary_half_edges(kept)
         bad = np.bincount(np.concatenate([tail, head]), minlength=base.n_vertices) > 2
         if not bad.any():
             break
         removed |= bad
 
-    used = np.zeros(base.n_vertices, dtype=bool)
-    used[kept.reshape(-1)] = True
-    if k and not used.any():
+    if k and not keep_face.any():
         raise InputError("tube disks swallow the whole sphere")
 
     loops_base = boundary_loops(tail, head)
@@ -175,28 +176,37 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         free.remove(best)
         loop_of_point.append(loops_base[best])
 
+    # both sheets, then a core circle per cylinder, in one vertex and one face
+    # array; the loops hold each rim vertex once.  Sheet 1's slot holds the
+    # kept faces of the sphere until sheet 2 is built from them
+    n_faces, ring = int(np.count_nonzero(keep_face)), len(tail)
+    all_faces = np.empty((2 * n_faces + 4 * ring, 3), dtype=int)
+    kept = np.compress(keep_face, faces, axis=0, out=all_faces[:n_faces])
+
     # index maps for the two sheet copies of the kept vertices
+    used = np.zeros(base.n_vertices, dtype=bool)
+    used[kept.reshape(-1)] = True
     old_ids = np.nonzero(used)[0]
     new_of_old = -np.ones(base.n_vertices, dtype=int)
     new_of_old[old_ids] = np.arange(old_ids.size)
     n_kept = old_ids.size
 
-    tK, pK, qK = section_fn(V[old_ids])
-    lam1, lam2 = eigenvalues_grid(tK, pK, qK)
-
-    verts: list[np.ndarray] = [SHEET1_RADIUS * V[old_ids], SHEET2_RADIUS * V[old_ids]]
-    lam: list[np.ndarray] = [lam1, lam2]
-
-    kept_new = new_of_old[kept]
-    sheet1_faces = kept_new[:, ::-1]
-    sheet2_faces = kept_new + n_kept
-    face_list: list[np.ndarray] = [sheet1_faces, sheet2_faces]
-    face_groups = [("sheet1", 0, len(sheet1_faces)),
-                   ("sheet2", len(sheet1_faces), len(sheet1_faces) + len(sheet2_faces))]
+    verts = np.empty((2 * n_kept + ring, 3))
+    lam = np.empty(2 * n_kept + ring)
+    kept_v = V[old_ids]
+    tK, pK, qK = section_fn(kept_v)
+    lam[:n_kept], lam[n_kept:2 * n_kept] = eigenvalues_grid(tK, pK, qK)
+    np.multiply(SHEET1_RADIUS, kept_v, out=verts[:n_kept])
+    np.multiply(SHEET2_RADIUS, kept_v, out=verts[n_kept:2 * n_kept])
+    sheet2 = all_faces[n_faces:2 * n_faces]
+    np.take(new_of_old, kept, out=sheet2, mode="clip")     # every index is in range
+    kept[:] = sheet2[:, ::-1]
+    sheet2 += n_kept
+    face_groups = [("sheet1", 0, n_faces), ("sheet2", n_faces, 2 * n_faces)]
 
     cylinders: list[CylinderRecord] = []
     next_vert = 2 * n_kept
-    face_cursor = face_groups[-1][2]
+    face_cursor = 2 * n_faces
     for i in range(k):
         loop = np.array(loop_of_point[i], dtype=int)
         L = loop.size
@@ -218,40 +228,36 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         t1, t2 = tangent_frames(p)
         psi = 2.0 * lift
         rc = tube_radius * collar
-        core_pts = (
+        core_ids = np.arange(next_vert, next_vert + L)
+        verts[core_ids] = (
             math.cos(rc) * p[None, :]
             + math.sin(rc) * (np.cos(psi)[:, None] * t1[None, :] + np.sin(psi)[:, None] * t2[None, :])
         )
         tP, _, _ = section_fn(p[None, :])
-        core_ids = np.arange(next_vert, next_vert + L)
+        lam[core_ids] = 0.5 * float(tP[0])
         next_vert += L
-
-        verts.append(core_pts)
-        lam.append(np.full(L, 0.5 * float(tP[0])))
 
         a = new_of_old[loop]
         b = new_of_old[loop] + n_kept
         c = core_ids
         jn = np.roll(np.arange(L), -1)
-        tri = []
+        cyl_faces = all_faces[face_cursor:face_cursor + 4 * L].reshape(4, L, 3)
         # ring A (sheet1) to core: traverse a opposite to sheet1's boundary
-        tri.append(np.column_stack([a[jn], a, c]))
-        tri.append(np.column_stack([a[jn], c, c[jn]]))
+        cyl_faces[0] = np.column_stack([a[jn], a, c])
+        cyl_faces[1] = np.column_stack([a[jn], c, c[jn]])
         # core to ring B (sheet2): traverse b along the returned loop order
-        tri.append(np.column_stack([b, b[jn], c[jn]]))
-        tri.append(np.column_stack([b, c[jn], c]))
-        cyl_faces = np.vstack(tri)
-        face_list.append(cyl_faces)
-        face_groups.append((f"cyl_{i}", face_cursor, face_cursor + len(cyl_faces)))
-        face_cursor += len(cyl_faces)
+        cyl_faces[2] = np.column_stack([b, b[jn], c[jn]])
+        cyl_faces[3] = np.column_stack([b, c[jn], c])
+        face_groups.append((f"cyl_{i}", face_cursor, face_cursor + 4 * L))
+        face_cursor += 4 * L
 
         cylinders.append(CylinderRecord(
             point=p.copy(), core=core_ids, angles=lift, lift_total=total,
         ))
 
     return EigenlineManifold(
-        mesh=SurfaceMesh(vertices=np.vstack(verts), faces=np.vstack(face_list)),
-        lambda_s=np.concatenate(lam),
+        mesh=SurfaceMesh(vertices=verts, faces=all_faces),
+        lambda_s=lam,
         cylinders=cylinders,
         face_groups=face_groups,
         tube_radius=tube_radius,
@@ -300,15 +306,18 @@ def critical_scan(man: EigenlineManifold) -> dict:
     if not man.topology.oriented:
         raise GluingMismatch("glued surface is not closed and consistently oriented")
     # on a closed oriented mesh face (v, a, b) makes a, b consecutive in v's star
-    corner = g[faces]
-    up_a, up_b = np.empty(faces.shape, dtype=bool), np.empty(faces.shape, dtype=bool)
-    for c in range(3):
-        np.greater(corner[:, (c + 1) % 3], corner[:, c], out=up_a[:, c])
-        np.greater(corner[:, (c + 2) % 3], corner[:, c], out=up_b[:, c])
-    del corner   # not held through the gathers below
-    v = faces.reshape(-1)
-    sc = np.bincount(v[(up_a != up_b).reshape(-1)], minlength=n)
-    n_up = np.bincount(v[up_a.reshape(-1)], minlength=n)
+    sc = np.zeros(n, dtype=np.intp)
+    n_up = np.zeros(n, dtype=np.intp)
+    for lo in range(0, len(faces), SCAN_BLOCK_FACES):
+        block = faces[lo:lo + SCAN_BLOCK_FACES]
+        corner = g[block]
+        up_a, up_b = np.empty(block.shape, dtype=bool), np.empty(block.shape, dtype=bool)
+        for c in range(3):
+            np.greater(corner[:, (c + 1) % 3], corner[:, c], out=up_a[:, c])
+            np.greater(corner[:, (c + 2) % 3], corner[:, c], out=up_b[:, c])
+        v = block.reshape(-1)
+        sc += np.bincount(v[(up_a != up_b).reshape(-1)], minlength=n)
+        n_up += np.bincount(v[up_a.reshape(-1)], minlength=n)
     is_min = (sc == 0) & (n_up > 0)
     is_max = (sc == 0) & (n_up == 0)
     is_saddle = sc >= 4

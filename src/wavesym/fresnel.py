@@ -62,6 +62,11 @@ class Crystal:
         ie.flags.writeable = False
         return ie
 
+    @functools.cached_property
+    def inv_eps_mid(self) -> float:
+        """The middle principal value of inv_eps, computed once per crystal."""
+        return sorted(np.diagonal(self.inv_eps).tolist())[1]
+
     def is_biaxial(self) -> bool:
         e = sorted(self.eps)
         gap = BIAXIAL_REL_TOL * e[2]
@@ -107,9 +112,8 @@ def traceless_slope(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, n
     """
     X = np.asarray(points, dtype=float)
     t1, t2 = tangent_frames(X)
-    a = np.diagonal(crystal.inv_eps)
     tau = t1 + 1j * t2
-    a_tau = tau * (a - np.median(a))
+    a_tau = tau * (np.diagonal(crystal.inv_eps) - crystal.inv_eps_mid)
     return t1, t2, 0.5 * np.einsum("ij,ij->i", a_tau, tau), np.einsum("ij,ij->i", a_tau, X)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     LiftFailure,
     RankZero,
 )
-from .serialize import float_row_lines, join_lines
+from .serialize import float_rows_csv
 from .spheremesh import successor_walks, tangent_frames, transport_pq
 from .sym2 import kernel_angle
 
@@ -519,15 +519,13 @@ def knot_polyline(m: int, samples: int = 256) -> list[np.ndarray]:
     return comps
 
 
-def polylines_csv(components: list[MultiplicityComponent]) -> str:
-    """CSV rows curve_id,x1,x2,kernel_angle_lifted for every vertex.
+def polylines_csv(components: list[MultiplicityComponent], path) -> None:
+    """Write the CSV rows curve_id,x1,x2,kernel_angle_lifted of every vertex to path.
 
-    Values print as serialize.fmt_float does.
+    Values print as serialize.fmt_float does; a non-finite value leaves no file.
     """
-    lines = ["curve_id,x1,x2,kernel_angle_lifted"]
-    for cid, comp in enumerate(components):
-        float_row_lines(str(cid), ",", np.column_stack([comp.base.polyline, comp.kernel_angles]), lines)
-    return join_lines(lines)
+    float_rows_csv("curve_id,x1,x2,kernel_angle_lifted",
+                   [np.column_stack([comp.base.polyline, comp.kernel_angles]) for comp in components], path)
 
 
 # ---------------------------------------------------------------------------

@@ -41,44 +41,40 @@ class SurfaceMesh:
 
 
 def _edge_keys(faces: np.ndarray) -> tuple[np.ndarray, int]:
-    """2 (lo n + hi) + [tail > head] of each half-edge a->b, b->c, c->a, face by face, and n.
+    """(lo << s | hi) << 1 | [tail > head] of each half-edge, and s.
 
-    n is one above the largest vertex id, and int64 holds every key below 2**31 vertices.
-    Built in place, lo n + hi as lo (n - 1) + tail + head: no other (3F,) array is made.
+    The keys come corner by corner: a->b of every face, then b->c, then
+    c->a, so half-edge c of face i has key c F + i, and each corner's keys
+    are built in place in a contiguous row.  s is the bit length of the
+    largest vertex id, so hi < 2**s, and int64 holds every key below 2**31
+    vertices.  lo << s | hi is lo (2**s - 1) + tail + head: no other (3F,)
+    array is made.
     """
-    n = int(faces.max(initial=0)) + 1
-    keys = np.empty(faces.shape, dtype=np.int64)
+    s = max(int(faces.max(initial=0)).bit_length(), 1)
+    keys = np.empty((3, len(faces)), dtype=np.int64)
     for c in range(3):
-        tail, head, key = faces[:, c], faces[:, (c + 1) % 3], keys[:, c]
+        tail, head, key = faces[:, c], faces[:, (c + 1) % 3], keys[c]
         np.minimum(tail, head, out=key)
-        key *= n - 1
+        key *= (1 << s) - 1
         key += tail
         key += head
-        key *= 2
+        key <<= 1
         key += tail > head
-    return keys.reshape(-1), n
+    return keys.reshape(-1), s
 
 
 def _edge_runs(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The half-edge keys sorted in place: a run per edge, rising half-edges first.
 
-    Returns per half-edge lo n + hi and the low bit, a mask of run starts and of the end, and n.
+    Returns per half-edge lo << s | hi and the low bit, a mask of run starts and of the end, and s.
     """
-    keys, n = _edge_keys(faces)
+    keys, s = _edge_keys(faces)
     keys.sort()
     falling = np.bitwise_and(keys, 1, out=np.empty(keys.size, dtype=bool), casting="unsafe")
     keys >>= 1
     starts = np.ones(keys.size + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-    return keys, falling, starts, n
-
-
-def _boundary_half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of the half-edges on edges of one face only."""
-    edge, falling, starts, n = _edge_runs(faces)
-    single = starts[:-1] & starts[1:]
-    lo, hi = np.divmod(edge[single], n)
-    return np.where(falling[single], hi, lo), np.where(falling[single], lo, hi)
+    return keys, falling, starts, s
 
 
 class MeshTopology(NamedTuple):
@@ -137,8 +133,10 @@ def _component_count(n_vertices: int, a: np.ndarray, b: np.ndarray, faces: np.nd
 
 def mesh_topology(mesh: SurfaceMesh) -> MeshTopology:
     """Closedness, orientation, chi and component count from one sort of the half-edges."""
-    edge, falling, starts, n = _edge_runs(mesh.faces)
-    lo, hi = np.divmod(edge[starts[:-1]], n)
+    edge, falling, starts, s = _edge_runs(mesh.faces)
+    hi = edge[starts[:-1]]
+    lo = hi >> s
+    hi &= (1 << s) - 1
     # runs of two half-edges: a start, one more, then the next start
     open_edges = lo.size - int(np.count_nonzero(starts[:-2] & ~starts[1:-1] & starts[2:]))
     # closed, each run is the half-edges 2i (rising) and 2i + 1 (falling)
@@ -193,9 +191,21 @@ def successor_walks(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return order, np.append(starts, n), cyclic[order[starts]]
 
 
+def _kept_boundary(faces: np.ndarray, twin: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the half-edges of kept faces whose twins lie on faces not kept.
+
+    twin is the half-edge twin table of the closed mesh `faces` (see
+    `icosphere`), and keep a mask over its faces.
+    """
+    keep_half = np.repeat(keep, 3)
+    rim = np.flatnonzero(keep_half & ~keep_half[twin])
+    corner = faces.reshape(-1)
+    return corner[rim], corner[twin[rim]]
+
+
 def boundary_loops(tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
-    """Vertex cycles of the boundary half-edges tail->head of `_boundary_half_edges`,
-    each from its least vertex, in ascending order of it."""
+    """Vertex cycles of the boundary half-edges tail->head of a mesh, in any
+    order, each from its least vertex, in ascending order of it."""
     # boundary is traversed opposite to the face direction
     by_head = np.argsort(head)
     heads, tails, sorted_tails = head[by_head], tail[by_head], np.sort(tail)
@@ -228,7 +238,29 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return np.array(verts), np.array(top + upper + lower + bottom)
 
 
-def icosphere(subdivisions: int = 0) -> SurfaceMesh:
+# per corner c of a face, the half-edges of its four children (child j's
+# half-edge c is 3 j + c) that halve the face's half-edge c from its tail
+# and into its head, and the inner half-edges with their twins
+_FIRST_HALF = np.array([0, 4, 8])
+_SECOND_HALF = np.array([3, 7, 2])
+_INNER = np.array([1, 5, 6, 9, 10, 11])
+_INNER_TWIN = np.array([11, 9, 10, 5, 6, 1])
+
+
+def _child_twins(twin: np.ndarray) -> np.ndarray:
+    """The twin table of the four-way split of every face; the first half
+    of a half-edge pairs with the second half of its twin."""
+    nf = twin.size // 3
+    base = 12 * np.arange(nf)[:, None]
+    first, second = (base + _FIRST_HALF).reshape(-1), (base + _SECOND_HALF).reshape(-1)
+    out = np.empty((nf, 12), dtype=np.intp)
+    out[:, _FIRST_HALF] = second[twin].reshape(nf, 3)
+    out[:, _SECOND_HALF] = first[twin].reshape(nf, 3)
+    out[:, _INNER] = base + _INNER_TWIN
+    return out.reshape(-1)
+
+
+def icosphere(subdivisions: int = 0, twins: bool = False):
     """Unit icosphere with poles at (0, 0, +-1); 20 * 4^n faces.
 
     Each level keeps the vertices of the one before as a prefix and
@@ -237,23 +269,40 @@ def icosphere(subdivisions: int = 0) -> SurfaceMesh:
     is m / |m| with m = V[tail] + V[head] of its first half-edge.  Face i
     of a level becomes faces 4i..4i+3 of the next, (a, ab, ca),
     (ab, b, bc), (ca, bc, c), (ab, bc, ca).
+
+    The edges come from a twin table carried from level to level:
+    half-edge 3 i + c runs from corner c of face i to corner c + 1, and
+    twin[h] is the other half-edge of its edge, so an edge's first
+    half-edge is the one below its twin.  With twins=True the call
+    returns the mesh and the twin table of its faces.
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
-    verts, faces = _icosahedron()
-    for _ in range(subdivisions):
-        keys, n = _edge_keys(faces)
-        _, first, half = np.unique(keys >> 1, return_index=True, return_inverse=True)
-        # edges numbered by their first half-edge in the face-major walk
-        rank = np.argsort(np.argsort(first))
-        first = np.sort(first)
-        lo, hi = np.divmod(keys[first] >> 1, n)
-        mids = unit_rows(verts[lo] + verts[hi])
-        ab, bc, ca = (len(verts) + rank[half]).reshape(-1, 3).T
+    corners, faces = _icosahedron()
+    verts = np.empty((10 * 4**subdivisions + 2, 3))
+    n = len(corners)
+    verts[:n] = corners
+    # each edge's two half-edges are neighbours in the order of their keys;
+    # key c F + i is half-edge 3 i + c
+    order = np.argsort(_edge_keys(faces)[0] >> 1, kind="stable")
+    by_edge = (3 * (order % len(faces)) + order // len(faces)).reshape(-1, 2)
+    twin = np.empty(by_edge.size, dtype=np.intp)
+    twin[by_edge[:, 0]], twin[by_edge[:, 1]] = by_edge[:, 1], by_edge[:, 0]
+    for level in range(subdivisions):
+        tail = faces.reshape(-1)
+        first = np.flatnonzero(twin > np.arange(twin.size))
+        mid = np.empty(twin.size, dtype=np.intp)
+        mid[first] = np.arange(n, n + first.size)
+        mid[twin[first]] = mid[first]
+        verts[n:n + first.size] = unit_rows(verts[tail[first]] + verts[tail[twin[first]]])
+        n += first.size
+        ab, bc, ca = mid.reshape(-1, 3).T
         a, b, c = faces.T
         faces = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
-        verts = np.vstack([verts, mids])
-    return SurfaceMesh(vertices=verts, faces=faces)
+        if twins or level < subdivisions - 1:
+            twin = _child_twins(twin)
+    mesh = SurfaceMesh(vertices=verts, faces=faces)
+    return (mesh, twin) if twins else mesh
 
 
 def tangent_frames(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

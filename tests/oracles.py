@@ -21,9 +21,11 @@ the np.cross tangent frames are the ones that the written-out cross
 product replaced.  The
 face-by-face Poincare-Hopf count is the one that the axis search's
 closed-form index sum replaced, the midpoint-dict icosphere is the
-loop that the edge-table subdivision replaced, and the central
-difference of the half trace is the one that the closed-form |d s_r|
-replaced.
+loop that the edge-table subdivision replaced, the np.unique icosphere
+is the edge table that the twin-table subdivision replaced, the sorted
+kept boundary is the one that the icosphere's twins replaced, and the
+central difference of the half trace is the one that the closed-form
+|d s_r| replaced.
 
 The closed-form optic axes, the alpha root by bisection, the predicted
 kernel angle on the unit circle, the (u, w) unpacking that divides by
@@ -46,7 +48,15 @@ from wavesym.errors import DegenerateField, GluingMismatch, InputError, LiftFail
 from wavesym.multiplicity import CONTOUR_REL_TOL, SingularCurve, _chains, _polyline_length
 from wavesym.serialize import _g17, fmt_float
 from wavesym.sphere import PolyVF, SphereSymbol
-from wavesym.spheremesh import SurfaceMesh, _icosahedron, rotate_pq, tangent_frames, transport_pq, unit_rows
+from wavesym.spheremesh import (
+    SurfaceMesh,
+    _edge_runs,
+    _icosahedron,
+    rotate_pq,
+    tangent_frames,
+    transport_pq,
+    unit_rows,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -916,6 +926,43 @@ def icosphere_loop(subdivisions: int = 0) -> SurfaceMesh:
             new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         faces = np.array(new_faces)
     return SurfaceMesh(vertices=np.array(verts), faces=faces)
+
+
+# ---------------------------------------------------------------------------
+# the edge-table icosphere that the twin-table subdivision replaced: each
+# level finds its edges by np.unique of the half-edge keys, and numbers
+# them by their first half-edge through a double argsort
+
+
+def icosphere_unique(subdivisions: int = 0) -> SurfaceMesh:
+    verts, faces = _icosahedron()
+    for _ in range(subdivisions):
+        tail, head = faces.reshape(-1), faces[:, [1, 2, 0]].reshape(-1)
+        n = len(verts)
+        keys = np.minimum(tail, head) * n + np.maximum(tail, head)
+        _, first, half = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        first = np.sort(first)
+        lo, hi = np.divmod(keys[first], n)
+        mids = unit_rows(verts[lo] + verts[hi])
+        ab, bc, ca = (len(verts) + rank[half]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
+        verts = np.vstack([verts, mids])
+    return SurfaceMesh(vertices=verts, faces=faces)
+
+
+# ---------------------------------------------------------------------------
+# the kept boundary that the icosphere's twin table replaced: a second sort
+# of the kept faces' half-edge keys, whose single-face edges are the rim
+
+
+def boundary_half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the half-edges on edges of one face only."""
+    edge, falling, starts, s = _edge_runs(faces)
+    single = starts[:-1] & starts[1:]
+    lo, hi = edge[single] >> s, edge[single] & ((1 << s) - 1)
+    return np.where(falling[single], hi, lo), np.where(falling[single], lo, hi)
 
 
 def extract_singular_set_masked(fld, rel_tol: float = CONTOUR_REL_TOL) -> list[SingularCurve]:

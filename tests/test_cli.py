@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavesym import cli, fresnel
+from wavesym import cli, fresnel, serialize
 from wavesym.errors import GluingMismatch
 from wavesym.multiplicity import _JUMP_LIMIT, WINDING_RESIDUAL, knot_polyline
 from wavesym.serialize import canonical_json, fmt_float
@@ -189,7 +189,7 @@ def test_knots_with_csv(tmp_path, capsys):
     assert lines[0] == "component_id,base_angle,fiber_angle"
     assert len(lines) == 1 + 64          # one component, 2 * samples rows
     assert all(line.startswith("0,") for line in lines[1:])
-    assert csv_path.read_text() == knot_csv_per_value(3, 32)
+    assert csv_path.read_bytes() == knot_csv_per_value(3, 32).encode("ascii")
 
 
 def test_knots_even_winding_two_components(tmp_path, capsys):
@@ -200,11 +200,28 @@ def test_knots_even_winding_two_components(tmp_path, capsys):
     assert json.loads(out)["connected"] is False
     lines = csv_path.read_text().strip().split("\n")[1:]
     assert {line.split(",")[0] for line in lines} == {"0", "1"}
-    assert csv_path.read_text() == knot_csv_per_value(2, 16)
+    assert csv_path.read_bytes() == knot_csv_per_value(2, 16).encode("ascii")
 
 
-# the functions whose text cli writes to an artifact file
-SERIALIZERS = ("canonical_json", "obj_objects", "obj_face_groups", "polylines_csv", "join_lines")
+class RecordingFile:
+    """A binary file that keeps a copy of every byte written to it."""
+
+    def __init__(self, f, record: list[bytearray]):
+        self.f, self.data = f, bytearray()
+        record.append(self.data)
+
+    def write(self, data) -> int:
+        self.data += data
+        return self.f.write(data)
+
+    def tell(self) -> int:
+        return self.f.tell()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.f.__exit__(*exc)
 
 
 @pytest.mark.parametrize("argv, outputs", [
@@ -216,25 +233,33 @@ SERIALIZERS = ("canonical_json", "obj_objects", "obj_face_groups", "polylines_cs
     (["knots", "--winding", "3", "--samples", "16"], ["--out", "--out-csv"]),
 ])
 def test_artifacts_are_serializer_text_as_ascii(tmp_path, monkeypatch, argv, outputs):
-    """Every artifact file holds exactly the ASCII encoding of the text
-    its serializer returned: no locale encoding, no "\\r\\n" newlines."""
-    texts = []
+    """Every artifact file holds exactly the bytes a serializer made: the
+    ASCII encoding of the text canonical_json returned, or the bytes an
+    OBJ or CSV writer wrote through the file it opened.  They are ASCII,
+    with no locale encoding and no "\\r\\n" newlines."""
+    made: list = []
 
     def recording(fn):
         def wrapped(*args, **kwargs):
-            texts.append(fn(*args, **kwargs))
-            return texts[-1]
+            text = fn(*args, **kwargs)
+            made.append(text.encode("ascii"))
+            return text
         return wrapped
 
-    for name in SERIALIZERS:
-        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    def recording_open(path, mode="r", *args, **kwargs):
+        assert mode == "wb"
+        return RecordingFile(open(path, mode, *args, **kwargs), made)
+
+    monkeypatch.setattr(cli, "canonical_json", recording(cli.canonical_json))
+    monkeypatch.setattr(serialize, "open", recording_open, raising=False)
     paths = [tmp_path / f"artifact{i}" for i in range(len(outputs))]
     flags = [item for flag, path in zip(outputs, paths) for item in (flag, str(path))]
     assert cli.main(argv + flags) == 0
     for path in paths:
         data = path.read_bytes()
+        assert data.isascii()
         assert b"\r" not in data
-        assert data in [text.encode("ascii") for text in texts]
+        assert data in [bytes(m) for m in made]
 
 
 def test_reruns_byte_identical(capsys):

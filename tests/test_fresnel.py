@@ -65,6 +65,16 @@ def test_inv_eps_is_computed_once_and_read_only():
         ie[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("eps", [(2.0, 2.5, 4.0), (4.0, 2.0, 2.5), (2.5, 4.0, 2.0), (3.0, 3.0, 1.5), (1.7, 1.7, 1.7)])
+def test_middle_principal_value_is_the_median(eps):
+    # traceless_slope subtracts it on every Newton step; np.median of three
+    # values is their middle one, so the cached value moves no byte
+    crystal = Crystal(eps=eps)
+    mid = crystal.inv_eps_mid
+    assert crystal.inv_eps_mid is mid
+    assert mid == np.median(np.diagonal(crystal.inv_eps))
+
+
 # --- the 6x6 symbol that the characteristic-equation checks use -----------------
 
 

@@ -603,10 +603,15 @@ def test_knot_polyline_rejects_tiny_sample_count():
         knot_polyline(3, samples=4)
 
 
-def test_polylines_csv_shape():
+def written_csv(tmp_path, comps) -> str:
+    polylines_csv(comps, tmp_path / "curves.csv")
+    return (tmp_path / "curves.csv").read_bytes().decode("ascii")
+
+
+def test_polylines_csv_shape(tmp_path):
     fld = sigma_mn(0, 1).chart_field(halfwidth=2.0, grid=128)
     comps = [trace_component(fld, c) for c in extract_singular_set(fld)]
-    text = polylines_csv(comps)
+    text = written_csv(tmp_path, comps)
     lines = text.strip().split("\n")
     assert lines[0] == "curve_id,x1,x2,kernel_angle_lifted"
     assert len(lines) == 1 + sum(len(c.base.polyline) for c in comps)
@@ -621,25 +626,28 @@ def csv_component(values):
                                  connected=False, winding_residual=0.0)
 
 
-def test_polylines_csv_matches_per_value_oracle():
+def test_polylines_csv_matches_per_value_oracle(tmp_path):
     special = [-0.0, 0.0, 1.0, -3.0, 4.0, 1e-5, -2.5e-5, 1.0000000000000002, 0.1, 1e16, -1e16,
                1e16 + 2.0, 2.0**53 + 2.0, 1e17, 4503599627370495.5, 123456789.0, 1e-300, -7.0]
     rng = np.random.default_rng(5)
     scaled = rng.standard_normal(300) * 10.0 ** rng.integers(-7, 18, 300)
     comps = [csv_component(special), csv_component(scaled),
              csv_component(np.trunc(scaled)), csv_component(rng.standard_normal(30))]
-    assert polylines_csv(comps) == polylines_csv_per_value(comps)
+    assert written_csv(tmp_path, comps) == polylines_csv_per_value(comps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", [0, 1, 2])
-def test_polylines_csv_refuses_non_finite(bad, where):
+def test_polylines_csv_refuses_non_finite(tmp_path, bad, where):
     row = [0.5, 1.0, -2.0]
     row[where] = bad
     comps = [csv_component([0.25, 0.5, 0.75]), csv_component([0.1, 0.2, 0.3] + row)]
-    for write in (polylines_csv, polylines_csv_per_value):
-        with pytest.raises(InputError, match="non-finite"):
-            write(comps)
+    with pytest.raises(InputError, match="non-finite"):
+        polylines_csv_per_value(comps)
+    # the streamed writer checks every value before it opens the file
+    with pytest.raises(InputError, match="non-finite"):
+        polylines_csv(comps, tmp_path / "curves.csv")
+    assert not (tmp_path / "curves.csv").exists()
 
 
 # --- signed zero counts ------------------------------------------------------

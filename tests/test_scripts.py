@@ -34,3 +34,20 @@ def test_artifact_digest_refuses_a_setting_without_a_value(tmp_path):
                           capture_output=True, text=True, cwd=tmp_path, env=_env())
     assert proc.returncode == 2
     assert "KEY=VALUE" in proc.stderr
+
+
+def test_artifact_digest_refuses_an_unknown_job(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digest.py"), "--job", "zset", "--job", "eigenline7"],
+                          capture_output=True, text=True, cwd=tmp_path, env=_env())
+    assert proc.returncode == 2
+    assert "unknown job 'eigenline7'" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_artifact_digest_runs_only_the_named_jobs(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digest.py"), "--job", "knots", "--job", "zset"],
+                          capture_output=True, text=True, cwd=tmp_path, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    # in the order of the job list, one line per artifact
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [
+        ["zset", "stdout"], ["knots", "stdout"], ["knots", "k.json"], ["knots", "k.csv"]]

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -13,9 +14,12 @@ from hypothesis import strategies as st
 from wavesym.errors import InputError
 from wavesym.serialize import (
     TEXT_BLOCK_ROWS,
-    _face_lines,
+    _face_rows,
+    _float_rows,
+    _index_table,
+    _int_cells,
     canonical_json,
-    float_row_lines,
+    float_rows_csv,
     fmt_float,
     obj_face_groups,
     obj_objects,
@@ -81,6 +85,25 @@ def test_canonical_json_is_valid_json():
     assert json.loads(canonical_json(value)) == value
 
 
+def written(tmp_path, writer, *args) -> str:
+    """The text a streamed writer puts in its file, which must be ASCII."""
+    path = tmp_path / "artifact"
+    writer(*args, path)
+    return path.read_bytes().decode("ascii")
+
+
+def float_rows_text(head: bytes, sep: bytes, values) -> str:
+    out = io.BytesIO()
+    _float_rows(out, head, sep, np.asarray(values, dtype=float))
+    return out.getvalue().decode("ascii")
+
+
+def per_value_lines(lines: list[str]) -> list[str]:
+    """What split("\\n") gives of the text of these lines, each ended by a
+    newline; a list, so a mismatch reports its first line quickly."""
+    return lines + [""]
+
+
 TRI = SurfaceMesh(
     vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     faces=np.array([[0, 1, 2]]),
@@ -92,8 +115,8 @@ QUAD = SurfaceMesh(
 )
 
 
-def test_obj_objects_global_indexing():
-    text = obj_objects([("first", TRI), ("second", QUAD)])
+def test_obj_objects_global_indexing(tmp_path):
+    text = written(tmp_path, obj_objects, [("first", TRI), ("second", QUAD)])
     lines = text.split("\n")
     assert lines[0] == "o first"
     assert lines[1] == "v 0.0 0.0 0.0"
@@ -105,8 +128,8 @@ def test_obj_objects_global_indexing():
     assert text.endswith("\n") and not text.endswith("\n\n")
 
 
-def test_obj_face_groups_single_pool():
-    text = obj_face_groups(QUAD, [("left", np.array([0])), ("right", np.array([1]))])
+def test_obj_face_groups_single_pool(tmp_path):
+    text = written(tmp_path, obj_face_groups, QUAD, [("left", 0, 1), ("right", 1, 2)])
     lines = text.split("\n")
     assert lines[:4] == ["v 0.0 0.0 1.0", "v 1.0 0.0 1.0",
                          "v 1.0 1.0 1.0", "v 0.0 1.0 1.0"]
@@ -116,23 +139,26 @@ def test_obj_face_groups_single_pool():
     assert lines[7] == "f 1 3 4"
 
 
-def test_obj_rejects_non_finite_vertices():
+def test_obj_rejects_non_finite_vertices(tmp_path):
     bad = SurfaceMesh(vertices=np.array([[0.0, 0.0, math.inf]]),
                       faces=np.zeros((0, 3), dtype=int))
     with pytest.raises(InputError):
-        obj_objects([("bad", bad)])
+        obj_objects([("ok", TRI), ("bad", bad)], tmp_path / "a.obj")
+    assert not (tmp_path / "a.obj").exists()
 
 
-def test_obj_vertex_text_matches_fmt_float():
+def test_obj_vertex_text_matches_fmt_float(tmp_path):
     values = [-0.0, 0.0, 1.0, -3.0, 1e-300, -5e-324, 1e22, 0.1, 2.0**60, -1.0 / 3.0]
     verts = np.array([values[i:i + 3] for i in range(len(values) - 2)])
-    lines = obj_objects([("m", SurfaceMesh(vertices=verts, faces=np.zeros((0, 3), dtype=int)))]).split("\n")
+    text = written(tmp_path, obj_objects, [("m", SurfaceMesh(vertices=verts, faces=np.zeros((0, 3), dtype=int)))])
+    lines = text.split("\n")
     assert lines[1:-1] == ["v " + " ".join(fmt_float(c) for c in row) for row in verts]
     assert lines[1] == "v 0.0 0.0 1.0"
     for bad in (math.nan, -math.inf):
         nan_mesh = SurfaceMesh(vertices=np.array([[0.0, bad, 1.0]]), faces=np.zeros((0, 3), dtype=int))
         with pytest.raises(InputError):
-            obj_face_groups(nan_mesh, [])
+            obj_face_groups(nan_mesh, [], tmp_path / "nan.obj")
+        assert not (tmp_path / "nan.obj").exists()
 
 
 def _obj_rows(n, seed, mixed):
@@ -152,41 +178,43 @@ def _obj_rows(n, seed, mixed):
 
 @pytest.mark.parametrize("n", [0, 1, TEXT_BLOCK_ROWS - 1, TEXT_BLOCK_ROWS, TEXT_BLOCK_ROWS + 1])
 @pytest.mark.parametrize("mixed", [False, True])
-def test_obj_blocks_match_per_value_writer(n, mixed):
+def test_obj_blocks_match_per_value_writer(tmp_path, n, mixed):
     verts = _obj_rows(n, n, mixed)
     integral_rows = int((verts == np.trunc(verts)).any(axis=1).sum())
     assert integral_rows >= min(n, 2) if mixed else integral_rows == 0
     faces = np.random.default_rng(n).integers(0, max(n, 1), size=(n, 3))
-    got, want = [], []
-    float_row_lines("v", " ", verts, got)
+    want = []
     oracles.obj_vertex_lines(verts, want)
-    assert "\n".join(got) == "\n".join(want)
-    got, want = [], []
-    _face_lines(faces, 7, got)
+    assert float_rows_text(b"v", b" ", verts).split("\n") == per_value_lines(want)
+    got, want = io.BytesIO(), []
+    _face_rows(got, _index_table(n + 7), faces, 7)
     oracles.obj_face_lines(faces, 7, want)
-    assert "\n".join(got) == "\n".join(want)
+    assert got.getvalue().decode("ascii").split("\n") == per_value_lines(want)
     want = []
     oracles.obj_vertex_lines(verts, want)
     want.append("g all")
     oracles.obj_face_lines(faces, 0, want)
-    assert obj_face_groups(SurfaceMesh(vertices=verts, faces=faces), [("all", np.arange(n))]) == "\n".join(want) + "\n"
+    mesh = SurfaceMesh(vertices=verts, faces=faces)
+    assert written(tmp_path, obj_face_groups, mesh, [("all", 0, n)]).split("\n") == per_value_lines(want)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_obj_blocks_refuse_non_finite_anywhere(bad):
+def test_obj_blocks_refuse_non_finite_anywhere(tmp_path, bad):
     n = TEXT_BLOCK_ROWS + 1
+    path = tmp_path / "refused.obj"
     for row in (0, n // 2, TEXT_BLOCK_ROWS, n - 1):
         for col in range(3):
             verts = _obj_rows(n, 0, False)
             verts[row, col] = bad
             with pytest.raises(InputError):
-                obj_face_groups(SurfaceMesh(vertices=verts, faces=np.zeros((0, 3), dtype=int)), [])
+                obj_face_groups(SurfaceMesh(vertices=verts, faces=np.zeros((0, 3), dtype=int)), [], path)
+            assert not path.exists()
 
 
-def test_obj_text_without_lines_is_one_newline():
+def test_obj_text_without_lines_is_one_newline(tmp_path):
     empty = SurfaceMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=int))
-    assert obj_objects([]) == obj_face_groups(empty, []) == "\n"
-    assert obj_face_groups(empty, [("g", [])]) == "g g\n"
+    assert written(tmp_path, obj_objects, []) == written(tmp_path, obj_face_groups, empty, []) == "\n"
+    assert written(tmp_path, obj_face_groups, empty, [("g", 0, 0)]) == "g g\n"
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -198,10 +226,9 @@ VALUES = st.one_of(FINITE, KERNEL_RANGE, KERNEL_RANGE.map(lambda x: -x))
 @given(st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=40))
 def test_float_rows_match_per_value_oracle(rows):
     v = np.array(rows, dtype=float)
-    got, want = [], []
-    float_row_lines("v", " ", v, got)
+    want = []
     oracles.obj_vertex_lines(v, want)
-    assert "\n".join(got) == "\n".join(want)
+    assert float_rows_text(b"v", b" ", v).split("\n") == per_value_lines(want)
 
 
 def _sweep_values():
@@ -227,33 +254,70 @@ def _sweep_values():
 
 def test_float_rows_sweep_match_per_value_oracle():
     v = _sweep_values()
-    got, want = [], []
-    float_row_lines("v", " ", v, got)
+    want = []
     oracles.obj_vertex_lines(v, want)
-    assert "\n".join(got) == "\n".join(want)
+    assert float_rows_text(b"v", b" ", v).split("\n") == per_value_lines(want)
+
+
+@pytest.mark.parametrize("head", [b"v", b"7", b"12345"])
+def test_signed_zeros_in_every_cell_match_fmt_float(head):
+    # +-0.0 in every column at every row of a block and of the next, the
+    # other cells kernel values or tiny ones that take _g17; the CSV
+    # heads give the cells of a row other prefix widths
+    n = TEXT_BLOCK_ROWS + 3
+    rng = np.random.default_rng(len(head))
+    for zero in (0.0, -0.0):
+        for col in range(3):
+            v = rng.normal(size=(n, 3)) * 10.0 ** rng.choice([-6.0, 0.0, 3.0], size=(n, 3))
+            v[:, col] = zero
+            v[::2, (col + 1) % 3] = -zero
+            want = [",".join([head.decode()] + [fmt_float(x) for x in row]) for row in v]
+            assert float_rows_text(head, b",", v).split("\n") == per_value_lines(want)
 
 
 @pytest.mark.parametrize("offset", [0, 7])
 def test_face_lines_at_digit_boundaries(offset):
-    printed = np.array([9, 10, 99, 100, 999, 1000, 9999, 10000, 99999,
-                        99999999, 100000000, 10**12 - 1, 10**12, 10**16, 10**16 + 1])
+    printed = np.array([9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000, 100001, 123456])
     faces = (printed - 1 - offset).reshape(-1, 3)
-    got, want = [], []
-    _face_lines(faces, offset, got)
+    got, want = io.BytesIO(), []
+    _face_rows(got, _index_table(int(printed.max())), faces, offset)
     oracles.obj_face_lines(faces, offset, want)
-    assert "\n".join(got) == "\n".join(want)
+    assert got.getvalue().decode("ascii").split("\n") == per_value_lines(want)
     assert want[0] == "f 9 10 99"
+    # the digit text of indices beyond any table built here, up to 17 digits
+    big = np.array([99999999, 100000000, 10**12 - 1, 10**12, 10**16, 10**16 + 1])
+    cells = _int_cells(big, 5)
+    assert [bytes(row[row != 0]).decode("ascii") for row in cells] == [str(x) for x in big]
 
 
-def test_face_lines_refuse_index_below_one():
+def test_face_lines_refuse_index_below_one(tmp_path):
+    # indices print 1-based, so a face index must name a vertex of its mesh
+    path = tmp_path / "refused.obj"
+    for face in ([-1, 0, 1], [0, 1, 3]):
+        mesh = SurfaceMesh(vertices=TRI.vertices, faces=np.array([face]))
+        with pytest.raises(InputError):
+            obj_face_groups(mesh, [("g", 0, 1)], path)
+        with pytest.raises(InputError):
+            obj_objects([("first", TRI), ("m", mesh)], path)
+        assert not path.exists()
     with pytest.raises(InputError):
-        _face_lines(np.array([[0, 1, 2]]), -1, [])
+        obj_face_groups(TRI, [("g", 0, 2)], path)
+    assert not path.exists()
+
+
+def test_float_rows_csv_refuses_without_a_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(InputError):
+        float_rows_csv("id,x", [np.array([[1.0]]), np.array([[2.0], [math.nan]])], path)
+    assert not path.exists()
+    float_rows_csv("id,x", [np.array([[1.0]]), np.zeros((0, 1)), np.array([[-0.0], [0.25]])], path)
+    assert path.read_bytes() == b"id,x\n0,1.0\n2,0.0\n2,0.25\n"
 
 
 _PORTABLE_PROBE = """
 import sys
 import numpy as np
-from wavesym.serialize import float_row_lines
+from wavesym.serialize import _float_rows
 rng = np.random.default_rng(17)
 # random bit patterns reach every binary exponent, subnormals included
 bits = rng.integers(0, 0x7FF0000000000000, size=6000, dtype=np.int64)
@@ -265,9 +329,7 @@ kernel = rng.uniform(1.0, 10.0, size=(300, p.size)) * p
 steps = np.arange(1, 1001)[:, None]
 near = np.concatenate([p * (1.0 - steps * 2.0**-53), p * (1.0 + steps * 2.0**-52)])
 values = np.concatenate([every_class, kernel.ravel(), near.ravel(), [0.0, -0.0]])
-out = []
-float_row_lines("v", " ", values.reshape(-1, 3), out)
-sys.stdout.write("\\n".join(out))
+_float_rows(sys.stdout.buffer, b"v", b" ", values.reshape(-1, 3))
 """
 
 
@@ -285,7 +347,7 @@ def test_float_rows_portable_across_cpu_dispatch():
     equal.
     """
     root = Path(__file__).resolve().parent.parent
-    src = Path(float_row_lines.__code__.co_filename).resolve().parent.parent
+    src = Path(_float_rows.__code__.co_filename).resolve().parent.parent
     base = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(root)]))
     texts = []
     for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
@@ -294,6 +356,6 @@ def test_float_rows_portable_across_cpu_dispatch():
                               cwd=root, env={**base, **setting})
         assert proc.returncode == 0, proc.stderr
         texts.append(proc.stdout)
-    assert texts[0].count(b"\n") == (6000 + 6000 + 40000 + 2) // 3 - 1
+    assert texts[0].count(b"\n") == (6000 + 6000 + 40000 + 2) // 3
     assert texts[1] == texts[0]
     assert texts[2] == texts[0]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavesym.eigenline import EigenlineManifold, build_eigenline_manifold, critical_scan
@@ -20,8 +20,8 @@ from wavesym.fresnel import Crystal, compressed_grid, singular_directions
 from wavesym.multiplicity import lift_angles
 from wavesym.spheremesh import (
     SurfaceMesh,
-    _boundary_half_edges,
     _edge_runs,
+    _kept_boundary,
     boundary_loops,
     connected_components,
     euler_characteristic,
@@ -129,9 +129,9 @@ def test_combinatorics_match_loops(name):
     if _pinched(mesh.faces):
         # the loop walk never returns to its start on a pinched boundary
         with pytest.raises(WavesymError, match="pinched"):
-            boundary_loops(*_boundary_half_edges(mesh.faces))
+            boundary_loops(*oracles.boundary_half_edges(mesh.faces))
     else:
-        assert boundary_loops(*_boundary_half_edges(mesh.faces)) == oracles.boundary_loops(mesh.faces)
+        assert boundary_loops(*oracles.boundary_half_edges(mesh.faces)) == oracles.boundary_loops(mesh.faces)
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -141,15 +141,16 @@ def test_edge_runs_match_unique_table(name):
     # the edges on one face
     faces = MESHES[name]().faces
     edges, counts, half = oracles._edge_table(faces)
-    keys, falling, starts, n = _edge_runs(faces)
+    keys, falling, starts, s = _edge_runs(faces)
     first = np.flatnonzero(starts)
-    assert np.array_equal(keys[first[:-1]], edges[:, 0] * n + edges[:, 1])
+    assert 1 << s > faces.max(initial=0)
+    assert np.array_equal(keys[first[:-1]], edges[:, 0] << s | edges[:, 1])
     assert np.array_equal(np.diff(first), counts)
     assert not np.any(falling[:-1] & ~falling[1:] & ~starts[1:-1])
     tail, head = faces.reshape(-1), faces[:, [1, 2, 0]].reshape(-1)
     single = counts[half] == 1
     want = sorted(zip(tail[single].tolist(), head[single].tolist()))
-    assert sorted(zip(*(x.tolist() for x in _boundary_half_edges(faces)))) == want
+    assert sorted(zip(*(x.tolist() for x in oracles.boundary_half_edges(faces)))) == want
 
 
 @pytest.mark.parametrize("subdivisions", range(7))
@@ -158,6 +159,60 @@ def test_icosphere_bit_equal_to_midpoint_loop(subdivisions):
     for g, w in ((got.vertices, want.vertices), (got.faces, want.faces)):
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("subdivisions", range(7))
+def test_icosphere_bit_equal_to_unique_edge_table(subdivisions):
+    got, want = icosphere(subdivisions), oracles.icosphere_unique(subdivisions)
+    for g, w in ((got.vertices, want.vertices), (got.faces, want.faces)):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("subdivisions", range(7))
+def test_icosphere_twins_pair_the_half_edges(subdivisions):
+    mesh, twin = icosphere(subdivisions, twins=True)
+    assert mesh.faces.tobytes() == icosphere(subdivisions).faces.tobytes()
+    h = np.arange(3 * mesh.n_faces)
+    # an involution without a fixed point, each pair with swapped ends
+    assert twin.shape == h.shape
+    assert np.array_equal(twin[twin], h)
+    assert not np.any(twin == h)
+    tail, head = mesh.faces.reshape(-1), mesh.faces[:, [1, 2, 0]].reshape(-1)
+    assert np.array_equal(tail[twin], head)
+    assert np.array_equal(head[twin], tail)
+
+
+@functools.cache
+def _twin_sphere(subdivisions):
+    return icosphere(subdivisions, twins=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subdivisions=st.integers(1, 4),
+       disks=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                st.floats(0.0, 1.5)), min_size=1, max_size=6))
+@example(subdivisions=2, disks=[(0.0, 0.0, 1.0, 0.3), (1.0, 0.0, 0.0, 0.8)])   # one repair round
+def test_kept_boundary_from_twins_equals_sorted_edge_keys(subdivisions, disks):
+    # the disk removal of the gluing, pinch repair rounds included: in every
+    # round the rim read from the twins is the one a sort of the kept faces gives
+    mesh, twin = _twin_sphere(subdivisions)
+    faces = mesh.faces
+    removed = np.zeros(mesh.n_vertices, dtype=bool)
+    for x, y, z, radius in disks:
+        if x * x + y * y + z * z > 1e-6:
+            removed |= mesh.vertices @ (np.array([x, y, z]) / np.sqrt(x * x + y * y + z * z)) > np.cos(radius)
+    for _ in range(mesh.n_vertices):
+        keep = ~removed[faces].any(axis=1)
+        tail, head = _kept_boundary(faces, twin, keep)
+        want = sorted(zip(*(x.tolist() for x in oracles.boundary_half_edges(faces[keep]))))
+        assert sorted(zip(tail.tolist(), head.tolist())) == want
+        bad = np.bincount(np.concatenate([tail, head]), minlength=mesh.n_vertices) > 2
+        if not bad.any():
+            break
+        removed |= bad
+    else:
+        raise AssertionError("pinch repair did not end")
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -266,7 +321,7 @@ def test_pinched_boundary_is_refused():
     faces = np.delete(f, [i, j], axis=0)
     assert _pinched(faces)
     with pytest.raises(WavesymError, match="pinched"):
-        boundary_loops(*_boundary_half_edges(faces))
+        boundary_loops(*oracles.boundary_half_edges(faces))
 
 
 @pytest.mark.parametrize("tail,head,vertex", [
@@ -283,7 +338,7 @@ def test_boundary_loops_refuse_a_vertex_of_another_degree(tail, head, vertex):
 
 
 def test_boundary_loops_of_a_closed_mesh_are_empty():
-    assert boundary_loops(*_boundary_half_edges(icosphere(2).faces)) == []
+    assert boundary_loops(*oracles.boundary_half_edges(icosphere(2).faces)) == []
     assert boundary_loops(np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == []
 
 
