@@ -1,17 +1,16 @@
 """Print a sha256 digest of every CLI artifact of a fixed job list.
 
 The jobs are the six of acceptance criterion 10, eigenline at the
-default subdiv 4 and at subdiv 5 for a crystal with close axes, the
-large eigenline and fresnel runs, two near-uniaxial fresnel runs, two
-`winding` runs at a contour tolerance of 1e-300 and of 1e-6, and
-`sphere` plus `winding --out-csv` for all 21 sigma_mn pairs (m 0..2,
-n 0..6) at grid 512, for five pairs at grid 2048 and for one pair at
-grid 1000.  Each runs in
-process through `wavesym.cli.main`, writes its artifacts to a temporary
-directory, and yields one line
-`job artifact sha256` per artifact (stdout counts as an artifact).
-Run it on two commits and diff the output to show that a change keeps
-every artifact byte-identical.
+default subdiv 4, at subdiv 5 for a crystal with close axes and at
+subdiv 5 with tube radius 0.3, the large eigenline and fresnel runs,
+two near-uniaxial fresnel runs, two `winding` runs at a contour
+tolerance of 1e-300 and of 1e-6, and `sphere` plus `winding --out-csv`
+for all 21 sigma_mn pairs (m 0..2, n 0..6) at grid 512, for five pairs
+at grid 2048 and for one pair at grid 1000.  Each runs in process
+through `wavesym.cli.main`, writes its artifacts to a temporary
+directory, and yields one line `job artifact sha256` per artifact
+(stdout counts as an artifact).  Run it on two commits and diff the
+output to show that a change keeps every artifact byte-identical.
 
 `--setting KEY=VALUE` (repeatable) runs the job list in a child process
 with those environment variables set, so settings that act at import
@@ -53,6 +52,9 @@ JOBS = [
     # axes 0.30 rad apart: its tube disks merge at subdiv 4, not at subdiv 5
     ("eigenline5_close", ["eigenline", "--subdiv", "5", "--epsilon",
                           "5.718431480418933,1.5844479112835204,5.395485578415656"],
+     [("--out", "e.json"), ("--out-obj", "e.obj")]),
+    # wide disks: rims of 3x the default tube radius, 18,872 vertices glued
+    ("eigenline5_wide", ["eigenline", "--subdiv", "5", "--tube-radius", "0.3"],
      [("--out", "e.json"), ("--out-obj", "e.obj")]),
     ("knots", ["knots", "--winding", "3", "--samples", "64"],
      [("--out", "k.json"), ("--out-csv", "k.csv")]),

@@ -19,7 +19,6 @@ conical point in closed form from the inverse permittivity.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,10 +29,9 @@ from .multiplicity import lift_angles
 from .spheremesh import (
     MeshTopology,
     SurfaceMesh,
-    _kept_boundary,
+    _rim_from_removed,
     boundary_loops,
     icosphere,
-    mesh_topology,
     min_separation,
     tangent_frames,
     transport_pq,
@@ -70,7 +68,9 @@ class EigenlineManifold:
 
     lambda_s holds the eigenvalue branch per vertex: the lower eigenvalue
     on sheet 1, the upper on sheet 2, and on each cylinder core the
-    double eigenvalue t/2 of the section at its conical point.
+    double eigenvalue t/2 of the section at its conical point.  topology
+    is the mesh's, which `build_eigenline_manifold` reads from the
+    counts of its gluing.
     """
 
     mesh: SurfaceMesh
@@ -80,12 +80,7 @@ class EigenlineManifold:
     tube_radius: float
     collar: float
     subdivisions: int
-
-    @functools.cached_property
-    def topology(self) -> MeshTopology:
-        """One pass over the mesh's edge table, made on first use; chi,
-        genus, the orientation checks and the component count all read it."""
-        return mesh_topology(self.mesh)
+    topology: MeshTopology
 
     @property
     def chi(self) -> int:
@@ -111,17 +106,26 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
     angular radius tube_radius (but never less than one vertex) is
     removed around each and replaced by a cylinder through the
     projectivized eigenspace.  k = 0 yields the disjoint sheet pair.
+
+    The topology comes from the gluing's counts, with no pass over the
+    glued mesh.  Let K be the kept faces of the sphere: n_kept vertices,
+    n_faces faces and a rim of `ring` half-edges.  The glued mesh is
+    closed and oriented.  Each sheet copies K under an injective
+    relabelling, sheet 1 reversed, so K's interior edges pair within
+    each sheet as the icosphere's twins do.  The seam check makes every
+    rim half-edge run loop[j+1] -> loop[j] of its loop, so each rim edge
+    pairs with the cylinder face on that loop, on both sheets; the
+    cylinder's own edges pair among its faces.  So V = 2 n_kept + ring,
+    F = 2 n_faces + 4 ring and E = 3F/2, and chi = 2 chi(K) with
+    chi(K) = n_kept - (3 n_faces + ring)/2 + n_faces.  The pinch repair
+    and the loop count make K a surface whose boundary is exactly k
+    circles.  A compact subsurface of the sphere with c components and
+    b boundary circles has chi = 2c - b, so K has c = (chi(K) + k)/2
+    components.  For k >= 1 every component of K meets a loop, else it
+    would be the whole sphere, and that loop's cylinder joins the
+    component's two sheet copies: the glued mesh has c components.  For
+    k = 0 it has two, the sheets.
     """
-    man = _glue_sheets(section_fn, multiplicity_points, tube_radius, collar, subdivisions)
-    # checked once the gluing's temporaries are freed: the edge-table pass
-    # on top of them would set the peak memory of the whole build
-    if man.cylinders and not man.topology.oriented:
-        raise GluingMismatch("glued surface is not consistently oriented")
-    return man
-
-
-def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float,
-                 collar: float, subdivisions: int) -> EigenlineManifold:
     if not (0.0 < collar < 1.0):
         raise InputError("collar must sit strictly between 0 and 1")
     if not (0.0 < tube_radius <= 0.5):
@@ -136,7 +140,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         if min_separation(pts) <= 3.0 * tube_radius:
             raise InputError("multiplicity points closer than 3 tube radii")
 
-    base, twin = icosphere(subdivisions, twins=True)
+    base = icosphere(subdivisions)
     V = base.vertices
     removed = np.zeros(base.n_vertices, dtype=bool)
     for i in range(k):
@@ -149,7 +153,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
     faces = base.faces
     while True:
         keep_face = ~(removed[faces[:, 0]] | removed[faces[:, 1]] | removed[faces[:, 2]])
-        tail, head = _kept_boundary(faces, twin, keep_face)
+        tail, head = _rim_from_removed(faces, keep_face)
         # vertices whose link is pinched would give non simple boundaries
         bad = np.bincount(np.concatenate([tail, head]), minlength=base.n_vertices) > 2
         if not bad.any():
@@ -169,12 +173,19 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
     if len(loops_base) > k:
         raise GluingMismatch(
             f"disk removal produced {len(loops_base)} boundary loops for {k} points")
-    loop_of_point: list[list[int]] = []
+    loop_of_point: list[np.ndarray] = []
     free = list(range(len(loops_base)))
     for i in range(k):
         best = min(free, key=lambda li: float(_angular_dist(V[loops_base[li]], pts[i]).mean()))
         free.remove(best)
-        loop_of_point.append(loops_base[best])
+        loop_of_point.append(np.array(loops_base[best], dtype=int))
+    # the seam check: every rim half-edge runs loop[j+1] -> loop[j] of its
+    # loop, as the cylinder faces below expect on both sheets (tail[:0]
+    # keeps the concatenation defined at k = 0)
+    n = base.n_vertices
+    seam = [np.roll(loop, -1) * n + loop for loop in loop_of_point]
+    if not np.array_equal(np.sort(np.concatenate(seam + [tail[:0]])), np.sort(tail * n + head)):
+        raise GluingMismatch("glued surface is not consistently oriented")
 
     # both sheets, then a core circle per cylinder, in one vertex and one face
     # array; the loops hold each rim vertex once.  Sheet 1's slot holds the
@@ -190,6 +201,13 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
     new_of_old = -np.ones(base.n_vertices, dtype=int)
     new_of_old[old_ids] = np.arange(old_ids.size)
     n_kept = old_ids.size
+    chi_k = n_kept - (3 * n_faces + ring) // 2 + n_faces
+    if (chi_k + k) % 2 or chi_k + k < 2:
+        raise GluingMismatch(
+            f"kept sphere region has chi {chi_k} and {k} boundary loops, as no subsurface of the sphere has")
+    topology = MeshTopology(
+        n_vertices=2 * n_kept + ring, n_edges=3 * n_faces + 6 * ring, n_faces=2 * n_faces + 4 * ring,
+        open_edges=0, oriented=True, components=(chi_k + k) // 2 if k else 2)
 
     verts = np.empty((2 * n_kept + ring, 3))
     lam = np.empty(2 * n_kept + ring)
@@ -208,7 +226,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
     next_vert = 2 * n_kept
     face_cursor = 2 * n_faces
     for i in range(k):
-        loop = np.array(loop_of_point[i], dtype=int)
+        loop = loop_of_point[i]
         L = loop.size
         if L < 3:
             raise GluingMismatch("gluing loop has fewer than 3 vertices")
@@ -263,6 +281,7 @@ def _glue_sheets(section_fn, multiplicity_points: np.ndarray, tube_radius: float
         tube_radius=tube_radius,
         collar=collar,
         subdivisions=subdivisions,
+        topology=topology,
     )
 
 

@@ -78,7 +78,12 @@ def _edge_runs(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
 
 
 class MeshTopology(NamedTuple):
-    """What one pass over a mesh's edge table tells; see `mesh_topology`."""
+    """A mesh's counts, orientation and components.
+
+    `mesh_topology` reads them from one pass over the edge table of any
+    mesh; `build_eigenline_manifold` reads them from the counts of its
+    gluing, with no pass over the glued mesh.
+    """
 
     n_vertices: int
     n_edges: int
@@ -191,16 +196,19 @@ def successor_walks(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return order, np.append(starts, n), cyclic[order[starts]]
 
 
-def _kept_boundary(faces: np.ndarray, twin: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of the half-edges of kept faces whose twins lie on faces not kept.
+def _rim_from_removed(faces: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the boundary half-edges of the kept faces of a closed mesh.
 
-    twin is the half-edge twin table of the closed mesh `faces` (see
-    `icosphere`), and keep a mask over its faces.
+    keep is a mask over `faces`.  The rim is read from the faces not
+    kept, usually the few: their half-edges whose edge lies on none of
+    the others, reversed, since each edge of a closed oriented mesh is
+    run once each way.
     """
-    keep_half = np.repeat(keep, 3)
-    rim = np.flatnonzero(keep_half & ~keep_half[twin])
-    corner = faces.reshape(-1)
-    return corner[rim], corner[twin[rim]]
+    edge, falling, starts, s = _edge_runs(faces[~keep])
+    single = starts[:-1] & starts[1:]
+    lo, hi = edge[single] >> s, edge[single] & ((1 << s) - 1)
+    # a removed half-edge runs lo -> hi unless it falls; its kept twin the other way
+    return np.where(falling[single], lo, hi), np.where(falling[single], hi, lo)
 
 
 def boundary_loops(tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
@@ -260,7 +268,7 @@ def _child_twins(twin: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def icosphere(subdivisions: int = 0, twins: bool = False):
+def icosphere(subdivisions: int = 0) -> SurfaceMesh:
     """Unit icosphere with poles at (0, 0, +-1); 20 * 4^n faces.
 
     Each level keeps the vertices of the one before as a prefix and
@@ -273,8 +281,7 @@ def icosphere(subdivisions: int = 0, twins: bool = False):
     The edges come from a twin table carried from level to level:
     half-edge 3 i + c runs from corner c of face i to corner c + 1, and
     twin[h] is the other half-edge of its edge, so an edge's first
-    half-edge is the one below its twin.  With twins=True the call
-    returns the mesh and the twin table of its faces.
+    half-edge is the one below its twin.  The finest level needs none.
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
@@ -299,10 +306,9 @@ def icosphere(subdivisions: int = 0, twins: bool = False):
         ab, bc, ca = mid.reshape(-1, 3).T
         a, b, c = faces.T
         faces = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
-        if twins or level < subdivisions - 1:
+        if level < subdivisions - 1:
             twin = _child_twins(twin)
-    mesh = SurfaceMesh(vertices=verts, faces=faces)
-    return (mesh, twin) if twins else mesh
+    return SurfaceMesh(vertices=verts, faces=faces)
 
 
 def tangent_frames(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

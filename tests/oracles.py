@@ -23,7 +23,8 @@ face-by-face Poincare-Hopf count is the one that the axis search's
 closed-form index sum replaced, the midpoint-dict icosphere is the
 loop that the edge-table subdivision replaced, the np.unique icosphere
 is the edge table that the twin-table subdivision replaced, the sorted
-kept boundary is the one that the icosphere's twins replaced, and the
+kept boundary is the one that the gluing's rim, read from the removed
+faces, is checked against, and the
 central difference of the half trace is the one that the closed-form
 |d s_r| replaced.
 
@@ -953,8 +954,8 @@ def icosphere_unique(subdivisions: int = 0) -> SurfaceMesh:
 
 
 # ---------------------------------------------------------------------------
-# the kept boundary that the icosphere's twin table replaced: a second sort
-# of the kept faces' half-edge keys, whose single-face edges are the rim
+# the kept boundary from a sort of the kept faces' half-edge keys, whose
+# single-face edges are the rim; the gluing sorts the removed faces instead
 
 
 def boundary_half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

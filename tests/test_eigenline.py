@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wavesym import eigenline
 from wavesym.errors import GluingMismatch, InputError, NotConnected
 from wavesym.eigenline import (
     LIFT_TOTAL_TOL,
@@ -14,7 +15,7 @@ from wavesym.eigenline import (
     eigenline_report,
 )
 from wavesym.fresnel import Crystal, compressed_grid, singular_directions
-from wavesym.spheremesh import connected_components, tangent_frames, unit_rows
+from wavesym.spheremesh import connected_components, mesh_topology, tangent_frames, unit_rows
 
 from .oracles import (
     AXIS_DSR_NORM,
@@ -330,8 +331,45 @@ def test_random_crystals_glue_to_genus_three_or_refuse(eps, subdivisions):
     except InputError:
         return
     topo = man.topology
+    assert topo == mesh_topology(man.mesh)
     assert topo.closed and topo.oriented and topo.components == 1
     assert man.genus == 3 and len(man.cylinders) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@example(eps=BIAXIAL.eps, subdivisions=3, tube_radius=0.1, k=0)
+@example(eps=BIAXIAL.eps, subdivisions=3, tube_radius=0.1, k=2)
+@example(eps=CLOSE_AXES.eps, subdivisions=4, tube_radius=0.1, k=4)    # a pinch repair round, then refused
+@example(eps=CLOSE_AXES.eps, subdivisions=5, tube_radius=0.1, k=4)
+@given(eps=st.lists(st.floats(1.5, 6.0), min_size=3, max_size=3, unique=True).map(tuple),
+       subdivisions=st.integers(2, 5), tube_radius=st.floats(0.03, 0.5), k=st.sampled_from([0, 2, 4]))
+def test_topology_from_gluing_counts_equals_edge_table_pass(eps, subdivisions, tube_radius, k):
+    """The gluing's topology, read from its counts, is the one a sort of
+    the glued mesh's half-edges and a component pass give: k = 0 (two
+    spheres), k = 2 (an axis and its antipode: a torus) and k = 4."""
+    crystal = Crystal(eps=eps)
+    try:
+        axes = crystal_axes(crystal)
+        points = {0: axes[:0], 2: np.array([axes[0], -axes[0]]), 4: axes}[k]
+        man = build_eigenline_manifold(crystal_section(crystal), points, tube_radius=tube_radius,
+                                       collar=0.5, subdivisions=subdivisions)
+    except InputError:
+        return
+    except GluingMismatch as exc:
+        # a wide disk around one axis of the pair can hold a second axis too
+        assert k == 2 and str(exc).startswith("eigenline angle advances")
+        return
+    assert man.topology == mesh_topology(man.mesh)
+
+
+def test_loops_run_against_their_rim_or_the_gluing_refuses(monkeypatch):
+    # loops walked the other way would glue each cylinder face to a sheet
+    # face that runs its shared edge the same way
+    loops = eigenline.boundary_loops
+    monkeypatch.setattr(eigenline, "boundary_loops",
+                        lambda tail, head: [loop[::-1] for loop in loops(tail, head)])
+    with pytest.raises(GluingMismatch, match="^glued surface is not consistently oriented$"):
+        build_crystal_manifold(subdivisions=3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,8 +20,9 @@ from wavesym.fresnel import Crystal, compressed_grid, singular_directions
 from wavesym.multiplicity import lift_angles
 from wavesym.spheremesh import (
     SurfaceMesh,
+    _child_twins,
     _edge_runs,
-    _kept_boundary,
+    _rim_from_removed,
     boundary_loops,
     connected_components,
     euler_characteristic,
@@ -76,7 +77,7 @@ def _field_manifold(mesh, seed):
         values = np.random.default_rng(seed).standard_normal(mesh.n_vertices)
     return EigenlineManifold(
         mesh=mesh, lambda_s=values, cylinders=[], face_groups=[],
-        tube_radius=0.1, collar=0.5, subdivisions=0)
+        tube_radius=0.1, collar=0.5, subdivisions=0, topology=mesh_topology(mesh))
 
 
 MESHES = {
@@ -171,8 +172,14 @@ def test_icosphere_bit_equal_to_unique_edge_table(subdivisions):
 
 @pytest.mark.parametrize("subdivisions", range(7))
 def test_icosphere_twins_pair_the_half_edges(subdivisions):
-    mesh, twin = icosphere(subdivisions, twins=True)
-    assert mesh.faces.tobytes() == icosphere(subdivisions).faces.tobytes()
+    # the twin tables that icosphere carries from level to level: the
+    # level-0 table from a search of the face list, then _child_twins
+    mesh = icosphere(subdivisions)
+    faces = icosphere(0).faces
+    ends = list(zip(faces.reshape(-1).tolist(), faces[:, [1, 2, 0]].reshape(-1).tolist()))
+    twin = np.array([ends.index((h, t)) for t, h in ends])
+    for _ in range(subdivisions):
+        twin = _child_twins(twin)
     h = np.arange(3 * mesh.n_faces)
     # an involution without a fixed point, each pair with swapped ends
     assert twin.shape == h.shape
@@ -183,9 +190,7 @@ def test_icosphere_twins_pair_the_half_edges(subdivisions):
     assert np.array_equal(head[twin], tail)
 
 
-@functools.cache
-def _twin_sphere(subdivisions):
-    return icosphere(subdivisions, twins=True)
+_sphere = functools.cache(icosphere)
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,10 +198,10 @@ def _twin_sphere(subdivisions):
        disks=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                                 st.floats(0.0, 1.5)), min_size=1, max_size=6))
 @example(subdivisions=2, disks=[(0.0, 0.0, 1.0, 0.3), (1.0, 0.0, 0.0, 0.8)])   # one repair round
-def test_kept_boundary_from_twins_equals_sorted_edge_keys(subdivisions, disks):
+def test_kept_boundary_from_removed_faces_equals_sorted_edge_keys(subdivisions, disks):
     # the disk removal of the gluing, pinch repair rounds included: in every
-    # round the rim read from the twins is the one a sort of the kept faces gives
-    mesh, twin = _twin_sphere(subdivisions)
+    # round the rim read from the removed faces is the one a sort of the kept faces gives
+    mesh = _sphere(subdivisions)
     faces = mesh.faces
     removed = np.zeros(mesh.n_vertices, dtype=bool)
     for x, y, z, radius in disks:
@@ -204,7 +209,7 @@ def test_kept_boundary_from_twins_equals_sorted_edge_keys(subdivisions, disks):
             removed |= mesh.vertices @ (np.array([x, y, z]) / np.sqrt(x * x + y * y + z * z)) > np.cos(radius)
     for _ in range(mesh.n_vertices):
         keep = ~removed[faces].any(axis=1)
-        tail, head = _kept_boundary(faces, twin, keep)
+        tail, head = _rim_from_removed(faces, keep)
         want = sorted(zip(*(x.tolist() for x in oracles.boundary_half_edges(faces[keep]))))
         assert sorted(zip(tail.tolist(), head.tolist())) == want
         bad = np.bincount(np.concatenate([tail, head]), minlength=mesh.n_vertices) > 2
