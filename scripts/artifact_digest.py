@@ -1,7 +1,8 @@
 """Print a sha256 digest of every CLI artifact of a fixed job list.
 
-The jobs are the six of acceptance criterion 10, eigenline at the
-default subdiv 4, at subdiv 5 for a crystal with close axes and at
+The jobs are the six of acceptance criterion 10, `zset` for the
+pair (0, 3) whose second radius is 1/alpha, eigenline at the default
+subdiv 4, at subdiv 5 for a crystal with close axes and at
 subdiv 5 with tube radius 0.3, the large eigenline and fresnel runs,
 two near-uniaxial fresnel runs, two `winding` runs at a contour
 tolerance of 1e-300 and of 1e-6, and `sphere` plus `winding --out-csv`
@@ -43,6 +44,7 @@ from wavesym.cli import main
 # (job name, argv, [(output flag, file name)])
 JOBS = [
     ("zset", ["zset", "--m", "0", "--n", "1"], []),
+    ("zset_03", ["zset", "--m", "0", "--n", "3"], []),
     ("sphere", ["sphere", "--m", "1", "--n", "4", "--grid", "128"], []),
     ("winding", ["winding", "--m", "0", "--n", "3", "--grid", "128"],
      [("--out", "w.json"), ("--out-csv", "w.csv")]),

@@ -25,7 +25,7 @@ from .multiplicity import CONTOUR_REL_TOL, knot_polyline, knot_type, polylines_c
 # perfbench/tracing.py wraps these three at their cli names
 from .multiplicity import extract_singular_set, regular_value_check, trace_component  # noqa: F401
 from .serialize import canonical_json, float_rows_csv, obj_face_groups, obj_objects
-from .sphere import ROOT_REL_TOL, _validate_mn, analyze_mn, trace_sigma_mn, z_set
+from .sphere import _validate_mn, analyze_mn, trace_sigma_mn, z_set
 
 # glibc mallopt parameters (malloc.h) and the values main() fixes them at
 _M_TRIM_THRESHOLD = -1
@@ -45,7 +45,6 @@ _FIELD_PARSERS = {
     "tube_radius": float,
     "collar": float,
     "tol_contour": float,
-    "tol_root": float,
     "out": str,
     "out_csv": str,
     "out_obj": str,
@@ -67,7 +66,6 @@ class RunConfig:
     tube_radius: float = 0.1
     collar: float = 0.5
     tol_contour: float = CONTOUR_REL_TOL
-    tol_root: float = ROOT_REL_TOL
     out: str | None = None
     out_csv: str | None = None
     out_obj: str | None = None
@@ -77,7 +75,7 @@ class RunConfig:
         # nan fails no comparison and inf is positive: both need isfinite
         if len(self.epsilon) != 3 or not all(math.isfinite(e) and e > 0.0 for e in self.epsilon):
             raise InputError("epsilon must be three finite positive comma-separated numbers")
-        for name in ("tol_contour", "tol_root", "tube_radius", "collar"):
+        for name in ("tol_contour", "tube_radius", "collar"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InputError(f"{name.replace('_', '-')} must be finite and strictly positive")
@@ -140,7 +138,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def _cmd_zset(cfg: RunConfig) -> None:
-    zs = z_set(cfg.m, cfg.n, tol=cfg.tol_root)
+    zs = z_set(cfg.m, cfg.n)
     report = {
         "m": cfg.m,
         "n": cfg.n,
@@ -152,14 +150,12 @@ def _cmd_zset(cfg: RunConfig) -> None:
 
 
 def _cmd_sphere(cfg: RunConfig) -> None:
-    report = analyze_mn(cfg.m, cfg.n, grid=cfg.grid,
-                        tol_contour=cfg.tol_contour, tol_root=cfg.tol_root)
+    report = analyze_mn(cfg.m, cfg.n, grid=cfg.grid, tol_contour=cfg.tol_contour)
     _write_or_print(canonical_json(report), cfg.out)
 
 
 def _cmd_winding(cfg: RunConfig) -> None:
-    *_, rows = trace_sigma_mn(cfg.m, cfg.n, grid=cfg.grid,
-                              tol_contour=cfg.tol_contour, tol_root=cfg.tol_root)
+    *_, rows = trace_sigma_mn(cfg.m, cfg.n, grid=cfg.grid, tol_contour=cfg.tol_contour)
     entries = [
         {"length": row.curve.length, "min_grad": row.cert.min_gradient, "grad_floor": row.cert.floor,
          "transversal": row.cert.transversal, **row.winding_fields()}
@@ -235,21 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zset", help="singular radii of the sigma_mn family")
     _add_mn(p)
-    p.add_argument("--tol-root", dest="tol_root", type=float)
     _add_common(p)
 
     p = sub.add_parser("sphere", help="full multiplicity report for sigma_mn")
     _add_mn(p)
     p.add_argument("--grid", type=int)
     p.add_argument("--tol-contour", dest="tol_contour", type=float)
-    p.add_argument("--tol-root", dest="tol_root", type=float)
     _add_common(p)
 
     p = sub.add_parser("winding", help="kernel-line winding along extracted contours")
     _add_mn(p)
     p.add_argument("--grid", type=int)
     p.add_argument("--tol-contour", dest="tol_contour", type=float)
-    p.add_argument("--tol-root", dest="tol_root", type=float)
     p.add_argument("--out-csv", dest="out_csv", help="polyline CSV destination")
     _add_common(p)
 

@@ -91,10 +91,6 @@ class EigenlineManifold:
         return self.topology.genus
 
 
-def _angular_dist(points: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(points @ p, -1.0, 1.0))
-
-
 def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
                              tube_radius: float = 0.1, collar: float = 0.5,
                              subdivisions: int = 4) -> EigenlineManifold:
@@ -143,11 +139,13 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
     base = icosphere(subdivisions)
     V = base.vertices
     removed = np.zeros(base.n_vertices, dtype=bool)
-    for i in range(k):
-        d = _angular_dist(V, pts[i])
-        inside = d < tube_radius
-        if not inside.any():
-            inside[np.argmin(d)] = True
+    # a disk is the vertices within tube_radius of its point, compared by
+    # cosine, and always the nearest vertex
+    cos_radius = math.cos(tube_radius)
+    for p in pts:
+        c = V @ p
+        inside = c > cos_radius
+        inside[np.argmax(c)] = True
         removed |= inside
 
     faces = base.faces
@@ -176,7 +174,7 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
     loop_of_point: list[np.ndarray] = []
     free = list(range(len(loops_base)))
     for i in range(k):
-        best = min(free, key=lambda li: float(_angular_dist(V[loops_base[li]], pts[i]).mean()))
+        best = max(free, key=lambda li: float((V[loops_base[li]] @ pts[i]).mean()))
         free.remove(best)
         loop_of_point.append(np.array(loops_base[best], dtype=int))
     # the seam check: every rim half-edge runs loop[j+1] -> loop[j] of its

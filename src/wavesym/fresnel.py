@@ -84,10 +84,11 @@ def compressed_grid(crystal: Crystal, points: np.ndarray) -> tuple[np.ndarray, n
     """
     X = np.asarray(points, dtype=float)
     t1, t2 = tangent_frames(X)
-    ie = crystal.inv_eps
-    a11 = np.einsum("ij,ij->i", t1 @ ie, t1)
-    a22 = np.einsum("ij,ij->i", t2 @ ie, t2)
-    a12 = np.einsum("ij,ij->i", t1 @ ie, t2)
+    ie = np.diagonal(crystal.inv_eps)
+    ie_t1 = t1 * ie
+    a11 = np.einsum("ij,ij->i", ie_t1, t1)
+    a22 = np.einsum("ij,ij->i", t2 * ie, t2)
+    a12 = np.einsum("ij,ij->i", ie_t1, t2)
     return a11 + a22, 0.5 * (a11 - a22), a12
 
 

@@ -13,8 +13,9 @@ here works in the one chart z.
 
 The model family sigma_mn takes v = z^m and s = z^n.  Its multiplicity
 circles |z| = r are the positive roots of (1 + r^2)^2 r^m = 4 r^n, which
-depend only on n - m; the kernel line winds n - m half turns along each
-transversal circle.
+depend only on n - m and are known in closed form (z_set): r = 1, and
+ALPHA or INV_ALPHA when n - m is 1 or 3.  The kernel line winds n - m
+half turns along each transversal circle.
 
 det M = (|u|^2 - |w|^2) / 2 needs only the moduli, which
 SphereSymbol.abs2_grid computes in real arithmetic; real + and * round
@@ -58,8 +59,11 @@ from .multiplicity import (
 
 M_RANGE = (0, 2)
 N_RANGE = (0, 6)
-# relative bracket width at which z_set stops bisecting a radius
-ROOT_REL_TOL = 1e-13
+# the doubles nearest the one positive root of r^3 + r^2 + 3r - 1 and of
+# r^3 - 3r^2 - r - 1, its reciprocal (1.0 / ALPHA rounds one ulp above
+# INV_ALPHA); the test suite proves both in exact arithmetic
+ALPHA = float.fromhex("0x1.2eb12cb39d793p-2")        # 0.29559774252208476
+INV_ALPHA = float.fromhex("0x1.b105599728acep+1")    # 3.3829757679062373
 # half width of the central difference transversality_h takes at r = 1
 TRANSVERSALITY_STEP = 1e-6
 _U = 2.0**-53
@@ -281,58 +285,34 @@ def radial_profile(m: int, n: int, r):
     return float(out) if out.ndim == 0 else out
 
 
-def _zset_poly(m: int, n: int, r: np.ndarray) -> np.ndarray:
-    # positive roots of lam r^m = lam^3 r^n, cleared of denominators
-    return (1.0 + r * r) ** 2 * r**m - 4.0 * r**n
-
-
 class ZSet(NamedTuple):
     radii: tuple[float, ...]
     includes_zero: bool
     includes_infinity: bool
 
 
-def z_set(m: int, n: int, tol: float = ROOT_REL_TOL) -> ZSet:
+def z_set(m: int, n: int) -> ZSet:
     """Multiplicity radii of sigma_mn in chart 1, plus the isolated
     singular points at the chart origin and at infinity.
 
-    r = 1 always belongs to the set (it is a tangential double root when
-    n - m = 2).  Further radii are found by a sign scan of the cleared
-    polynomial over twelve decades and bisection; they exist exactly for
-    n - m in {1, 3}.
+    The radii are the positive roots of (1 + r^2)^2 r^m - 4 r^n.  With
+    d = n - m and r^min(m, n) divided out, that is r^-d (1 + r^2)^2 - 4
+    for d < 0, one sign change, and r^4 + 2r^2 + 1 - 4r^d for d >= 0:
+
+        d = 1:  (r - 1)(r^3 + r^2 + 3r - 1)
+        d = 2:  (r - 1)^2 (r + 1)^2, r = 1 tangential
+        d = 3:  (r - 1)(r^3 - 3r^2 - r - 1)
+
+    and one sign change for d = 0, 4, 5, 6.  By Descartes' rule of signs
+    r = 1 is the only positive root except for d = 1 and 3, where each
+    cubic has one sign change and so one positive root: ALPHA, and
+    INV_ALPHA = 1 / ALPHA (the second cubic is the first one's reversal
+    up to sign).  The radii come back sorted, as the nearest doubles.
     """
     _validate_mn(m, n)
-    radii = [1.0]
-    segments = (
-        np.logspace(-6.0, math.log10(1.0 - 1e-4), 1600),
-        np.logspace(math.log10(1.0 + 1e-4), 6.0, 1600),
-    )
-    for grid in segments:
-        vals = _zset_poly(m, n, grid)
-        radii.extend(float(r) for r in grid[vals == 0.0])
-        sgn = np.sign(vals)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
-        for k in flips:
-            lo, hi = float(grid[k]), float(grid[k + 1])
-            flo = float(vals[k])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = _zset_poly(m, n, np.array([mid]))[0]
-                if fm == 0.0 or (hi - lo) <= tol * mid:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            radii.append(0.5 * (lo + hi))
-    radii.sort()
-    kept: list[float] = []
-    for r in radii:
-        if not kept or r - kept[-1] > 1e-9 * r:
-            kept.append(r)
+    radii = {1: (ALPHA, 1.0), 3: (1.0, INV_ALPHA)}.get(n - m, (1.0,))
     return ZSet(
-        radii=tuple(kept),
+        radii=radii,
         includes_zero=(m > 0 and n > 0),
         includes_infinity=(m < 2 and n < 6),
     )
@@ -376,8 +356,8 @@ class CurveTrace(NamedTuple):
                 "max_angle_step": float(np.abs(np.diff(comp.kernel_angles)).max())}
 
 
-def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL,
-                   tol_root: float = ROOT_REL_TOL) -> tuple[ZSet, TransversalityReport, float, list[CurveTrace]]:
+def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL
+                   ) -> tuple[ZSet, TransversalityReport, float, list[CurveTrace]]:
     """Extract, certify and trace the chart 1 multiplicity curves of sigma_mn.
 
     A kernel line is traced only along a closed, certified curve of a
@@ -385,7 +365,7 @@ def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR
     the chart halfwidth and one CurveTrace per extracted curve.
     """
     _validate_mn(m, n)
-    zs = z_set(m, n, tol=tol_root)
+    zs = z_set(m, n)
     tv = transversality_h(m, n)
     halfwidth = max(2.0, 1.3 * max(zs.radii))
     fld = sigma_mn(m, n).chart_field(halfwidth=halfwidth, grid=grid)
@@ -397,16 +377,14 @@ def trace_sigma_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR
     return zs, tv, halfwidth, rows
 
 
-def analyze_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL,
-               tol_root: float = ROOT_REL_TOL) -> dict:
+def analyze_mn(m: int, n: int, grid: int = 512, tol_contour: float = CONTOUR_REL_TOL) -> dict:
     """Full chart 1 pipeline for sigma_mn.
 
     Extracts the multiplicity curves, certifies transversality, and
     (only when the family is transversal) traces kernel line windings.
     Returns a plain dict ready for serialization.
     """
-    zs, tv, halfwidth, rows = trace_sigma_mn(m, n, grid=grid, tol_contour=tol_contour,
-                                             tol_root=tol_root)
+    zs, tv, halfwidth, rows = trace_sigma_mn(m, n, grid=grid, tol_contour=tol_contour)
     circles = [
         {"r": float(np.hypot(row.curve.polyline[:, 0], row.curve.polyline[:, 1]).mean()),
          **row.winding_fields()}

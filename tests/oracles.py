@@ -215,17 +215,6 @@ def sheet_values_dense(inv_diag: np.ndarray, points: np.ndarray) -> tuple[np.nda
     return (tr1 - disc) / 2.0, (tr1 + disc) / 2.0
 
 
-def compressed_quadratic_speeds(inv_eps: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """lam1 <= lam2 at one direction via trace/determinant of the projection."""
-    proj = np.eye(3) - np.outer(x, x)
-    mat = proj @ inv_eps @ proj
-    tr = float(np.trace(mat))
-    # third eigenvalue is 0, so lam1 lam2 = half of (tr^2 - tr(M^2))
-    det2 = 0.5 * (tr * tr - float(np.trace(mat @ mat)))
-    disc = math.sqrt(max(tr * tr - 4.0 * det2, 0.0))
-    return (tr - disc) / 2.0, (tr + disc) / 2.0
-
-
 def half_trace_sphere_gradient(inv_eps: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Analytic tangential gradient of s_r(x) = (tr eps^{-1} - <eps^{-1}x, x>)/2."""
     ex = inv_eps @ x

@@ -293,7 +293,7 @@ def test_flags_override_config(tmp_path, capsys):
 
 def test_config_dashed_keys(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("tol-root = 1e-12  # dashes normalize to underscores\n")
+    cfgfile.write_text("tol-contour = 1e-12  # dashes normalize to underscores\n")
     code, out, _ = run(capsys, "zset", "--config", str(cfgfile))
     assert code == 0
 
@@ -346,7 +346,6 @@ def test_bad_epsilon_sign(capsys):
     ["eigenline", "--epsilon", "2,2.5,nan"],
     ["sphere", "--grid", "64", "--tol-contour", "inf"],
     ["winding", "--grid", "64", "--tol-contour", "nan"],
-    ["zset", "--tol-root", "inf"],
     ["eigenline", "--tube-radius", "nan"],
     ["eigenline", "--collar", "inf"],
 ])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavesym import sphere
 from wavesym.errors import OutOfRange
 from wavesym.multiplicity import DET_TILE, ChartSymbolField, extract_singular_set, kernel_angles_along
 from wavesym.sphere import (
@@ -457,18 +459,80 @@ def test_alpha_root_value():
 
 def test_zset_01():
     zs = z_set(0, 1)
-    assert len(zs.radii) == 2
-    assert zs.radii[0] == pytest.approx(ALPHA, abs=1e-12)
-    assert zs.radii[1] == 1.0
+    assert zs.radii == (ALPHA, 1.0)
     assert zs.includes_zero is False
     assert zs.includes_infinity is True
 
 
 def test_zset_03():
     zs = z_set(0, 3)
-    assert len(zs.radii) == 2
-    assert zs.radii[0] == 1.0
-    assert zs.radii[1] == pytest.approx(INV_ALPHA, abs=1e-11)
+    assert zs.radii == (1.0, INV_ALPHA)
+
+
+def _cubic_value(coeffs, r):
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * r + c
+    return acc
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@pytest.mark.parametrize("radius, frozen, coeffs", [
+    (sphere.ALPHA, ALPHA, (1, 1, 3, -1)),
+    (sphere.INV_ALPHA, INV_ALPHA, (1, -3, -1, -1)),
+], ids=["alpha", "inv_alpha"])
+def test_radius_constants_are_the_doubles_nearest_their_roots(radius, frozen, coeffs):
+    # one sign change: one positive root (Descartes), below which the cubic
+    # is negative, as at 0, and above which it is positive.  So the root
+    # lies strictly between the midpoints to the neighbouring doubles iff
+    # the cubic is < 0 at the lower one and > 0 at the upper one; exact in
+    # rationals
+    assert radius == frozen
+    assert _sign_changes(coeffs) == 1 and coeffs[-1] < 0
+    below = (Fraction(radius) + Fraction(math.nextafter(radius, 0.0))) / 2
+    above = (Fraction(radius) + Fraction(math.nextafter(radius, math.inf))) / 2
+    assert _cubic_value(coeffs, below) < 0 < _cubic_value(coeffs, above)
+
+
+def _zset_cofactor(m, n):
+    """(1 + r^2)^2 r^m - 4 r^n in integers, highest degree first, with its
+    factors r divided out and then r - 1 as often as it divides; returns
+    the quotient and the multiplicity of r = 1."""
+    low = [0] * 9
+    for k, c in ((0, 1), (2, 2), (4, 1)):
+        low[m + k] += c
+    low[n] -= 4
+    # no term cancels: 1 - 4 and 2 - 4 are nonzero
+    coeffs = low[min(m, n):max(m + 4, n) + 1][::-1]
+    mult = 0
+    while sum(coeffs) == 0:
+        quotient = [coeffs[0]]
+        for c in coeffs[1:-1]:
+            quotient.append(quotient[-1] + c)
+        coeffs, mult = quotient, mult + 1
+    return coeffs, mult
+
+
+def test_zset_radii_are_every_positive_root():
+    # r = 1 is simple except for the tangential n - m = 2; what remains has
+    # no sign change, so no positive root, except the two cubics of ALPHA
+    # and INV_ALPHA for n - m = 1 and 3
+    cubics = {1: ((1, 1, 3, -1), (ALPHA, 1.0)), 3: ((1, -3, -1, -1), (1.0, INV_ALPHA))}
+    for m in range(3):
+        for n in range(7):
+            rest, mult = _zset_cofactor(m, n)
+            assert mult == (2 if n - m == 2 else 1), (m, n)
+            if n - m in cubics:
+                coeffs, radii = cubics[n - m]
+                assert tuple(rest) == coeffs, (m, n)
+            else:
+                assert _sign_changes(rest) == 0, (m, n, rest)
+                radii = (1.0,)
+            assert z_set(m, n).radii == radii, (m, n)
 
 
 def test_zset_just_unit_circle_otherwise():
@@ -505,11 +569,7 @@ def test_zset_shift_rule():
     # radii depend only on n - m
     for m in range(2):
         for n in range(6):
-            a = z_set(m, n).radii
-            b = z_set(m + 1, n + 1).radii
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
-                assert x == pytest.approx(y, abs=1e-11)
+            assert z_set(m, n).radii == z_set(m + 1, n + 1).radii
 
 
 def test_radial_profile_sign_change():
