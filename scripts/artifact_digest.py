@@ -7,7 +7,9 @@ subdiv 5 with tube radius 0.3, the large eigenline and fresnel runs,
 two near-uniaxial fresnel runs, two `winding` runs at a contour
 tolerance of 1e-300 and of 1e-6, and `sphere` plus `winding --out-csv`
 for all 21 sigma_mn pairs (m 0..2, n 0..6) at grid 512, for five pairs
-at grid 2048 and for one pair at grid 1000.  Each runs in process
+at grid 2048 and for one pair at grid 1000, then the `sphere` and
+`winding` jobs again with their values read from a `--config` file,
+whose digests equal those of the flag-driven jobs.  Each runs in process
 through `wavesym.cli.main`, writes its artifacts to a temporary
 directory, and yields one line `job artifact sha256` per artifact
 (stdout counts as an artifact).  Run it on two commits and diff the
@@ -106,10 +108,21 @@ JOBS += [
                          ("winding", [("--out", "w.json"), ("--out-csv", "w.csv")]))
 ]
 
+# the sphere and winding jobs with their values in a config file instead of flags
+CONFIGS = {
+    "sphere_config": "m = 1\nn = 4\ngrid = 128\n",
+    "winding_config": "m = 0\nn = 3  # a comment\ngrid = 128\ntol-contour = 1e-10\n",
+}
+JOBS += [("sphere_config", ["sphere"], []),
+         ("winding_config", ["winding"], [("--out", "w.json"), ("--out-csv", "w.csv")])]
+
 
 def run_job(name: str, argv: list[str], outputs: list[tuple[str, str]], root: Path) -> None:
     rundir = root / name
     rundir.mkdir()
+    if name in CONFIGS:
+        (rundir / "run.cfg").write_text(CONFIGS[name])
+        argv = argv + ["--config", str(rundir / "run.cfg")]
     for flag, fname in outputs:
         argv = argv + [flag, str(rundir / fname)]
     stdout = io.StringIO()

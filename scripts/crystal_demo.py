@@ -8,8 +8,7 @@ both reports together as report.json.
 
 Usage:
     python3 scripts/crystal_demo.py [--epsilon 2.0,2.5,3.0] [--subdiv 4]
-                                    [--tube-radius 0.1] [--collar 0.5]
-                                    [--outdir demo_out]
+                                    [--tube-radius 0.1] [--outdir demo_out]
 
 A flag left out takes the CLI's default.  A failed CLI run ends the
 script with the CLI's exit code and message.
@@ -48,12 +47,10 @@ def main() -> None:
     ap.add_argument("--epsilon", help="three principal permittivities, comma separated")
     ap.add_argument("--subdiv")
     ap.add_argument("--tube-radius")
-    ap.add_argument("--collar")
     ap.add_argument("--outdir", type=Path, default=Path("demo_out"))
     ns = ap.parse_args()
     ns.outdir.mkdir(parents=True, exist_ok=True)
     crystal = flags(epsilon=ns.epsilon, subdiv=ns.subdiv)
-    gluing = flags(tube_radius=ns.tube_radius, collar=ns.collar)
 
     fresnel_obj = ns.outdir / "fresnel.obj"
     fresnel = run(["fresnel", *crystal, "--out-obj", str(fresnel_obj)])
@@ -67,7 +64,8 @@ def main() -> None:
     print(f"\nslowness sheets: min gap {fresnel['min_sheet_gap']:.6e} -> {fresnel_obj}")
 
     eigenline_obj = ns.outdir / "eigenline.obj"
-    eigenline = run(["eigenline", *crystal, *gluing, "--out-obj", str(eigenline_obj)])
+    eigenline = run(["eigenline", *crystal, *flags(tube_radius=ns.tube_radius),
+                     "--out-obj", str(eigenline_obj)])
     print(f"eigenline manifold: chi = {eigenline['chi']}, genus = {eigenline['genus']}, "
           f"{eigenline['cylinders']} cylinders -> {eigenline_obj}")
     for i, cond in enumerate(eigenline["necessary_condition"]):

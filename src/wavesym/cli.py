@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,58 +32,52 @@ _M_MMAP_THRESHOLD = -3
 MALLOC_MMAP_THRESHOLD = 1 << 20
 MALLOC_TRIM_THRESHOLD = 4 << 20
 
-# config-file keys and their parsers; flag values override these
-_FIELD_PARSERS = {
-    "m": int,
-    "n": int,
-    "epsilon": lambda s: tuple(float(t) for t in s.split(",")),
-    "grid": int,
-    "subdiv": int,
-    "samples": int,
-    "winding": int,
-    "tube_radius": float,
-    "collar": float,
-    "tol_contour": float,
-    "out": str,
-    "out_csv": str,
-    "out_obj": str,
+
+def _epsilon(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(","))
+
+
+# every option: its parser, default and help.  A flag --tube-radius and a
+# config-file key tube-radius or tube_radius set option tube_radius; both
+# arrive as text and go through its parser
+_OPTIONS = {
+    "m": (int, 0, "exponent of the linear factor v = z^m"),
+    "n": (int, 1, "exponent of the cubic factor s = z^n"),
+    "epsilon": (_epsilon, (2.0, 2.5, 3.0), "three principal permittivities a,b,c"),
+    "grid": (int, 512, "chart grid cells per axis"),
+    "subdiv": (int, 4, "icosphere subdivision level of the mesh"),
+    "samples": (int, 256, "knot samples per half turn of the base circle"),
+    "winding": (int, 3, "half-turn count m of the kernel line"),
+    "tube_radius": (float, 0.1, "angular radius of the disk removed around each conical point"),
+    "tol_contour": (float, CONTOUR_REL_TOL, "contour tolerance relative to max |det M|"),
+    "out": (str, None, "write the JSON report here instead of stdout"),
+    "out_csv": (str, None, "CSV destination: polylines (winding) or torus coordinates (knots)"),
+    "out_obj": (str, None, "OBJ destination: two objects (fresnel) or face groups (eigenline)"),
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved parameters of one CLI invocation."""
+def _parse(name: str, text: str):
+    try:
+        return _OPTIONS[name][0](text)
+    except ValueError as exc:
+        raise InputError(f"bad value for {name.replace('_', '-')}: {exc}") from exc
 
-    subcommand: str
-    m: int = 0
-    n: int = 1
-    epsilon: tuple[float, float, float] = (2.0, 2.5, 3.0)
-    grid: int = 512
-    subdiv: int = 4
-    samples: int = 256
-    winding: int = 3
-    tube_radius: float = 0.1
-    collar: float = 0.5
-    tol_contour: float = CONTOUR_REL_TOL
-    out: str | None = None
-    out_csv: str | None = None
-    out_obj: str | None = None
 
-    def validate(self) -> None:
-        _validate_mn(self.m, self.n)
-        # nan fails no comparison and inf is positive: both need isfinite
-        if len(self.epsilon) != 3 or not all(math.isfinite(e) and e > 0.0 for e in self.epsilon):
-            raise InputError("epsilon must be three finite positive comma-separated numbers")
-        for name in ("tol_contour", "tube_radius", "collar"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InputError(f"{name.replace('_', '-')} must be finite and strictly positive")
-        if self.grid < 16:
-            raise InputError("grid must be at least 16")
-        if self.subdiv < 2:
-            raise InputError("subdiv must be at least 2")
-        if self.samples < 8:
-            raise InputError("samples must be at least 8")
+def validate(cfg: argparse.Namespace) -> None:
+    _validate_mn(cfg.m, cfg.n)
+    # nan fails no comparison and inf is positive: both need isfinite
+    if len(cfg.epsilon) != 3 or not all(math.isfinite(e) and e > 0.0 for e in cfg.epsilon):
+        raise InputError("epsilon must be three finite positive comma-separated numbers")
+    for name in ("tol_contour", "tube_radius"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise InputError(f"{name.replace('_', '-')} must be finite and strictly positive")
+    if cfg.grid < 16:
+        raise InputError("grid must be at least 16")
+    if cfg.subdiv < 2:
+        raise InputError("subdiv must be at least 2")
+    if cfg.samples < 8:
+        raise InputError("samples must be at least 8")
 
 
 def read_config_file(path: str) -> dict:
@@ -102,30 +95,23 @@ def read_config_file(path: str) -> dict:
             raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FIELD_PARSERS:
+        if key not in _OPTIONS:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](val.strip())
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            values[key] = _parse(key, val.strip())
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    config_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in _FIELD_PARSERS:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Each option from its flag, else the config file, else its default."""
+    values = read_config_file(args.config) if args.config else {}
+    cfg = argparse.Namespace()
+    for name, (_, default, _) in _OPTIONS.items():
         flag = getattr(args, name, None)
-        if flag is not None:
-            if isinstance(flag, str) and name == "epsilon":
-                try:
-                    flag = _FIELD_PARSERS[name](flag)
-                except ValueError as exc:
-                    raise InputError(f"bad value for epsilon: {exc}") from exc
-            setattr(cfg, name, flag)
-        elif name in config_values:
-            setattr(cfg, name, config_values[name])
-    cfg.validate()
+        setattr(cfg, name, _parse(name, flag) if flag is not None else values.get(name, default))
+    validate(cfg)
     return cfg
 
 
@@ -137,7 +123,7 @@ def _write_or_print(text: str, path: str | None) -> None:
         Path(path).write_bytes(text.encode("ascii"))
 
 
-def _cmd_zset(cfg: RunConfig) -> None:
+def _cmd_zset(cfg: argparse.Namespace) -> None:
     zs = z_set(cfg.m, cfg.n)
     report = {
         "m": cfg.m,
@@ -149,12 +135,12 @@ def _cmd_zset(cfg: RunConfig) -> None:
     _write_or_print(canonical_json(report), cfg.out)
 
 
-def _cmd_sphere(cfg: RunConfig) -> None:
+def _cmd_sphere(cfg: argparse.Namespace) -> None:
     report = analyze_mn(cfg.m, cfg.n, grid=cfg.grid, tol_contour=cfg.tol_contour)
     _write_or_print(canonical_json(report), cfg.out)
 
 
-def _cmd_winding(cfg: RunConfig) -> None:
+def _cmd_winding(cfg: argparse.Namespace) -> None:
     *_, rows = trace_sigma_mn(cfg.m, cfg.n, grid=cfg.grid, tol_contour=cfg.tol_contour)
     entries = [
         {"length": row.curve.length, "min_grad": row.cert.min_gradient, "grad_floor": row.cert.floor,
@@ -167,7 +153,7 @@ def _cmd_winding(cfg: RunConfig) -> None:
         polylines_csv(components, cfg.out_csv)
 
 
-def _cmd_fresnel(cfg: RunConfig) -> None:
+def _cmd_fresnel(cfg: argparse.Namespace) -> None:
     crystal = Crystal(eps=cfg.epsilon)
     axes = singular_directions(crystal)
     inner, outer, gap = fresnel_mesh(crystal, subdivisions=cfg.subdiv)
@@ -176,50 +162,43 @@ def _cmd_fresnel(cfg: RunConfig) -> None:
         obj_objects([("fresnel_inner", inner), ("fresnel_outer", outer)], cfg.out_obj)
 
 
-def _cmd_eigenline(cfg: RunConfig) -> None:
+def _cmd_eigenline(cfg: argparse.Namespace) -> None:
     crystal = Crystal(eps=cfg.epsilon)
     section = lambda pts: compressed_grid(crystal, pts)
     axes = singular_directions(crystal)
     points = np.array([a.x for a in axes])
-    man = build_eigenline_manifold(section, points, tube_radius=cfg.tube_radius,
-                                   collar=cfg.collar, subdivisions=cfg.subdiv)
+    man = build_eigenline_manifold(section, points, tube_radius=cfg.tube_radius, subdivisions=cfg.subdiv)
     report = eigenline_report(man, crystal)
     _write_or_print(canonical_json(report), cfg.out)
     if cfg.out_obj is not None:
         obj_face_groups(man.mesh, man.face_groups, cfg.out_obj)
 
 
-def _cmd_knots(cfg: RunConfig) -> None:
+def _cmd_knots(cfg: argparse.Namespace) -> None:
     kt = knot_type(cfg.winding)
+    # sampled first: samples above the byte cap are refused before any output
+    rows = knot_polyline(cfg.winding, samples=cfg.samples) if cfg.out_csv is not None else None
     report = {
         "winding": cfg.winding,
         "knot": list(kt.pair),
         "connected": kt.connected,
     }
     _write_or_print(canonical_json(report), cfg.out)
-    if cfg.out_csv is not None:
-        float_rows_csv("component_id,base_angle,fiber_angle",
-                       knot_polyline(cfg.winding, samples=cfg.samples), cfg.out_csv)
+    if rows is not None:
+        float_rows_csv("component_id,base_angle,fiber_angle", rows, cfg.out_csv)
 
 
-_DISPATCH = {
-    "zset": _cmd_zset,
-    "sphere": _cmd_sphere,
-    "winding": _cmd_winding,
-    "fresnel": _cmd_fresnel,
-    "eigenline": _cmd_eigenline,
-    "knots": _cmd_knots,
+# every subcommand: its handler, help and options
+_SUBCOMMANDS = {
+    "zset": (_cmd_zset, "singular radii of the sigma_mn family", ("m", "n", "out")),
+    "sphere": (_cmd_sphere, "full multiplicity report for sigma_mn", ("m", "n", "grid", "tol_contour", "out")),
+    "winding": (_cmd_winding, "kernel-line winding along extracted contours",
+                ("m", "n", "grid", "tol_contour", "out", "out_csv")),
+    "fresnel": (_cmd_fresnel, "Fresnel surface and optic axes of a crystal", ("epsilon", "subdiv", "out", "out_obj")),
+    "eigenline": (_cmd_eigenline, "glued eigenline manifold of a crystal",
+                  ("epsilon", "subdiv", "tube_radius", "out", "out_obj")),
+    "knots": (_cmd_knots, "(2, m) torus knot data for a winding number", ("winding", "samples", "out", "out_csv")),
 }
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags take precedence")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-
-def _add_mn(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, help="exponent of the linear factor v = z^m")
-    p.add_argument("--n", type=int, help="exponent of the cubic factor s = z^n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,43 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="hyperbolic symbol analysis: multiplicity circles, "
                     "Fresnel surfaces, eigenline manifolds")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("zset", help="singular radii of the sigma_mn family")
-    _add_mn(p)
-    _add_common(p)
-
-    p = sub.add_parser("sphere", help="full multiplicity report for sigma_mn")
-    _add_mn(p)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--tol-contour", dest="tol_contour", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("winding", help="kernel-line winding along extracted contours")
-    _add_mn(p)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--tol-contour", dest="tol_contour", type=float)
-    p.add_argument("--out-csv", dest="out_csv", help="polyline CSV destination")
-    _add_common(p)
-
-    p = sub.add_parser("fresnel", help="Fresnel surface and optic axes of a crystal")
-    p.add_argument("--epsilon", help="three principal permittivities a,b,c")
-    p.add_argument("--subdiv", type=int)
-    p.add_argument("--out-obj", dest="out_obj", help="two-object OBJ destination")
-    _add_common(p)
-
-    p = sub.add_parser("eigenline", help="glued eigenline manifold of a crystal")
-    p.add_argument("--epsilon", help="three principal permittivities a,b,c")
-    p.add_argument("--subdiv", type=int)
-    p.add_argument("--tube-radius", dest="tube_radius", type=float)
-    p.add_argument("--collar", type=float)
-    p.add_argument("--out-obj", dest="out_obj", help="grouped OBJ destination")
-    _add_common(p)
-
-    p = sub.add_parser("knots", help="(2, m) torus knot data for a winding number")
-    p.add_argument("--winding", type=int, help="half-turn count m of the kernel line")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--out-csv", dest="out_csv", help="torus-coordinate CSV destination")
-    _add_common(p)
+    for command, (_, help_text, names) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_OPTIONS[name][2])
+        p.add_argument("--config", help="flat key=value config file; flags take precedence")
     return parser
 
 
@@ -316,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = _resolve(args)
-        _DISPATCH[cfg.subcommand](cfg)
+        _SUBCOMMANDS[args.subcommand][0](cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,6 +48,8 @@ from .sym2 import eigenvalues_grid
 SHEET1_RADIUS = 0.95
 SHEET2_RADIUS = 1.05
 LIFT_TOTAL_TOL = 0.15
+# depth of each cylinder's core ring, as a fraction of the tube radius
+CORE_COLLAR = 0.5
 # faces per block of the critical scan: the corner values of a block take
 # 768 KiB, below the 1 MiB from which malloc maps every block afresh (see
 # cli.MALLOC_MMAP_THRESHOLD) and the kernel faults in each of its pages
@@ -78,7 +80,6 @@ class EigenlineManifold:
     cylinders: list[CylinderRecord]
     face_groups: list[tuple[str, int, int]]
     tube_radius: float
-    collar: float
     subdivisions: int
     topology: MeshTopology
 
@@ -92,8 +93,7 @@ class EigenlineManifold:
 
 
 def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
-                             tube_radius: float = 0.1, collar: float = 0.5,
-                             subdivisions: int = 4) -> EigenlineManifold:
+                             tube_radius: float = 0.1, subdivisions: int = 4) -> EigenlineManifold:
     """Glue the two eigenvalue sheets of a section through its conical points.
 
     section_fn maps (N, 3) unit directions to component arrays (t, p, q)
@@ -101,7 +101,9 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
     (k, 3) array of directions where the section vanishes; a disk of
     angular radius tube_radius (but never less than one vertex) is
     removed around each and replaced by a cylinder through the
-    projectivized eigenspace.  k = 0 yields the disjoint sheet pair.
+    projectivized eigenspace, its core ring at the angle
+    CORE_COLLAR * tube_radius from the point.  k = 0 yields the disjoint
+    sheet pair.
 
     The topology comes from the gluing's counts, with no pass over the
     glued mesh.  Let K be the kept faces of the sphere: n_kept vertices,
@@ -122,8 +124,6 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
     component's two sheet copies: the glued mesh has c components.  For
     k = 0 it has two, the sheets.
     """
-    if not (0.0 < collar < 1.0):
-        raise InputError("collar must sit strictly between 0 and 1")
     if not (0.0 < tube_radius <= 0.5):
         raise InputError("tube_radius must lie in (0, 0.5]")
     pts = np.asarray(multiplicity_points, dtype=float).reshape(-1, 3)
@@ -243,7 +243,7 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
 
         t1, t2 = tangent_frames(p)
         psi = 2.0 * lift
-        rc = tube_radius * collar
+        rc = tube_radius * CORE_COLLAR
         core_ids = np.arange(next_vert, next_vert + L)
         verts[core_ids] = (
             math.cos(rc) * p[None, :]
@@ -277,7 +277,6 @@ def build_eigenline_manifold(section_fn, multiplicity_points: np.ndarray,
         cylinders=cylinders,
         face_groups=face_groups,
         tube_radius=tube_radius,
-        collar=collar,
         subdivisions=subdivisions,
         topology=topology,
     )
@@ -377,7 +376,7 @@ def eigenline_report(man: EigenlineManifold, crystal) -> dict:
         "vertices": man.mesh.n_vertices,
         "faces": man.mesh.n_faces,
         "tube_radius": man.tube_radius,
-        "collar": man.collar,
+        "collar": CORE_COLLAR,
         "subdivisions": man.subdivisions,
         "census": {
             k: crit[k]

@@ -27,7 +27,7 @@ from .errors import (
     RankZero,
 )
 from .serialize import float_rows_csv
-from .spheremesh import successor_walks, tangent_frames, transport_pq
+from .spheremesh import BYTE_CAP, successor_walks, tangent_frames, transport_pq
 from .sym2 import kernel_angle
 
 CONTOUR_REL_TOL = 1e-10
@@ -59,7 +59,10 @@ _CALL_NODE_BYTES = 112
 _TILE_BYTES = 48
 _CROSSED_CELL_BYTES = 1024
 # largest working set a ChartSymbolField accepts: square grids up to 36656
-DET_GRID_BYTE_CAP = 2**30
+DET_GRID_BYTE_CAP = BYTE_CAP
+# bytes knot_polyline holds per sample, measured with tracemalloc: 80 B for
+# odd windings (2 * samples points), 48 B for even ones
+_SAMPLE_BYTES = 80
 # points on the local_degree circle
 LOCAL_DEGREE_SAMPLES = 180
 
@@ -509,6 +512,9 @@ def knot_polyline(m: int, samples: int = 256) -> list[np.ndarray]:
     """
     if samples < 8:
         raise InputError("samples must be at least 8")
+    if samples * _SAMPLE_BYTES > BYTE_CAP:
+        raise InputError(f"{samples:,} samples may need {samples * _SAMPLE_BYTES:,} bytes, "
+                         f"above the {BYTE_CAP:,}-byte cap")
     if m % 2 != 0:
         t = np.linspace(0.0, 4.0 * math.pi, 2 * samples, endpoint=False)
         return [np.column_stack([np.mod(t, 2.0 * math.pi), np.mod(0.5 * m * t, 2.0 * math.pi)])]

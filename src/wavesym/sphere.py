@@ -31,9 +31,8 @@ of 256 KiB or more into an in-place ufunc, and for a commutative ufunc
 it swaps the operands to do so when the temporary is on the right.  Its
 SIMD complex multiply fuses one product into the sum of the imaginary
 part, so a*b and b*a can differ in the last bit.  A product of two
-complex arrays is therefore never written with a temporary on its
-right: it runs as s * f, in place only on arrays the kernel allocated
-itself.
+complex arrays therefore runs as s * f of named arrays: never a
+temporary on the right, never in place.
 """
 
 from __future__ import annotations
@@ -131,31 +130,23 @@ class SphereSymbol:
         """Representative (u, w) arrays at complex chart coordinates Z.
 
         Each distinct factor is evaluated once and constant 1 factors are
-        skipped.  s is multiplied left to right as s * f, in place only once
-        it is an array allocated here (see the module docstring).
+        skipped.  s is multiplied left to right as s * f, out of place (see
+        the module docstring).
         """
         lam = 2.0 / (1.0 + (Z.real**2 + Z.imag**2))
         u = lam * self.v.evaluate(Z)
         values = {}
-        s, owned = None, False
+        s = None
         for f in self.factors:
             if f == _ONE:
                 continue
             if f not in values:
                 values[f] = f.evaluate(Z)
-            if s is None:
-                s = values[f]
-            elif owned:
-                s *= values[f]
-            else:
-                s, owned = s * values[f], True
+            s = values[f] if s is None else s * values[f]
         lam3 = lam * lam * lam
         if s is None:
             return u, lam3.astype(complex)
-        if not owned:
-            return u, s * lam3
-        s *= lam3
-        return u, s
+        return u, s * lam3
 
     def abs2_grid(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(|u|^2, |w|^2) at the chart points X + i Y (arrays that broadcast),

@@ -17,7 +17,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotClosed, NotConnected, TransportFailure, WavesymError
+from .errors import InputError, NotClosed, NotConnected, TransportFailure, WavesymError
+
+# largest working set that a command may allocate (multiplicity.DET_GRID_BYTE_CAP
+# for the det grid): icospheres up to subdivision 9
+BYTE_CAP = 2**30
+# bytes held per face of an icosphere's finest level, measured with
+# tracemalloc at subdivisions 6 to 8: 57-58 B in icosphere itself, 92 B in
+# the fresnel command and 198 B in the eigenline command with its OBJ
+_FACE_BYTES = 200
 
 
 @dataclass
@@ -282,9 +290,15 @@ def icosphere(subdivisions: int = 0) -> SurfaceMesh:
     half-edge 3 i + c runs from corner c of face i to corner c + 1, and
     twin[h] is the other half-edge of its edge, so an edge's first
     half-edge is the one below its twin.  The finest level needs none.
+    A level whose faces could need more than BYTE_CAP is refused with
+    InputError before anything is allocated.
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
+    # the clamped exponent prices an absurd level without computing 4^level
+    if 20 * 4 ** min(subdivisions, 32) * _FACE_BYTES > BYTE_CAP:
+        raise InputError(f"subdivision {subdivisions} may need {_FACE_BYTES} bytes for each of its "
+                         f"20 * 4^{subdivisions} faces, above the {BYTE_CAP:,}-byte cap")
     corners, faces = _icosahedron()
     verts = np.empty((10 * 4**subdivisions + 2, 3))
     n = len(corners)

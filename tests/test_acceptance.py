@@ -211,7 +211,7 @@ def test_criterion_08_genus_three_stability():
     for subdiv in (4, 5):
         for rho in (0.05, 0.1, 0.2):
             man = build_eigenline_manifold(section, points, tube_radius=rho,
-                                           collar=0.5, subdivisions=subdiv)
+                                           subdivisions=subdiv)
             assert man.chi == -4, (subdiv, rho)
             assert man.genus == 3, (subdiv, rho)
     budget.check()

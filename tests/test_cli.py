@@ -224,6 +224,7 @@ class RecordingFile:
         return self.f.__exit__(*exc)
 
 
+# fixed ids, so that dropping a case renames no other
 @pytest.mark.parametrize("argv, outputs", [
     (["zset", "--m", "0", "--n", "1"], ["--out"]),
     (["sphere", "--m", "1", "--n", "4", "--grid", "64"], ["--out"]),
@@ -231,7 +232,8 @@ class RecordingFile:
     (["fresnel", "--subdiv", "2"], ["--out", "--out-obj"]),
     (["eigenline", "--subdiv", "3"], ["--out", "--out-obj"]),
     (["knots", "--winding", "3", "--samples", "16"], ["--out", "--out-csv"]),
-])
+], ids=["argv0-outputs0", "argv1-outputs1", "argv2-outputs2", "argv3-outputs3", "argv4-outputs4",
+        "argv5-outputs5"])
 def test_artifacts_are_serializer_text_as_ascii(tmp_path, monkeypatch, argv, outputs):
     """Every artifact file holds exactly the bytes a serializer made: the
     ASCII encoding of the text canonical_json returned, or the bytes an
@@ -313,6 +315,29 @@ def test_config_missing_file(capsys):
     assert "cannot read config file" in err
 
 
+def test_flag_and_config_values_share_one_parser(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("grid = 6x4\n")
+    code, _, err = run(capsys, "sphere", "--config", str(cfgfile))
+    assert code == 2
+    assert err.startswith("error: ") and "run.cfg:1: bad value for grid" in err
+    code, _, err = run(capsys, "sphere", "--grid", "6x4")
+    assert code == 2
+    assert err.startswith("error: bad value for grid")
+
+
+def test_collar_is_no_option(tmp_path, capsys):
+    # the core ring sits at the fixed eigenline.CORE_COLLAR; the report keeps it
+    code, _, err = run(capsys, "eigenline", "--subdiv", "2", "--collar", "0.5")
+    assert code == 2 and "unrecognized arguments: --collar" in err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("collar = 0.5\n")
+    code, _, err = run(capsys, "eigenline", "--config", str(cfgfile))
+    assert code == 2 and "unknown key 'collar'" in err
+    code, out, _ = run(capsys, "eigenline", "--subdiv", "2")
+    assert code == 0 and json.loads(out)["collar"] == 0.5
+
+
 def test_config_bad_line(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("grid 64\n")
@@ -340,6 +365,7 @@ def test_bad_epsilon_sign(capsys):
     assert code == 2
 
 
+# fixed ids, so that dropping a case renames no other
 @pytest.mark.parametrize("argv", [
     ["fresnel", "--epsilon", "2,x,3"],
     ["fresnel", "--epsilon", "2,inf,3"],
@@ -347,8 +373,7 @@ def test_bad_epsilon_sign(capsys):
     ["sphere", "--grid", "64", "--tol-contour", "inf"],
     ["winding", "--grid", "64", "--tol-contour", "nan"],
     ["eigenline", "--tube-radius", "nan"],
-    ["eigenline", "--collar", "inf"],
-])
+], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5"])
 def test_non_finite_or_unparsable_float_exit_2_without_artifacts(tmp_path, capsys, argv):
     out, obj = tmp_path / "r.json", tmp_path / "r.obj"
     outputs = ["--out", str(out)] + (["--out-obj", str(obj)] if argv[0] in ("fresnel", "eigenline") else [])
@@ -433,6 +458,20 @@ def test_grid_above_byte_cap_exit_2_without_artifacts(tmp_path, capsys, subcomma
     assert not out.exists() and not csv.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fresnel", "--subdiv", "25", "--out-obj"],
+    ["eigenline", "--subdiv", "25", "--out-obj"],
+    ["knots", "--samples", "1000000000000000", "--out-csv"],
+], ids=["fresnel", "eigenline", "knots"])
+def test_sizes_above_byte_cap_exit_2_without_artifacts(tmp_path, capsys, argv):
+    # refused before the mesh or the samples are allocated
+    out, data = tmp_path / "r.json", tmp_path / "r.data"
+    code, stdout, err = run(capsys, *argv, str(data), "--out", str(out))
+    assert code == 2
+    assert stdout == "" and err.startswith("error: ") and "byte cap" in err and "Traceback" not in err
+    assert not out.exists() and not data.exists()
+
+
 def test_n_out_of_range(capsys):
     code, _, err = run(capsys, "sphere", "--m", "0", "--n", "7")
     assert code == 2
@@ -469,7 +508,7 @@ def test_computation_error_maps_to_exit_3(capsys, monkeypatch):
     def raiser(cfg):
         raise GluingMismatch("seam did not close")
 
-    monkeypatch.setitem(cli._DISPATCH, "eigenline", raiser)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "eigenline", (raiser, *cli._SUBCOMMANDS["eigenline"][1:]))
     code, _, err = run(capsys, "eigenline", "--subdiv", "3")
     assert code == 3
     assert "seam did not close" in err

@@ -40,11 +40,10 @@ def crystal_axes(crystal):
     return np.array([a.x for a in singular_directions(crystal)])
 
 
-def build_crystal_manifold(crystal=BIAXIAL, tube_radius=0.1, collar=0.5,
-                           subdivisions=4):
+def build_crystal_manifold(crystal=BIAXIAL, tube_radius=0.1, subdivisions=4):
     return build_eigenline_manifold(
         crystal_section(crystal), crystal_axes(crystal),
-        tube_radius=tube_radius, collar=collar, subdivisions=subdivisions)
+        tube_radius=tube_radius, subdivisions=subdivisions)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +71,7 @@ def test_two_conical_points_give_torus():
     axes = crystal_axes(BIAXIAL)
     pair = np.array([axes[0], -axes[0]])
     m = build_eigenline_manifold(crystal_section(BIAXIAL), pair,
-                                 tube_radius=0.1, collar=0.5, subdivisions=4)
+                                 tube_radius=0.1, subdivisions=4)
     assert m.chi == 0
     assert m.genus == 1
     assert len(m.cylinders) == 2
@@ -80,7 +79,7 @@ def test_two_conical_points_give_torus():
 
 def test_no_points_give_disjoint_spheres():
     m = build_eigenline_manifold(crystal_section(BIAXIAL), np.zeros((0, 3)),
-                                 tube_radius=0.1, collar=0.5, subdivisions=3)
+                                 tube_radius=0.1, subdivisions=3)
     assert m.chi == 4
     assert connected_components(m.mesh) == 2
     with pytest.raises(NotConnected):
@@ -142,7 +141,7 @@ def test_lambda_is_lower_upper_and_double_eigenvalue(man):
 def test_isotropic_eigenvalue_constant():
     iso = Crystal(eps=(1.0, 1.0, 1.0))
     m = build_eigenline_manifold(crystal_section(iso), np.zeros((0, 3)),
-                                 tube_radius=0.1, collar=0.5, subdivisions=3)
+                                 tube_radius=0.1, subdivisions=3)
     assert float(np.abs(m.lambda_s - 1.0).max()) <= 1e-14
 
 
@@ -150,7 +149,7 @@ def test_core_rings_sit_at_collar_depth(man):
     for cyl in man.cylinders:
         core = man.mesh.vertices[cyl.core]
         ang = np.arccos(np.clip(core @ cyl.point, -1.0, 1.0))
-        rc = man.tube_radius * man.collar
+        rc = man.tube_radius * eigenline.CORE_COLLAR
         assert float(np.abs(ang - rc).max()) <= 1e-12
 
 
@@ -238,7 +237,7 @@ def test_sheet_extrema_frozen_values():
     # eps^{-1}: lam1 in [1/4, 1/3], lam2 in [1/3, 1/2] for eps = (2,3,4)
     c = Crystal(eps=(2.0, 3.0, 4.0))
     m = build_eigenline_manifold(crystal_section(c), crystal_axes(c),
-                                 tube_radius=0.1, collar=0.5, subdivisions=4)
+                                 tube_radius=0.1, subdivisions=4)
     ex = eigenline_report(m, c)["sheet_extrema"]
     assert ex == {"sheet1": {"min": 0.25, "max": 1.0 / 3.0},
                   "sheet2": {"min": 1.0 / 3.0, "max": 0.5}}
@@ -290,8 +289,6 @@ def test_close_points_rejected():
 def test_parameter_validation():
     sec = crystal_section(BIAXIAL)
     with pytest.raises(InputError):
-        build_eigenline_manifold(sec, np.zeros((0, 3)), collar=1.5)
-    with pytest.raises(InputError):
         build_eigenline_manifold(sec, np.zeros((0, 3)), tube_radius=0.0)
     with pytest.raises(InputError):
         build_eigenline_manifold(sec, np.zeros((0, 3)), tube_radius=math.nan)
@@ -305,7 +302,7 @@ def test_nondegenerate_point_fails_gluing():
     sec = crystal_section(BIAXIAL)
     with pytest.raises(GluingMismatch):
         build_eigenline_manifold(sec, np.array([[0.0, 0.0, 1.0]]),
-                                 tube_radius=0.1, collar=0.5, subdivisions=4)
+                                 tube_radius=0.1, subdivisions=4)
 
 
 # axes 0.30 rad apart, more than 3 tube radii, whose tube disks merge at subdiv 4
@@ -352,7 +349,7 @@ def test_topology_from_gluing_counts_equals_edge_table_pass(eps, subdivisions, t
         axes = crystal_axes(crystal)
         points = {0: axes[:0], 2: np.array([axes[0], -axes[0]]), 4: axes}[k]
         man = build_eigenline_manifold(crystal_section(crystal), points, tube_radius=tube_radius,
-                                       collar=0.5, subdivisions=subdivisions)
+                                       subdivisions=subdivisions)
     except InputError:
         return
     except GluingMismatch as exc:

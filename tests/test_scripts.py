@@ -51,3 +51,14 @@ def test_artifact_digest_runs_only_the_named_jobs(tmp_path):
     # in the order of the job list, one line per artifact
     assert [line.split()[:2] for line in proc.stdout.splitlines()] == [
         ["zset", "stdout"], ["knots", "stdout"], ["knots", "k.json"], ["knots", "k.csv"]]
+
+
+def test_artifact_digest_config_jobs_equal_their_flag_twins(tmp_path):
+    jobs = ["sphere", "winding", "sphere_config", "winding_config"]
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digest.py"), *(f"--job={j}" for j in jobs)],
+                          capture_output=True, text=True, cwd=tmp_path, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    for job in ("sphere", "winding"):
+        flagged = [row[1:] for row in rows if row[0] == job]
+        assert flagged and [row[1:] for row in rows if row[0] == f"{job}_config"] == flagged

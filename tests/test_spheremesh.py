@@ -66,7 +66,7 @@ def _glued(k):
     axes = np.array([a.x for a in singular_directions(BIAXIAL)])
     points = {0: np.zeros((0, 3)), 2: np.array([axes[0], -axes[0]]), 4: axes}[k]
     return build_eigenline_manifold(lambda pts: compressed_grid(BIAXIAL, pts), points,
-                                    tube_radius=0.1, collar=0.5, subdivisions=3)
+                                    tube_radius=0.1, subdivisions=3)
 
 
 def _field_manifold(mesh, seed):
@@ -77,7 +77,7 @@ def _field_manifold(mesh, seed):
         values = np.random.default_rng(seed).standard_normal(mesh.n_vertices)
     return EigenlineManifold(
         mesh=mesh, lambda_s=values, cylinders=[], face_groups=[],
-        tube_radius=0.1, collar=0.5, subdivisions=0, topology=mesh_topology(mesh))
+        tube_radius=0.1, subdivisions=0, topology=mesh_topology(mesh))
 
 
 MESHES = {
