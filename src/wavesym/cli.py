@@ -64,20 +64,20 @@ def _parse(name: str, text: str):
 
 
 def validate(cfg: argparse.Namespace) -> None:
-    _validate_mn(cfg.m, cfg.n)
+    """Check the options cfg holds: those of one subcommand."""
+    given = vars(cfg)
+    if "m" in given:
+        _validate_mn(cfg.m, cfg.n)
     # nan fails no comparison and inf is positive: both need isfinite
-    if len(cfg.epsilon) != 3 or not all(math.isfinite(e) and e > 0.0 for e in cfg.epsilon):
+    if "epsilon" in given and (len(cfg.epsilon) != 3
+                               or not all(math.isfinite(e) and e > 0.0 for e in cfg.epsilon)):
         raise InputError("epsilon must be three finite positive comma-separated numbers")
     for name in ("tol_contour", "tube_radius"):
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and value > 0.0):
+        if name in given and not (math.isfinite(given[name]) and given[name] > 0.0):
             raise InputError(f"{name.replace('_', '-')} must be finite and strictly positive")
-    if cfg.grid < 16:
-        raise InputError("grid must be at least 16")
-    if cfg.subdiv < 2:
-        raise InputError("subdiv must be at least 2")
-    if cfg.samples < 8:
-        raise InputError("samples must be at least 8")
+    for name, least in (("grid", 16), ("subdiv", 2), ("samples", 8)):
+        if name in given and given[name] < least:
+            raise InputError(f"{name} must be at least {least}")
 
 
 def read_config_file(path: str) -> dict:
@@ -105,12 +105,12 @@ def read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Each option from its flag, else the config file, else its default."""
+    """Each option of the subcommand from its flag, else the config file, else its default."""
     values = read_config_file(args.config) if args.config else {}
     cfg = argparse.Namespace()
-    for name, (_, default, _) in _OPTIONS.items():
-        flag = getattr(args, name, None)
-        setattr(cfg, name, _parse(name, flag) if flag is not None else values.get(name, default))
+    for name in _SUBCOMMANDS[args.subcommand][2]:
+        flag = getattr(args, name)
+        setattr(cfg, name, _parse(name, flag) if flag is not None else values.get(name, _OPTIONS[name][1]))
     validate(cfg)
     return cfg
 

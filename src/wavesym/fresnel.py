@@ -9,8 +9,9 @@ Fresnel surface.  For a biaxial crystal the sheets touch at four conical
 directions, the optic axes: the transversal zeros of the traceless part
 (p, q) of A.  Its Jacobian there has det J = |x^T eps^{-1} (t1 + i t2)|^2
 > 0, so each axis has index +1 and the four add up to 4, the Euler
-number of the traceless operator bundle; singular_directions finds them
-by Newton's method on that Jacobian.
+number of the traceless operator bundle.  For the diagonal eps here the
+axes have a closed form; singular_directions takes them from it and
+certifies each one's residual and det J.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError, NotBiaxial
-from .spheremesh import SurfaceMesh, icosphere, tangent_frames, unit_rows
+from .spheremesh import SurfaceMesh, icosphere, tangent_frames
 from .sym2 import eigenvalues_grid
 # perfbench/tracing.py wraps these two at their fresnel names
 from .multiplicity import local_degree  # noqa: F401
@@ -30,16 +31,6 @@ from .spheremesh import refine_on_sphere  # noqa: F401
 
 AXIS_RESIDUAL_TOL = 1e-10
 AXIS_MERGE_ANGLE = 1e-3
-# icosphere level whose vertices seed the axis search, whatever mesh a
-# command builds, so every command reports the same axes.  Level 1 sends
-# at least 6 of its 42 seeds to every axis at gap ratios 1e-6 to 0.5;
-# level 0 sends only one antipodal pair of its 12 to one axis pair
-AXIS_SEARCH_SUBDIV = 1
-# Newton on the sphere: longest tangent step, the step at or below which
-# a row has converged, and the steps a row may take
-NEWTON_MAX_STEP = 0.2
-NEWTON_STEP_TOL = 1e-12
-NEWTON_MAX_STEPS = 60
 # smallest gap between principal permittivities, relative to the largest,
 # that is_biaxial counts as distinct
 BIAXIAL_REL_TOL = 1e-12
@@ -146,50 +137,37 @@ class SingularDirection:
 
 
 def singular_directions(crystal: Crystal) -> list[SingularDirection]:
-    """Locate the optic axes by Newton's method and certify their indices.
+    """The four optic axes in closed form, with their indices certified.
 
-    Every vertex of the AXIS_SEARCH_SUBDIV icosphere seeds one row.  A
-    step moves x by d1 t1 + d2 t2 with d1 + i d2 = z / beta (see
-    traceless_slope), cut to NEWTON_MAX_STEP, and renormalizes.  A row
-    stops where beta = 0 (x an eigenvector of eps^{-1}, such as the
-    icosphere poles e3), and has converged once its step is at most
-    NEWTON_STEP_TOL; converged rows within AXIS_MERGE_ANGLE of an earlier
-    one are the same axis.  The search ends at the fourth axis or after
-    NEWTON_MAX_STEPS steps.
+    With a_lo < a_mid < a_hi the principal values of eps^{-1}, the axes
+    are +-s e_hi +- c e_lo, s^2 = (a_hi - a_mid) / (a_hi - a_lo) and
+    c^2 = (a_mid - a_lo) / (a_hi - a_lo) (Berry & Jeffrey, Prog. Opt. 50,
+    2007), both squares taken from differences so that neither cancels
+    near a uniaxial crystal; the e_mid component is exactly 0.0.
 
-    Each axis reports index sign det J = +1 and the cone slope
-    2 sqrt(det J): the sheet split lambda_2 - lambda_1 = 2 |z| grows as
-    2 |beta| r at angle r from the axis, in every direction.
-    Raises NotBiaxial when the search does not end with four axes, and
-    ComputationError when an axis has det J at or below det_j_floor.
+    Each axis reports its residual |(p, q)| from compressed_grid, index
+    sign det J = +1 and the cone slope 2 sqrt(det J): the sheet split
+    lambda_2 - lambda_1 = 2 |z| grows as 2 |beta| r at angle r from the
+    axis, in every direction.
+    Raises NotBiaxial when the crystal is not biaxial or two axes lie
+    closer than AXIS_MERGE_ANGLE, and ComputationError when an axis has
+    a residual above AXIS_RESIDUAL_TOL or det J at or below det_j_floor.
     """
     if not crystal.is_biaxial():
-        raise NotBiaxial("optic axis search requires a biaxial crystal")
-    x = icosphere(AXIS_SEARCH_SUBDIV).vertices
-    active = np.ones(len(x), dtype=bool)
-    found: list[np.ndarray] = []
-    cos_merge = math.cos(AXIS_MERGE_ANGLE)
-    for _ in range(NEWTON_MAX_STEPS):
-        rows = np.flatnonzero(active)
-        t1, t2, z, beta = traceless_slope(crystal, x[rows])
-        regular = beta != 0.0
-        step = np.zeros_like(z)
-        step[regular] = z[regular] / beta[regular]
-        length = np.abs(step)
-        step[length > NEWTON_MAX_STEP] *= NEWTON_MAX_STEP / length[length > NEWTON_MAX_STEP]
-        x[rows] = unit_rows(x[rows] + step.real[:, None] * t1 + step.imag[:, None] * t2)
-        converged = regular & (length <= NEWTON_STEP_TOL)
-        active[rows[converged | ~regular]] = False
-        for d in x[rows[converged]]:
-            if all(float(d @ y) < cos_merge for y in found):
-                found.append(d)
-        if len(found) == 4 or not active.any():
-            break
-    if len(found) != 4:
-        raise NotBiaxial(f"axis search found {len(found)} conical directions, not 4; "
+        raise NotBiaxial("optic axes require a biaxial crystal")
+    a = np.diagonal(crystal.inv_eps)
+    lo, mid, hi = np.argsort(a).tolist()
+    spread = a[hi] - a[lo]
+    s = math.sqrt((a[hi] - a[mid]) / spread)
+    c = math.sqrt((a[mid] - a[lo]) / spread)
+    separation = 2.0 * math.asin(min(s, c))
+    if separation < AXIS_MERGE_ANGLE:
+        raise NotBiaxial(f"conical directions {separation:.3g} rad apart; "
                          f"axes closer than {AXIS_MERGE_ANGLE} rad cannot be resolved")
-    found.sort(key=lambda d: (round(d[0], 9), round(d[1], 9), round(d[2], 9)))
-    axes = np.array(found)
+    axes = np.zeros((4, 3))
+    axes[:, hi] = [s, s, -s, -s]
+    axes[:, lo] = [c, -c, c, -c]
+    axes = np.array(sorted(axes, key=lambda d: (round(d[0], 9), round(d[1], 9), round(d[2], 9))))
     _, p, q = compressed_grid(crystal, axes)
     beta = traceless_slope(crystal, axes)[3]
     det_j = beta.real * beta.real + beta.imag * beta.imag

@@ -270,11 +270,12 @@ def _float_cells(v: np.ndarray, groups: np.ndarray, table: np.ndarray, frames: n
     cells = frames.take(2 * k + 8 + (v < 0), axis=0)
     cells |= text
     cells |= moved[1:].reshape(n, width)            # d0..dk one byte left
-    if special.any():
-        zero = a == 0.0
-        cells[zero, -24:] = _ZERO_CELL
-        rare = special & ~zero
-        if rare.any():
+    rows = np.flatnonzero(special)
+    if len(rows):
+        zero = a[rows] == 0.0
+        cells[rows[zero], -24:] = _ZERO_CELL
+        rare = rows[~zero]
+        if len(rare):
             texts = "".join([_g17(x).ljust(24, "\0") for x in v[rare].tolist()])
             cells[rare, -24:] = np.frombuffer(texts.encode("ascii"), np.uint8).reshape(-1, 24)
     return cells

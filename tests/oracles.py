@@ -26,7 +26,8 @@ is the edge table that the twin-table subdivision replaced, the sorted
 kept boundary is the one that the gluing's rim, read from the removed
 faces, is checked against, and the
 central difference of the half trace is the one that the closed-form
-|d s_r| replaced.
+|d s_r| replaced.  The Newton search from icosphere seeds is the one
+that the closed-form optic axes replaced.
 
 The closed-form optic axes, the alpha root by bisection, the predicted
 kernel angle on the unit circle, the (u, w) unpacking that divides by
@@ -46,6 +47,7 @@ import numpy as np
 
 from wavesym.eigenline import _tie_break_jitter
 from wavesym.errors import DegenerateField, GluingMismatch, InputError, LiftFailure, NotBiaxial, NotClosed, ZeroOnVertex
+from wavesym.fresnel import AXIS_MERGE_ANGLE, traceless_slope
 from wavesym.multiplicity import CONTOUR_REL_TOL, SingularCurve, _chains, _polyline_length
 from wavesym.serialize import _g17, fmt_float
 from wavesym.sphere import PolyVF, SphereSymbol
@@ -53,6 +55,7 @@ from wavesym.spheremesh import (
     SurfaceMesh,
     _edge_runs,
     _icosahedron,
+    icosphere,
     rotate_pq,
     tangent_frames,
     transport_pq,
@@ -260,6 +263,47 @@ def optic_axes_closed_form(crystal) -> np.ndarray:
         for sg_c in (1.0, -1.0):
             axes.append(sg_s * s * e_high + sg_c * c * e_low)
     return np.array(sorted(axes, key=lambda d: (round(d[0], 12), round(d[1], 12), round(d[2], 12))))
+
+
+def optic_axes_newton(crystal, seed_subdiv: int = 1, max_step: float = 0.2, step_tol: float = 1e-12,
+                      max_steps: int = 60) -> np.ndarray:
+    """The four optic axes by Newton's method on the sphere, sorted as
+    singular_directions sorts them.
+
+    Every vertex of the seed_subdiv icosphere seeds one row.  A step
+    moves x by d1 t1 + d2 t2 with d1 + i d2 = z / beta (see
+    traceless_slope), cut to max_step, and renormalizes.  A row stops
+    where beta = 0 (x an eigenvector of eps^{-1}), and has converged once
+    its step is at most step_tol; converged rows within AXIS_MERGE_ANGLE
+    of an earlier one are the same axis.  The search ends at the fourth
+    axis or after max_steps steps, and raises NotBiaxial unless it found
+    four.
+    """
+    if not crystal.is_biaxial():
+        raise NotBiaxial("optic axis search requires a biaxial crystal")
+    x = icosphere(seed_subdiv).vertices
+    active = np.ones(len(x), dtype=bool)
+    found: list[np.ndarray] = []
+    cos_merge = math.cos(AXIS_MERGE_ANGLE)
+    for _ in range(max_steps):
+        rows = np.flatnonzero(active)
+        t1, t2, z, beta = traceless_slope(crystal, x[rows])
+        regular = beta != 0.0
+        step = np.zeros_like(z)
+        step[regular] = z[regular] / beta[regular]
+        length = np.abs(step)
+        step[length > max_step] *= max_step / length[length > max_step]
+        x[rows] = unit_rows(x[rows] + step.real[:, None] * t1 + step.imag[:, None] * t2)
+        converged = regular & (length <= step_tol)
+        active[rows[converged | ~regular]] = False
+        for d in x[rows[converged]]:
+            if all(float(d @ y) < cos_merge for y in found):
+                found.append(d)
+        if len(found) == 4 or not active.any():
+            break
+    if len(found) != 4:
+        raise NotBiaxial(f"axis search found {len(found)} conical directions, not 4")
+    return np.array(sorted(found, key=lambda d: (round(d[0], 9), round(d[1], 9), round(d[2], 9))))
 
 
 def alpha_root() -> float:

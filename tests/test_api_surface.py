@@ -8,7 +8,9 @@ own definition does not count, and neither does a re-export in
 __init__.  So a helper that only tests call fails here: it gets a
 caller in the package, or it moves to tests/oracles.py.  The same holds
 for private top-level functions: a `_helper` that only tests call is a
-reference implementation, and it belongs in tests/oracles.py.
+reference implementation, and it belongs in tests/oracles.py.  A
+module-level UPPER_CASE constant needs a reader in the package too, in
+any module but __init__: one left behind by the code that read it fails.
 """
 
 import ast
@@ -72,3 +74,31 @@ def test_every_private_function_has_a_caller():
     used = {use for tree in modules.values() for use in used_names(tree)}
     assert [f"{mod}.{name}" for mod, tree in modules.items()
             for name in private_functions(tree) if (name, False) not in used] == []
+
+
+def module_constants(tree: ast.Module):
+    """Name of each module-level UPPER_CASE constant, unpacked ones included."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name) and n.id.isupper())
+
+
+def test_every_constant_has_a_reader():
+    modules = parsed_modules()
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert [f"{mod}.{name}" for mod, tree in modules.items()
+            for name in module_constants(tree) if name not in read] == []

@@ -101,8 +101,8 @@ def test_fresnel_with_obj(tmp_path, capsys):
 
 
 def test_fresnel_builds_one_sheet_mesh(tmp_path, monkeypatch):
-    # one icosphere for the axis search, one for both sheets, and the
-    # sheet speeds evaluated once for the report's gap and the OBJ
+    # one icosphere for both sheets and none for the closed-form axes, and
+    # the sheet speeds evaluated once for the report's gap and the OBJ
     calls = {"icosphere": 0, "sheet_speeds": 0}
 
     def counting(name):
@@ -118,13 +118,14 @@ def test_fresnel_builds_one_sheet_mesh(tmp_path, monkeypatch):
     code = cli.main(["fresnel", "--subdiv", "3", "--out", str(tmp_path / "report.json"),
                      "--out-obj", str(tmp_path / "surface.obj")])
     assert code == 0
-    assert calls == {"icosphere": 2, "sheet_speeds": 1}
+    assert calls == {"icosphere": 1, "sheet_speeds": 1}
 
 
 def test_axis_search_ignores_subdiv(capsys):
-    # both crystal commands search one fixed mesh for the optic axes, so
-    # fresnel reports the same axes at every --subdiv and eigenline glues
-    # its cylinders around them; both refuse --subdiv 0 and 1
+    # both crystal commands take the optic axes from their closed form,
+    # whatever the mesh, so fresnel reports the same axes at every --subdiv
+    # and eigenline glues its cylinders around them; both refuse --subdiv
+    # 0 and 1
     reported, glued = set(), set()
     for k in range(7):
         f_code, f_out, _ = run(capsys, "fresnel", "--subdiv", str(k))
@@ -338,6 +339,23 @@ def test_collar_is_no_option(tmp_path, capsys):
     assert code == 0 and json.loads(out)["collar"] == 0.5
 
 
+def test_config_values_are_checked_only_where_taken(tmp_path, capsys):
+    # one config file can serve several subcommands; each refuses only the
+    # values of its own options
+    samples = tmp_path / "s.cfg"
+    samples.write_text("samples = 4\n")
+    code, _, err = run(capsys, "zset", "--config", str(samples))
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "knots", "--config", str(samples))
+    assert code == 2 and "samples must be at least 8" in err
+    m = tmp_path / "m.cfg"
+    m.write_text("m = 7\n")
+    code, _, err = run(capsys, "fresnel", "--config", str(m), "--subdiv", "2")
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "zset", "--config", str(m))
+    assert code == 2 and "m must lie in" in err
+
+
 def test_config_bad_line(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("grid 64\n")
@@ -412,7 +430,7 @@ def test_uniaxial_crystal_is_a_validation_error(capsys):
 
 @pytest.mark.parametrize("subcommand", ["fresnel", "eigenline"])
 def test_merged_axes_exit_2_without_artifacts(tmp_path, capsys, subcommand):
-    # closed-form axis pairs 7.7e-4 rad apart merge in the axis search
+    # closed-form axis pairs 7.7e-4 rad apart, under AXIS_MERGE_ANGLE, are refused
     out, obj = tmp_path / "r.json", tmp_path / "r.obj"
     code, stdout, err = run(capsys, subcommand, "--epsilon", "2,2.0000001,3", "--subdiv", "2",
                             "--out", str(out), "--out-obj", str(obj))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wavesym.errors import ComputationError, InputError, NotBiaxial
 from wavesym.fresnel import (
+    AXIS_MERGE_ANGLE,
     Crystal,
     compressed_grid,
     det_j_floor,
@@ -28,6 +29,7 @@ from .oracles import (
     maxwell_root_residual,
     maxwell_symbol,
     optic_axes_closed_form,
+    optic_axes_newton,
     sheet_values_brute,
 )
 
@@ -67,7 +69,7 @@ def test_inv_eps_is_computed_once_and_read_only():
 
 @pytest.mark.parametrize("eps", [(2.0, 2.5, 4.0), (4.0, 2.0, 2.5), (2.5, 4.0, 2.0), (3.0, 3.0, 1.5), (1.7, 1.7, 1.7)])
 def test_middle_principal_value_is_the_median(eps):
-    # traceless_slope subtracts it on every Newton step; np.median of three
+    # traceless_slope subtracts it for every certificate; np.median of three
     # values is their middle one, so the cached value moves no byte
     crystal = Crystal(eps=eps)
     mid = crystal.inv_eps_mid
@@ -276,7 +278,7 @@ def test_tiny_det_j_is_refused():
         singular_directions(crystal)
 
 
-# --- the Jacobian of (p, q) and the Newton axes ------------------------------------
+# --- the Jacobian of (p, q) and the axis certificates -------------------------------
 
 
 def _spread(crystal):
@@ -374,7 +376,7 @@ gap_crystals = st.builds(_crystal_at_gap_ratio, st.floats(1.5, 4.0), st.floats(0
 
 @settings(max_examples=150, deadline=None)
 @given(gap_crystals)
-def test_newton_axes_match_the_closed_form(crystal):
+def test_axis_certificates_match_the_closed_form(crystal):
     # four axes within 1e-12 of the closed form, det J at the closed form
     # (a_hi - a_mid)(a_mid - a_lo) to 1e-12 relative and above its floor,
     # index +1, and the loop oracle reads +1 about each axis at a quarter
@@ -392,6 +394,40 @@ def test_newton_axes_match_the_closed_form(crystal):
         assert a.det_j > det_j_floor(crystal)
         assert a.local_index == 1
         assert local_degree(section, a.x, radius=radius) == 1
+
+
+# gap ratios below the crystal-axes range, where axis pairs close in on AXIS_MERGE_ANGLE
+merging_crystals = st.builds(_crystal_at_gap_ratio, st.floats(1.5, 4.0), st.floats(0.5, 2.0),
+                             st.floats(-9.0, -6.0).map(lambda e: 10.0 ** e), st.booleans(),
+                             st.permutations([0, 1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(gap_crystals, merging_crystals))
+def test_closed_form_axes_match_the_newton_oracle(crystal):
+    # gap_crystals draws as crystal-axes does, whose axes are never closer
+    # than 1.3e-3 rad; merging_crystals reaches below AXIS_MERGE_ANGLE.  The
+    # oracle's separation, an acos near 1, is good to 1e-9 relative there,
+    # so within 1e-8 of the merge angle either outcome stands
+    separation = min_separation(optic_axes_closed_form(crystal))
+    near = abs(separation / AXIS_MERGE_ANGLE - 1.0) <= 1e-8
+    try:
+        axes = singular_directions(crystal)
+    except NotBiaxial as exc:
+        assert "conical directions" in str(exc)
+        assert separation < AXIS_MERGE_ANGLE or near
+        return
+    assert separation > AXIS_MERGE_ANGLE or near
+    xs = np.array([a.x for a in axes])
+    # the same axes as Newton's, in the same order; Newton's own merge test
+    # rounds differently in the band
+    if not near:
+        assert float(np.abs(xs - optic_axes_newton(crystal)).max()) <= 1e-12
+    # sign flips of one vector, bit for bit, with a +0.0 e_mid component
+    mid = int(np.argsort(np.diagonal(crystal.inv_eps))[1])
+    assert np.abs(xs).tobytes() == np.tile(np.abs(xs[0]), (4, 1)).tobytes()
+    assert xs[:, mid].tobytes() == bytes(4 * 8)
+    assert len({tuple(np.signbit(row).tolist()) for row in xs}) == 4
 
 
 # --- meshes ---------------------------------------------------------------------

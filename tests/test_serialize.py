@@ -15,6 +15,7 @@ from wavesym.errors import InputError
 from wavesym.serialize import (
     TEXT_BLOCK_ROWS,
     _face_rows,
+    _g17,
     _float_rows,
     _index_table,
     _int_cells,
@@ -273,6 +274,19 @@ def test_signed_zeros_in_every_cell_match_fmt_float(head):
             v[::2, (col + 1) % 3] = -zero
             want = [",".join([head.decode()] + [fmt_float(x) for x in row]) for row in v]
             assert float_rows_text(head, b",", v).split("\n") == per_value_lines(want)
+
+
+def test_special_values_scattered_in_one_block_match_g17():
+    # 0.0, -0.0, tiny (|v| < 1e-4) and huge (|v| >= 1e16) values at random
+    # cells among kernel values of one block: each cell is the _g17 text
+    # of its value, -0.0 as 0.0, and no kernel cell is overwritten
+    rng = np.random.default_rng(13)
+    v = rng.uniform(1e-4, 1e6, size=(400, 3)) * rng.choice([-1.0, 1.0], size=(400, 3))
+    specials = [0.0, -0.0, 5e-324, 3.7e-5, -9.999e-5, 1e16, -2.5e300, np.finfo(float).max]
+    v.flat[rng.choice(v.size, size=96, replace=False)] = rng.choice(specials, size=96)
+    assert len(v) < TEXT_BLOCK_ROWS
+    want = [" ".join(["v"] + [_g17(x + 0.0) for x in row]) for row in v.tolist()]
+    assert float_rows_text(b"v", b" ", v).split("\n") == per_value_lines(want)
 
 
 @pytest.mark.parametrize("offset", [0, 7])
